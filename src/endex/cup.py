@@ -47,10 +47,17 @@ def _cup_with_cocycle(x: SimplicialInput, k: int):
     return rows
 
 
-def _mat_mul(a, b, inner: int, cols: int):
+def _mat_mul(a, b, cols: int):
+    """Exact product a*b; zero entries of a and b are skipped."""
+    b_support = [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
     out = []
     for ra in a:
-        out.append([sum((ra[i] * b[i][j] for i in range(inner)), Fraction(0)) for j in range(cols)])
+        row = [Fraction(0)] * cols
+        for x, support in zip(ra, b_support):
+            if x:
+                for j, y in support:
+                    row[j] += x * y
+        out.append(row)
     return out
 
 
@@ -71,8 +78,8 @@ def cup_product_check(x: SimplicialInput):
 
     # The cup map must commute with the coboundary before it can descend.
     for k in range(top):
-        left = _mat_mul(cob[k + 1], cup[k], counts[k + 1], counts[k])
-        right = _mat_mul(cup[k + 1], cob[k], counts[k + 1], counts[k])
+        left = _mat_mul(cob[k + 1], cup[k], counts[k])
+        right = _mat_mul(cup[k + 1], cob[k], counts[k])
         if left != right:
             raise RuntimeError(f"cup map does not commute with the coboundary at degree {k}")
 
@@ -92,10 +99,10 @@ def cup_product_check(x: SimplicialInput):
         if k == top:
             induced_rank[k] = 0
             continue
+        cup_support = [[(i, c) for i, c in enumerate(row) if c] for row in cup[k]]
         cols = []
         for v in kernels[k]:
-            cols.append([sum((cup[k][r][i] * v[i] for i in range(counts[k])), Fraction(0))
-                         for r in range(counts[k + 1])])
+            cols.append([sum((c * v[i] for i, c in support), Fraction(0)) for support in cup_support])
         boundary_cols = [
             [cob[k][r][j] for r in range(counts[k + 1])] for j in range(counts[k])
         ]

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 # Relative singular-value cutoff for every numeric rank decision.
 NUMERIC_RANK_RTOL = 1e-9
 
 
-def numeric_rank(a: np.ndarray, rtol: float = NUMERIC_RANK_RTOL) -> int:
+def numeric_rank(a, rtol: float = NUMERIC_RANK_RTOL) -> int:
+    """Numeric rank of a numpy array by SVD."""
+    import numpy as np
+
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
@@ -46,10 +47,14 @@ def exact_rref(rows, ncols: int):
         a[r], a[pr] = a[pr], a[r]
         inv = _inv(a[r][c])
         a[r] = [x * inv for x in a[r]]
+        # Only the pivot row's nonzero entries change the other rows.
+        support = [(j, y) for j, y in enumerate(a[r]) if y != 0]
         for i in range(nrows):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                ai = a[i]
+                for j, y in support:
+                    ai[j] = ai[j] - f * y
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -74,29 +79,6 @@ def exact_kernel(rows, ncols: int):
             v[pc] = -rref[r][f]
         basis.append(v)
     return basis
-
-
-def exact_solve(rows, ncols: int, rhs):
-    """One solution x of A x = b over an exact field, or None if inconsistent.
-
-    rhs is a list of column vectors (each of length len(rows)); returns the
-    list of solution vectors in the same order.
-    """
-    nrows = len(rows)
-    width = ncols + len(rhs)
-    aug = [list(rows[i]) + [col[i] for col in rhs] for i in range(nrows)]
-    rref, pivots = exact_rref(aug, width)
-    # Inconsistent iff some pivot falls in the appended block.
-    for r, pc in enumerate(pivots):
-        if pc >= ncols:
-            return None
-    sols = []
-    for j in range(len(rhs)):
-        x = [Fraction(0)] * ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = rref[r][ncols + j]
-        sols.append(x)
-    return sols
 
 
 def _inv(x):

@@ -6,15 +6,16 @@ degree-span entry (ties: smallest coefficient height, then row-major).
 Both transforms and their inverses are accumulated from elementary
 operations, and the result is certified before it is returned:
 left*M*right must reconstruct the diagonal exactly, the diagonal must form
-a divisibility chain, and both transform determinants must be units.
+a divisibility chain, and each transform times its inverse must be the
+identity.  That last check proves the transforms unimodular: T*T^-1 = I
+gives det T * det T^-1 = 1, so det T is a unit, with no determinant
+computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .laurent import LaurentPoly, poly
 from .linalg import NUMERIC_RANK_RTOL, exact_rank, numeric_rank
@@ -79,19 +80,20 @@ class LaurentMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
+        n, m = self.cols, other.cols
+        zero = LaurentPoly.zero()
+        # The nonzero entries of each row of other, found once; each output
+        # row accumulates only products of two nonzero entries, in order of k.
+        other_rows = [[(j, y) for j, y in enumerate(other.row(k)) if not y.is_zero()] for k in range(n)]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = LaurentPoly.zero()
-                for k in range(self.cols):
-                    a = ri[k]
-                    if not a.is_zero():
-                        b = other[k, j]
-                        if not b.is_zero():
-                            acc = acc + a * b
-                out.append(acc)
-        return LaurentMatrix(self.rows, other.cols, out)
+            acc = [zero] * m
+            for x, nonzeros in zip(self.entries[i * n : (i + 1) * n], other_rows):
+                if not x.is_zero():
+                    for j, y in nonzeros:
+                        acc[j] = acc[j] + x * y
+            out.extend(acc)
+        return LaurentMatrix(self.rows, m, out)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -139,6 +141,8 @@ class LaurentMatrix:
             if z == 0:
                 raise ZeroDivisionError("evaluation point must be nonzero")
             return [[e.evaluate(Fraction(z)) for e in self.row(i)] for i in range(self.rows)]
+        import numpy as np
+
         zc = complex(z)
         if zc == 0:
             raise ZeroDivisionError("evaluation point must be nonzero")
@@ -151,13 +155,9 @@ class LaurentMatrix:
     def rank_at(self, z, rtol: float = NUMERIC_RANK_RTOL) -> int:
         """Rank of the evaluated matrix: exact for exact z, SVD otherwise."""
         val = self.evaluate(z)
-        if isinstance(val, np.ndarray):
-            return numeric_rank(val, rtol)
-        return exact_rank(val, self.cols)
-
-
-def evaluate_matrix(m: LaurentMatrix, z):
-    return m.evaluate(z)
+        if isinstance(val, list):
+            return exact_rank(val, self.cols)
+        return numeric_rank(val, rtol)
 
 
 @dataclass
@@ -220,22 +220,32 @@ class _Worker:
         self.right_inv[i], self.right_inv[j] = self.right_inv[j], self.right_inv[i]
 
     def addmul_row(self, dst, src, q: LaurentPoly):
-        """row[dst] += q * row[src]; records inverse op."""
+        """row[dst] += q * row[src]; records inverse op.  Entries whose
+        source is zero are left alone."""
         if q.is_zero():
             return
-        self.a[dst] = [x + q * y for x, y in zip(self.a[dst], self.a[src])]
-        self.left[dst] = [x + q * y for x, y in zip(self.left[dst], self.left[src])]
+        for mat in (self.a, self.left):
+            d = mat[dst]
+            for j, y in enumerate(mat[src]):
+                if not y.is_zero():
+                    d[j] = d[j] + q * y
         for r in self.left_inv:
-            r[src] = r[src] - q * r[dst]
+            y = r[dst]
+            if not y.is_zero():
+                r[src] = r[src] - q * y
 
     def addmul_col(self, dst, src, q: LaurentPoly):
         if q.is_zero():
             return
-        for r in self.a:
-            r[dst] = r[dst] + q * r[src]
-        for r in self.right:
-            r[dst] = r[dst] + q * r[src]
-        self.right_inv[src] = [x - q * y for x, y in zip(self.right_inv[src], self.right_inv[dst])]
+        for mat in (self.a, self.right):
+            for r in mat:
+                y = r[src]
+                if not y.is_zero():
+                    r[dst] = r[dst] + q * y
+        d = self.right_inv[src]
+        for j, y in enumerate(self.right_inv[dst]):
+            if not y.is_zero():
+                d[j] = d[j] - q * y
 
     def scale_row(self, i, unit: LaurentPoly):
         c = unit.coeffs[0]
@@ -269,8 +279,9 @@ def smith_normal_form(m: LaurentMatrix, certify: bool = True) -> SnfResult:
     """Smith normal form over the Laurent ring, with unimodular transforms.
 
     Zero and empty matrices are fine.  When certify is set (the default)
-    the factorization is re-multiplied and the transform determinants are
-    checked to be units; a failure raises RuntimeError.
+    the factorization is re-multiplied, the divisibility chain is checked,
+    and each transform times its inverse must give the identity, which
+    proves the transforms unimodular; a failure raises RuntimeError.
     """
     w = _Worker(m)
     nr, nc = w.nr, w.nc
@@ -378,12 +389,11 @@ def _certify(m: LaurentMatrix, res: SnfResult):
     for i in range(len(res.diag) - 1):
         if not res.diag[i].divides(res.diag[i + 1]):
             raise RuntimeError("SNF divisibility chain failed")
+    # T*T^-1 = I gives det T * det T^-1 = 1: det T is a unit, so this check
+    # alone proves each transform unimodular.
     for t, ti in ((res.left, res.left_inv), (res.right, res.right_inv)):
-        if t.rows:
-            if not determinant(t).is_unit():
-                raise RuntimeError("SNF transform is not unimodular")
-            if t * ti != LaurentMatrix.identity(t.rows):
-                raise RuntimeError("SNF transform inverse failed")
+        if t.rows and t * ti != LaurentMatrix.identity(t.rows):
+            raise RuntimeError("SNF transform inverse failed")
 
 
 def determinant(m: LaurentMatrix) -> LaurentPoly:

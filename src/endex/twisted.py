@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 
-import numpy as np
-
 from .complexes import ChainComplexOverLambda
 from .errors import NotFiniteError, OnWallError, WindowTooSmallError
 from .homology import HomologyModule, alexander_polynomials, finiteness_check, homology
@@ -196,6 +194,8 @@ def l2_kernel_truncated(w: WeightedWindow) -> int:
     whose mass decays at the window boundary.  Converges to the analytic
     dimension as N grows.
     """
+    import numpy as np
+
     lam = complex(w.lam)
     n, m = w.n_window, w.m
     ln_mod = math.log(abs(lam))

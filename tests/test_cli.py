@@ -278,3 +278,13 @@ def test_console_entry_point():
     for cmd in ("analyze", "alexander", "index", "twisted", "fredholm", "l2-oracle",
                 "cup-check", "duality", "plotdata"):
         assert cmd in proc.stdout
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is loaded only by the float paths, so exact runs do not pay for it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, endex.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

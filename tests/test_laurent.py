@@ -163,3 +163,12 @@ def test_parser_and_pretty_roundtrip():
     for _ in range(50):
         p = random_laurent(rng)
         assert poly(p.pretty()) == p
+
+
+def test_module_doctests():
+    import doctest
+
+    import endex.laurent
+
+    result = doctest.testmod(endex.laurent)
+    assert result.attempted > 0 and result.failed == 0

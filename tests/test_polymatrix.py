@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from endex import LaurentMatrix, LaurentPoly, determinant, rank_ff, smith_normal_form
+from endex import LaurentMatrix, LaurentPoly, SnfResult, determinant, rank_ff, smith_normal_form
 from endex.laurent import poly
 from endex.linalg import numeric_rank
+from endex.polymatrix import _certify
 
-from conftest import mat, random_matrix
+from conftest import mat, random_laurent, random_matrix
 
 
 def test_snf_unit_entry_absorbed():
@@ -105,6 +106,47 @@ def test_unimodular_transform_inverses():
             assert s.left * s.left_inv == LaurentMatrix.identity(m.rows)
         if m.cols:
             assert s.right * s.right_inv == LaurentMatrix.identity(m.cols)
+
+
+def test_certify_rejects_non_unimodular_transform():
+    # left*M*right = D holds, but left = [[t - 1]] has no inverse over the
+    # Laurent ring; only the T*T^-1 = I check can catch it.
+    m = mat([["1"]])
+    res = SnfResult(left=mat([["t - 1"]]), diag=[poly("t - 1")], right=mat([["1"]]), rank=1,
+                    left_inv=mat([["1"]]), right_inv=mat([["1"]]))
+    assert res.left * m * res.right == res.diagonal_matrix(1, 1)
+    with pytest.raises(RuntimeError, match="inverse"):
+        _certify(m, res)
+
+
+def _naive_product(a, b):
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = LaurentPoly.zero()
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            out.append(acc)
+    return LaurentMatrix(a.rows, b.cols, out)
+
+
+def test_matrix_product_matches_naive_triple_loop():
+    rng = random.Random(4242)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (0, 0, 0)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)]
+    for r, n, c in shapes:
+        a = LaurentMatrix(r, n, [random_laurent(rng, 2) for _ in range(r * n)])
+        b = LaurentMatrix(n, c, [random_laurent(rng, 2) for _ in range(n * c)])
+        assert a * b == _naive_product(a, b)
+        if r and n and c:
+            # Zero out a row of a and a column of b.
+            zi, zj = rng.randrange(r), rng.randrange(c)
+            a = LaurentMatrix(r, n, [LaurentPoly.zero() if k // n == zi else e for k, e in enumerate(a.entries)])
+            b = LaurentMatrix(n, c, [LaurentPoly.zero() if k % c == zj else e for k, e in enumerate(b.entries)])
+            p = a * b
+            assert p == _naive_product(a, b)
+            assert all(p[zi, j].is_zero() for j in range(c))
+            assert all(p[i, zj].is_zero() for i in range(r))
 
 
 def test_numeric_rank_tolerance():
