@@ -13,7 +13,6 @@ from .complexes import (
     ChainComplexOverLambda,
     ManifoldContext,
     SimplicialInput,
-    euler_characteristic_x,
     from_boundary_matrices,
     lift_simplicial,
 )
@@ -44,7 +43,7 @@ from .indexfn import (
     jump_at,
 )
 from .laurent import LaurentPoly, canonicalize, laurent_gcd, poly, squarefree_decomposition
-from .polymatrix import LaurentMatrix, SnfResult, determinant, rank_ff, smith_normal_form
+from .polymatrix import LaurentMatrix, SnfResult, determinant, smith_normal_form
 from .rationals import GaussianRational
 from .spectral import ExceptionalSet, RootDatum, Wall, exceptional_weights, find_roots
 from .twisted import (
@@ -88,7 +87,6 @@ __all__ = [
     "cup_product_check",
     "determinant",
     "duality_check",
-    "euler_characteristic_x",
     "excision_index",
     "exceptional_weights",
     "find_roots",
@@ -104,7 +102,6 @@ __all__ = [
     "laurent_gcd",
     "lift_simplicial",
     "poly",
-    "rank_ff",
     "smith_normal_form",
     "squarefree_decomposition",
     "twisted_dims",

@@ -112,12 +112,6 @@ def from_boundary_matrices(data) -> ChainComplexOverLambda:
     return cc
 
 
-def euler_characteristic_x(cc: ChainComplexOverLambda) -> int:
-    """Alternating sum of the module ranks.  Nonzero means the covered
-    space cannot have finite-dimensional end-periodic homology."""
-    return cc.euler_characteristic()
-
-
 class SimplicialInput:
     """A finite simplicial complex with an integer 1-cocycle on its edges.
 

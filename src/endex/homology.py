@@ -130,9 +130,9 @@ def finiteness_check(h: HomologyModule) -> FinitenessVerdict:
 
 class AlexanderData:
     """Characteristic polynomials of the covering translation, one per
-    degree 0..n, plus their product over degrees 0..n-1."""
+    degree 0..n."""
 
-    __slots__ = ("n", "polys", "product")
+    __slots__ = ("n", "polys")
 
     def __init__(self, n: int, polys):
         polys = [canonicalize(p) for p in polys]
@@ -143,12 +143,8 @@ class AlexanderData:
         for p in polys:
             if p.coefficient(0) == 0:
                 raise ValueError(f"characteristic polynomial {p!r} vanishes at 0")
-        prod = LaurentPoly.one()
-        for p in polys[:n]:
-            prod = prod * p
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "polys", tuple(polys))
-        object.__setattr__(self, "product", canonicalize(prod) if not prod.is_zero() else prod)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlexanderData is immutable")

@@ -443,56 +443,3 @@ def _det_bareiss(rows):
         prev = a[k][k]
     d = a[n - 1][n - 1]
     return -d if sign < 0 else d
-
-
-def rank_ff(m: LaurentMatrix) -> int:
-    """Rank over the fraction field, by cross-multiplication elimination.
-
-    Independent of the Smith normal form path; used as its cross-check.
-    """
-    a = [m.row(i) for i in range(m.rows)]
-    nr, nc = m.rows, m.cols
-    rank = 0
-    for col in range(nc):
-        pivot = None
-        for i in range(rank, nr):
-            if not a[i][col].is_zero():
-                if pivot is None or _pivot_key(a[i][col]) < _pivot_key(a[pivot][col]):
-                    pivot = i
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        p = a[rank][col]
-        for i in range(rank + 1, nr):
-            if a[i][col].is_zero():
-                continue
-            f = a[i][col]
-            row = [p * a[i][j] - f * a[rank][j] for j in range(nc)]
-            a[i] = _strip_row_units(row)
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-def _strip_row_units(row):
-    """Scale a row by a unit so entries stay small during elimination."""
-    nz = [e for e in row if not e.is_zero()]
-    if not nz:
-        return row
-    shift = -min(e.low for e in nz)
-    if shift:
-        row = [e.shift(shift) for e in row]
-        nz = [e for e in row if not e.is_zero()]
-    if all(e.is_rational() for e in nz):
-        from math import gcd
-
-        num, den = 0, 1
-        for e in nz:
-            c = e.content()
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        content = Fraction(num, den)
-        if content != 1:
-            row = [e.scale(1 / content) for e in row]
-    return row

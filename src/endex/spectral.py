@@ -80,8 +80,9 @@ def _rational_roots(f: LaurentPoly):
         if abs(a0.numerator) > 10**12 or abs(ad.numerator) > 10**12:
             break
         found = None
+        qs = _divisors(int(ad))
         for p in _divisors(int(a0)):
-            for q in _divisors(int(ad)):
+            for q in qs:
                 if math.gcd(p, q) != 1:
                     continue
                 for r in (Fraction(p, q), Fraction(-p, q)):

@@ -188,17 +188,33 @@ def l2_hom_dim_analytic(lam, m: int, delta1: float, delta2: float) -> int:
 def l2_kernel_truncated(w: WeightedWindow) -> int:
     """Brute-force kernel count of the truncated weighted shift operator.
 
-    Builds the band matrix of (shift - lambda)^m on window indices
+    Builds the band matrix of (shift - |lambda|)^m on window indices
     -N..N (the shift moves a sequence one step to the right), conjugates by
     the two-sided exponential weight, and counts the kernel directions
     whose mass decays at the window boundary.  Converges to the analytic
     dimension as N grows.
+
+    The operator for |lambda| gives the same count as the one for lambda,
+    so the matrix is real for every lambda.  Write lambda = |lambda| e^(i theta)
+    and let row r hold output index k_r.  Entry (r, k_r - i) of
+    (shift - lambda)^m is
+
+        e^(i theta (m - k_r)) * C(m,i)(-|lambda|)^(m-i) * e^(i theta (k_r - i)),
+
+    so the complex operator is U A V, with A the real operator for |lambda|
+    and U, V unitary diagonal matrices.  The column weights are diagonal
+    and commute with V, and the row balancing divides by moduli that U
+    leaves unchanged.  The weighted, balanced matrix therefore keeps its
+    singular values, and each right singular vector changes only by
+    unit-modulus factors on its entries.  The boundary-mass test reads
+    only the squared moduli of those entries, so it counts the same
+    vectors.
     """
     import numpy as np
 
-    lam = complex(w.lam)
+    mod = abs(complex(w.lam))
     n, m = w.n_window, w.m
-    ln_mod = math.log(abs(lam))
+    ln_mod = math.log(mod)
     gap = min(abs(ln_mod - w.delta1), abs(ln_mod - w.delta2))
     if gap <= _CIRCLE_PAD:
         raise OnWallError(ln_mod, w.delta1 if abs(ln_mod - w.delta1) < abs(ln_mod - w.delta2) else w.delta2)
@@ -210,9 +226,9 @@ def l2_kernel_truncated(w: WeightedWindow) -> int:
         )
     size = 2 * n + 1
     rows = size - m
-    # Stencil of (shift - lambda)^m: coefficient of x_{k-i} is C(m,i)(-lam)^(m-i).
-    stencil = [math.comb(m, i) * (-lam) ** (m - i) for i in range(m + 1)]
-    a = np.zeros((rows, size), dtype=complex)
+    # Stencil of (shift - |lam|)^m: coefficient of x_{k-i} is C(m,i)(-|lam|)^(m-i).
+    stencil = [math.comb(m, i) * (-mod) ** (m - i) for i in range(m + 1)]
+    a = np.zeros((rows, size), dtype=np.float64)
     for r in range(rows):
         k = -n + m + r
         for i in range(m + 1):

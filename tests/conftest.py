@@ -1,15 +1,18 @@
 """Shared builders for the test suite: small matrices, random polynomials,
-random chain complexes with known (planted) homology."""
+random chain complexes with known (planted) homology, and a fraction-field
+rank that cross-checks the Smith normal form."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from endex import AlexanderData, ChainComplexOverLambda, LaurentMatrix, LaurentPoly
 from endex.laurent import poly
+from endex.polymatrix import _pivot_key
 
 
 def mat(rows):
@@ -183,3 +186,55 @@ def planted_roots(expected) -> set:
                 if q.evaluate(r) == 0:
                     out.add(r)
     return out
+
+
+def rank_ff(m: LaurentMatrix) -> int:
+    """Rank over the fraction field, by cross-multiplication elimination.
+
+    Independent of the Smith normal form path; the tests' cross-check of
+    its rank.
+    """
+    a = [m.row(i) for i in range(m.rows)]
+    nr, nc = m.rows, m.cols
+    rank = 0
+    for col in range(nc):
+        pivot = None
+        for i in range(rank, nr):
+            if not a[i][col].is_zero():
+                if pivot is None or _pivot_key(a[i][col]) < _pivot_key(a[pivot][col]):
+                    pivot = i
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        p = a[rank][col]
+        for i in range(rank + 1, nr):
+            if a[i][col].is_zero():
+                continue
+            f = a[i][col]
+            row = [p * a[i][j] - f * a[rank][j] for j in range(nc)]
+            a[i] = _strip_row_units(row)
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
+
+def _strip_row_units(row):
+    """Scale a row by a unit so entries stay small during elimination."""
+    nz = [e for e in row if not e.is_zero()]
+    if not nz:
+        return row
+    shift = -min(e.low for e in nz)
+    if shift:
+        row = [e.shift(shift) for e in row]
+        nz = [e for e in row if not e.is_zero()]
+    if all(e.is_rational() for e in nz):
+        num, den = 0, 1
+        for e in nz:
+            c = e.content()
+            num = gcd(num, c.numerator)
+            den = den * c.denominator // gcd(den, c.denominator)
+        content = Fraction(num, den)
+        if content != 1:
+            row = [e.scale(1 / content) for e in row]
+    return row

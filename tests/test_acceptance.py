@@ -34,7 +34,6 @@ from endex import (
     l2_hom_dim_analytic,
     l2_kernel_truncated,
     lift_simplicial,
-    rank_ff,
     smith_normal_form,
     twisted_dims,
     uct_dims,
@@ -49,6 +48,7 @@ from conftest import (
     planted_roots,
     random_alexander,
     random_matrix,
+    rank_ff,
 )
 
 

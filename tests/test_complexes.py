@@ -6,7 +6,6 @@ from endex import (
     ChainComplexOverLambda,
     ComplexValidationError,
     SimplicialInput,
-    euler_characteristic_x,
     from_boundary_matrices,
     homology,
     lift_simplicial,
@@ -91,9 +90,9 @@ def test_missing_cocycle_value_rejected():
 
 
 def test_euler_characteristic():
-    assert euler_characteristic_x(lift_simplicial(winding_triangle())) == 0
+    assert lift_simplicial(winding_triangle()).euler_characteristic() == 0
     cc = ChainComplexOverLambda([2, 1], [mat([["t - 1"], ["0"]])])
-    assert euler_characteristic_x(cc) == 1
+    assert cc.euler_characteristic() == 1
 
 
 def _random_simplicial(rng: random.Random):

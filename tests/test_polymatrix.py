@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from endex import LaurentMatrix, LaurentPoly, SnfResult, determinant, rank_ff, smith_normal_form
+from endex import LaurentMatrix, LaurentPoly, SnfResult, determinant, smith_normal_form
 from endex.laurent import poly
 from endex.linalg import numeric_rank
 from endex.polymatrix import _certify
 
-from conftest import mat, random_laurent, random_matrix
+from conftest import mat, random_laurent, random_matrix, rank_ff
 
 
 def test_snf_unit_entry_absorbed():

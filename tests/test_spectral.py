@@ -6,6 +6,7 @@ import pytest
 
 from endex import AmbiguousWallError, exceptional_weights, find_roots
 from endex.laurent import LaurentPoly, poly
+from endex import spectral
 from endex.spectral import RESIDUAL_RTOL
 
 from conftest import random_alexander
@@ -160,3 +161,24 @@ def test_wall_json_shape(fox_alexander):
     j = ws.to_json()
     assert j["walls"][2]["delta_exact"] == "ln(2)"
     assert j["walls"][2]["contributions"] == [{"k": 1, "lambda": "2", "mult": 1}]
+
+
+def test_rational_roots_lists_divisors_once_per_round(monkeypatch):
+    # 720720 t^5 + t^3 + 720720 has no rational root, so the search tries
+    # every divisor pair of 720720 (240 divisors) before giving up.
+    calls = []
+    divisors = spectral._divisors
+
+    def counting(n):
+        calls.append(n)
+        return divisors(n)
+
+    monkeypatch.setattr(spectral, "_divisors", counting)
+    cliff = LaurentPoly(0, [720720, 0, 0, 1, 0, 720720])
+    assert spectral._rational_roots(cliff) == ([], cliff)
+    assert len(calls) == 2
+    # Two rational roots: two rounds that find one, a third that finds none.
+    calls.clear()
+    roots, rest = spectral._rational_roots(poly("2t - 1") * poly("t + 3") * cliff)
+    assert roots == [Fraction(1, 2), Fraction(-3)] and rest == cliff
+    assert len(calls) == 6

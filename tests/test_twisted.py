@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from endex import (
@@ -163,6 +164,89 @@ def test_l2_truncated_examples():
 def test_l2_truncated_jordan_block():
     assert l2_kernel_truncated(WeightedWindow(2, 2, 1.0, 0.5, 200)) == 2
     assert l2_kernel_truncated(WeightedWindow(1 + 1j, 2, 1.0, 0.0, 200)) == 2
+
+
+def _l2_kernel_complex_reference(w):
+    """The shift-kernel count on the complex operator (shift - lambda)^m:
+    an independent reference for the phase argument in the docstring of
+    `l2_kernel_truncated`, which runs on the real operator for |lambda|."""
+    lam = complex(w.lam)
+    n, m = w.n_window, w.m
+    ln_mod = math.log(abs(lam))
+    gap = min(abs(ln_mod - w.delta1), abs(ln_mod - w.delta2))
+    if gap <= 1e-9:
+        raise OnWallError(ln_mod, w.delta1 if abs(ln_mod - w.delta1) < abs(ln_mod - w.delta2) else w.delta2)
+    if math.exp(-n * gap) >= w.tol:
+        needed = math.ceil(math.log(1.0 / w.tol) / gap) + 1
+        raise WindowTooSmallError(needed, f"window {n} too small")
+    size = 2 * n + 1
+    stencil = [math.comb(m, i) * (-lam) ** (m - i) for i in range(m + 1)]
+    a = np.zeros((size - m, size), dtype=complex)
+    for r in range(size - m):
+        k = -n + m + r
+        for i in range(m + 1):
+            a[r, (k - i) + n] = stencil[i]
+    idx = np.arange(-n, n + 1, dtype=float)
+    delta_of = np.where(idx < 0, w.delta1, np.where(idx > 0, w.delta2, 0.0))
+    a *= np.exp(-delta_of * idx)[None, :]
+    a /= np.max(np.abs(a), axis=1)[:, None]
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    kernel_rows = [vh[i] for i in range(len(s), size)]
+    kernel_rows += [vh[i] for i in range(len(s)) if s[i] < w.tol * s[0]]
+    boundary = np.abs(idx) > int(math.floor(0.9 * n))
+    count = 0
+    for v in kernel_rows:
+        mass = np.abs(v) ** 2
+        if mass[boundary].sum() / mass.sum() < 1e-3:
+            count += 1
+    return count
+
+
+def _outcome(fn, w):
+    try:
+        return fn(w)
+    except WindowTooSmallError as exc:
+        return ("WindowTooSmallError", exc.required_n)
+
+
+def test_l2_truncated_phase_invariant():
+    phases = (math.pi / 7, math.pi / 2, 2.0, math.pi, 4.0, 5.5)
+    for mod, m, d1, d2, n in ((2.0, 2, 1.0, 0.5, 100), (0.5, 1, 1.0, -1.0, 80),
+                              (1.5, 3, -0.5, -1.0, 120), (2.0, 1, 0.5, 1.0, 100)):
+        at_mod = l2_kernel_truncated(WeightedWindow(mod, m, d1, d2, n))
+        assert at_mod == l2_hom_dim_analytic(mod, m, d1, d2)
+        for theta in phases:
+            lam = mod * complex(math.cos(theta), math.sin(theta))
+            assert l2_kernel_truncated(WeightedWindow(lam, m, d1, d2, n)) == at_mod
+
+
+def test_l2_truncated_matches_complex_operator():
+    rng = random.Random(4)
+    outcomes = set()
+    for _ in range(20):
+        mod = math.exp(rng.uniform(math.log(1 / 3), math.log(3)))
+        theta = rng.uniform(0, 2 * math.pi)
+        d1, d2 = sorted((rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
+                        reverse=rng.random() < 0.75)
+        w = WeightedWindow(mod * complex(math.cos(theta), math.sin(theta)), rng.randint(1, 3),
+                           d1, d2, rng.choice((60, 90, 120)))
+        got = _outcome(l2_kernel_truncated, w)
+        assert got == _outcome(_l2_kernel_complex_reference, w), w
+        outcomes.add(got if isinstance(got, int) else got[0])
+    assert outcomes == {0, 1, 2, 3, "WindowTooSmallError"}
+
+
+def test_l2_truncated_runs_real_svd(monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert l2_kernel_truncated(WeightedWindow(1 + 1j, 1, 1.0, 0.0, 60)) == 1
+    assert seen == [np.float64]
 
 
 def test_l2_window_too_small():
