@@ -19,6 +19,7 @@ from .complexes import (
 from .cup import cup_product_check
 from .errors import (
     AmbiguousWallError,
+    CertificationError,
     ComplexValidationError,
     EndexError,
     NotFiniteError,
@@ -61,6 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlexanderData",
     "AmbiguousWallError",
+    "CertificationError",
     "ChainComplexOverLambda",
     "ComplexValidationError",
     "EndexError",

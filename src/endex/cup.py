@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import SimplicialInput
-from .errors import UnsupportedInputError
+from .errors import CertificationError, UnsupportedInputError
 from .linalg import exact_kernel, exact_rank
 
 
@@ -81,7 +81,7 @@ def cup_product_check(x: SimplicialInput):
         left = _mat_mul(cob[k + 1], cup[k], counts[k])
         right = _mat_mul(cup[k + 1], cob[k], counts[k])
         if left != right:
-            raise RuntimeError(f"cup map does not commute with the coboundary at degree {k}")
+            raise CertificationError("cup", f"cup map does not commute with the coboundary at degree {k}")
 
     kernels = {}
     coh_dims = {}

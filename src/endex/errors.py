@@ -46,3 +46,14 @@ class WindowTooSmallError(EndexError):
 
 class UnsupportedInputError(EndexError):
     """The operation needs an input form this datum does not provide."""
+
+
+class CertificationError(EndexError, RuntimeError):
+    """An internal invariant check failed: a computed result did not pass
+    the check that certifies it.  Names the stage and the failed check;
+    stays a RuntimeError so callers that catch one still catch it."""
+
+    def __init__(self, stage: str, check: str):
+        self.stage = stage
+        self.check = check
+        super().__init__(f"internal check failed in {stage}: {check}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import ChainComplexOverLambda
-from .errors import NotFiniteError
+from .errors import CertificationError, NotFiniteError
 from .laurent import LaurentPoly, canonicalize
 from .polymatrix import LaurentMatrix, smith_normal_form
 
@@ -105,20 +105,20 @@ def homology(cc: ChainComplexOverLambda) -> HomologyModule:
             for i in range(s.rank):
                 for j in range(rewritten.cols):
                     if not rewritten[i, j].is_zero():
-                        raise RuntimeError("incoming boundary leaves the kernel")
+                        raise CertificationError("homology", "incoming boundary leaves the kernel")
             rows = [rewritten.row(i) for i in range(s.rank, cc.ranks[k])]
             incoming_in_kernel = (
                 LaurentMatrix.from_rows(rows) if rows else LaurentMatrix.zero(0, rewritten.cols)
             )
         sub = smith_normal_form(incoming_in_kernel)
         if sub.rank != rank_in:
-            raise RuntimeError("rank of the incoming boundary changed under base change")
+            raise CertificationError("homology", "rank of the incoming boundary changed under base change")
         free_ranks.append(nullity - rank_in)
         factors.append(sub.invariant_factors())
     # Alternating free ranks must reproduce the Euler characteristic.
     chi = cc.euler_characteristic()
     if sum((-1) ** k * f for k, f in enumerate(free_ranks)) != chi:
-        raise RuntimeError("free ranks are inconsistent with the Euler characteristic")
+        raise CertificationError("homology", "free ranks are inconsistent with the Euler characteristic")
     return HomologyModule(n, free_ranks, factors)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import ManifoldContext
-from .errors import OnWallError
+from .errors import CertificationError, OnWallError
 from .homology import AlexanderData
 from .laurent import canonicalize
 from .spectral import ExceptionalSet, Wall
@@ -115,8 +115,8 @@ def index_function(alex: AlexanderData, ctx: ManifoldContext, walls: Exceptional
     closed = _closed_values(n, ctx.chi, walls)
     accumulated = _accumulated_values(n, ctx.chi, walls)
     if closed != accumulated:
-        raise RuntimeError(
-            f"index construction mismatch: closed count {closed} vs jump accumulation {accumulated}"
+        raise CertificationError(
+            "index", f"closed count {closed} disagrees with jump accumulation {accumulated}"
         )
     return IndexFunction(n=n, chi=ctx.chi, walls=walls, values=tuple(closed))
 
@@ -136,7 +136,7 @@ def jump_at(f: IndexFunction, wall_index: int):
     breakdown = [(c.degree_k, c.multiplicity, c.jump_term) for c in w.contributions]
     jump = sum(term for _, _, term in breakdown)
     if jump != w.jump or jump != f.values[wall_index + 1] - f.values[wall_index]:
-        raise RuntimeError("wall jump inconsistent with interval values")
+        raise CertificationError("index", "wall jump inconsistent with interval values")
     return jump, breakdown
 
 
@@ -170,8 +170,8 @@ def excision_index(
     path_b = count if delta2 < delta1 else -count
 
     if path_a != path_b:
-        raise RuntimeError(
-            f"excision paths disagree at ({delta1}, {delta2}): {path_a} vs {path_b}"
+        raise CertificationError(
+            "excision", f"paths disagree at ({delta1}, {delta2}): {path_a} vs {path_b}"
         )
     return path_a
 

@@ -9,6 +9,12 @@ zero, nonzero constant term and monic leading coefficient, which is the
 representative used for invariant factors and characteristic polynomials
 throughout the package.
 
+``laurent_gcd`` and ``squarefree_decomposition`` run over Z, on lists of
+Python ints: each input is scaled to its primitive integer associate, and
+by Gauss's lemma a primitive divisor over Q divides over Z as well, so the
+gcd needs no rational and every division in the decomposition is an exact
+integer one.  Both take rational coefficients only.
+
 >>> poly("t^2 - 1") == poly("t - 1") * poly("t + 1")
 True
 >>> divmod(poly("t - 2"), poly("t - 1"))
@@ -24,6 +30,7 @@ import re
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 
+from .errors import CertificationError
 from .rationals import GaussianRational, format_rational, parse_rational
 
 
@@ -273,15 +280,7 @@ class LaurentPoly:
             return other.is_zero() if isinstance(other, LaurentPoly) else other == 0
         return (other % self).is_zero()
 
-    # -- calculus and substitution --------------------------------------
-
-    def derivative(self) -> "LaurentPoly":
-        if self.is_zero():
-            return self
-        return LaurentPoly(
-            self.low - 1,
-            tuple(c * (self.low + i) for i, c in enumerate(self.coeffs)),
-        )
+    # -- substitution ---------------------------------------------------
 
     def __call__(self, z):
         return self.evaluate(z)
@@ -464,21 +463,125 @@ def canonicalize(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(0, tuple(c * inv for c in p.coeffs))
 
 
+def _int_coeffs(p: LaurentPoly) -> list:
+    """The primitive integer associate of p's coefficient run, ascending.
+
+    Clears denominators and divides out the content, so the leading
+    coefficient is positive; the zero polynomial gives [].  Rational
+    coefficients only: the integer kernel has no Gaussian counterpart.
+    """
+    if not p.is_rational():
+        raise TypeError(f"gcd and square-free decomposition need rational coefficients, got {p!r}")
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _primitive(a: list) -> list:
+    """a divided by t^k and by its signed content, so that the constant
+    term is nonzero and the leading coefficient positive; [] stays []."""
+    if not a:
+        return a
+    start = 0
+    while a[start] == 0:
+        start += 1
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a[start:]]
+
+
+def _trim(a: list) -> list:
+    """Drop zero leading coefficients, so that [] is the zero polynomial."""
+    end = len(a)
+    while end and a[end - 1] == 0:
+        end -= 1
+    return a[:end]
+
+
+def _derivative(a: list) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _sub(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    return _trim([x - y for x, y in zip(a, b)] + a[len(b):])
+
+
+def _prem(a: list, b: list) -> list:
+    """A nonzero integer multiple of the remainder of a by b (b nonzero).
+
+    Each step scales the running remainder by lead(b)/g instead of
+    inverting lead(b), with g the gcd of lead(b) and the coefficient being
+    cancelled; the multiple is removed by the caller's primitive part.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r[top]
+        if c == 0:
+            continue
+        g = math.gcd(lead, c)
+        m, c = lead // g, c // g
+        base = top - db
+        if m != 1:
+            for i in range(top):
+                r[i] *= m
+        for j in range(db):
+            r[base + j] -= c * b[j]
+    return _trim(r[:db])
+
+
+def _int_gcd(a: list, b: list) -> list:
+    """Primitive gcd of two integer polynomials, not both zero, up to t-powers.
+
+    Primitive pseudo-remainder sequence: by Gauss's lemma the primitive
+    part of the gcd over Q is the gcd over Z, so no rational ever appears.
+    """
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _exact_quo(n: list, a: list) -> list:
+    """n / a over Z, for a primitive divisor a of n in Q[t].
+
+    By Gauss's lemma a then divides n in Z[t], so every coefficient
+    division is exact; one that is not is an internal failure.
+    """
+    r = list(n)
+    da = len(a) - 1
+    lead = a[-1]
+    q = [0] * max(len(r) - da, 0)
+    for top in range(len(r) - 1, da - 1, -1):
+        c = r[top]
+        if c == 0:
+            continue
+        qc, rem = divmod(c, lead)
+        if rem:
+            raise CertificationError("squarefree", "inexact integer division")
+        q[top - da] = qc
+        for j in range(da):
+            r[top - da + j] -= qc * a[j]
+    if any(r[:da]):
+        raise CertificationError("squarefree", "inexact integer division")
+    return q
+
+
 def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Greatest common divisor in the Laurent ring, in canonical form.
 
-    Euclidean remainder chain on the polynomial parts; the unit content of
-    each remainder is stripped to keep intermediate coefficients small.
+    Runs over Z on the primitive integer associates of p and q (a primitive
+    pseudo-remainder sequence); gcds are unique up to units and
+    ``canonicalize`` picks the same associate as a Euclid chain over Q.
+    Rational coefficients only: Gaussian input raises TypeError.
     """
     a, b = poly(p), poly(q)
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    a = a.primitive_part() if not a.is_zero() else a
-    b = b.primitive_part() if not b.is_zero() else b
-    while not b.is_zero():
-        r = a % b
-        a, b = b, (r.primitive_part() if not r.is_zero() else r)
-    return canonicalize(a)
+    return canonicalize(LaurentPoly(0, _int_gcd(_int_coeffs(a), _int_coeffs(b))))
 
 
 def squarefree_decomposition(p: LaurentPoly):
@@ -487,25 +590,29 @@ def squarefree_decomposition(p: LaurentPoly):
     Returns [(factor, multiplicity), ...] with multiplicities strictly
     increasing and each factor canonical of positive span; the product of
     factor^multiplicity equals canonicalize(p).  Units give [].
-    Uses the gcd(p, p') chain, so multiplicities are exact.
+    Yun's algorithm on the primitive integer associate of p, so
+    multiplicities are exact.  Every division in it is by a primitive
+    divisor, which by Gauss's lemma divides over Z as well as over Q, so
+    all divisions are exact integer ones.  Rational coefficients only:
+    Gaussian input raises TypeError.
     """
     p = poly(p)
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    f = canonicalize(p)
-    if f.span == 0:
+    f = _int_coeffs(p)
+    if len(f) == 1:
         return []
-    fp = f.derivative()
-    g = laurent_gcd(f, fp)
-    c = f.exact_div(g)
-    d = fp.exact_div(g) - c.derivative()
+    fp = _derivative(f)
+    g = _int_gcd(f, fp)
+    c = _exact_quo(f, g)
+    d = _sub(_exact_quo(fp, g), _derivative(c))
     out = []
     mult = 1
-    while c.span > 0:
-        a = laurent_gcd(c, d)
-        if a.span > 0:
-            out.append((a, mult))
-        c = c.exact_div(a)
-        d = d.exact_div(a) - c.derivative()
+    while len(c) > 1:
+        a = _int_gcd(c, d)
+        if len(a) > 1:
+            out.append((canonicalize(LaurentPoly(0, a)), mult))
+        c = _exact_quo(c, a)
+        d = _sub(_exact_quo(d, a), _derivative(c))
         mult += 1
     return out

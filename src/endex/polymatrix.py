@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import CertificationError
 from .laurent import LaurentPoly, poly
 from .linalg import NUMERIC_RANK_RTOL, exact_rank, numeric_rank
 from .rationals import GaussianRational
@@ -281,7 +282,7 @@ def smith_normal_form(m: LaurentMatrix, certify: bool = True) -> SnfResult:
     Zero and empty matrices are fine.  When certify is set (the default)
     the factorization is re-multiplied, the divisibility chain is checked,
     and each transform times its inverse must give the identity, which
-    proves the transforms unimodular; a failure raises RuntimeError.
+    proves the transforms unimodular; a failure raises CertificationError.
     """
     w = _Worker(m)
     nr, nc = w.nr, w.nc
@@ -385,15 +386,15 @@ def _best_pivot(a, k, nr, nc):
 def _certify(m: LaurentMatrix, res: SnfResult):
     d = res.diagonal_matrix(m.rows, m.cols)
     if res.left * m * res.right != d:
-        raise RuntimeError("SNF reconstruction failed")
+        raise CertificationError("snf", "left * M * right does not reconstruct the diagonal")
     for i in range(len(res.diag) - 1):
         if not res.diag[i].divides(res.diag[i + 1]):
-            raise RuntimeError("SNF divisibility chain failed")
+            raise CertificationError("snf", "diagonal divisibility chain is broken")
     # T*T^-1 = I gives det T * det T^-1 = 1: det T is a unit, so this check
     # alone proves each transform unimodular.
     for t, ti in ((res.left, res.left_inv), (res.right, res.right_inv)):
         if t.rows and t * ti != LaurentMatrix.identity(t.rows):
-            raise RuntimeError("SNF transform inverse failed")
+            raise CertificationError("snf", "a transform times its inverse is not the identity")
 
 
 def determinant(m: LaurentMatrix) -> LaurentPoly:

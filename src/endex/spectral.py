@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AmbiguousWallError
+from .errors import AmbiguousWallError, CertificationError
 from .laurent import LaurentPoly, canonicalize, poly, squarefree_decomposition
 from .rationals import format_rational
 
@@ -188,7 +188,8 @@ def find_roots(a: LaurentPoly, degree_k: int) -> list[RootDatum]:
                         residual=res / scale if scale else res,
                     )
                 )
-    assert sum(r.multiplicity for r in out) == a.span
+    if sum(r.multiplicity for r in out) != a.span:
+        raise CertificationError("roots", f"root multiplicities do not sum to the degree span {a.span}")
     return out
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from numbers import Rational as _RationalABC
 
 from .complexes import ChainComplexOverLambda
-from .errors import NotFiniteError, OnWallError, WindowTooSmallError
+from .errors import CertificationError, NotFiniteError, OnWallError, WindowTooSmallError
 from .homology import HomologyModule, alexander_polynomials, finiteness_check, homology
 from .linalg import NUMERIC_RANK_RTOL
 from .rationals import GaussianRational
@@ -65,7 +65,7 @@ def twisted_dims(cc: ChainComplexOverLambda, z, rtol: float = NUMERIC_RANK_RTOL)
     if exact:
         alt = sum((-1) ** k * d for k, d in enumerate(dims))
         if alt != cc.euler_characteristic():
-            raise RuntimeError("twisted dimensions violate the Euler characteristic")
+            raise CertificationError("twisted", "dimensions violate the Euler characteristic")
     return TwistedFiber(z=z, dims=tuple(dims), exact=exact)
 
 

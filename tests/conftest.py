@@ -1,6 +1,7 @@
 """Shared builders for the test suite: small matrices, random polynomials,
-random chain complexes with known (planted) homology, and a fraction-field
-rank that cross-checks the Smith normal form."""
+random chain complexes with known (planted) homology, a fraction-field
+rank that cross-checks the Smith normal form, and a Euclid chain over Q
+that cross-checks the integer gcd and square-free decomposition."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from math import gcd
 import pytest
 
 from endex import AlexanderData, ChainComplexOverLambda, LaurentMatrix, LaurentPoly
-from endex.laurent import poly
+from endex.laurent import canonicalize, poly
 from endex.polymatrix import _pivot_key
 
 
@@ -238,3 +239,50 @@ def _strip_row_units(row):
         if content != 1:
             row = [e.scale(1 / content) for e in row]
     return row
+
+
+def reference_laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """Canonical gcd by a Euclid remainder chain over Q, stripping each
+    remainder's unit content.  Independent of the integer kernel; the
+    tests' cross-check of ``laurent_gcd``.
+    """
+    a, b = poly(p), poly(q)
+    if a.is_zero() and b.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    a = a.primitive_part() if not a.is_zero() else a
+    b = b.primitive_part() if not b.is_zero() else b
+    while not b.is_zero():
+        r = a % b
+        a, b = b, (r.primitive_part() if not r.is_zero() else r)
+    return canonicalize(a)
+
+
+def _derivative(p: LaurentPoly) -> LaurentPoly:
+    if p.is_zero():
+        return p
+    return LaurentPoly(p.low - 1, [c * (p.low + i) for i, c in enumerate(p.coeffs)])
+
+
+def reference_squarefree_decomposition(p: LaurentPoly):
+    """Yun's algorithm over Q with ``reference_laurent_gcd``; the tests'
+    cross-check of ``squarefree_decomposition``."""
+    p = poly(p)
+    if p.is_zero():
+        raise ValueError("cannot decompose the zero polynomial")
+    f = canonicalize(p)
+    if f.span == 0:
+        return []
+    fp = _derivative(f)
+    g = reference_laurent_gcd(f, fp)
+    c = f.exact_div(g)
+    d = fp.exact_div(g) - _derivative(c)
+    out = []
+    mult = 1
+    while c.span > 0:
+        a = reference_laurent_gcd(c, d)
+        if a.span > 0:
+            out.append((a, mult))
+        c = c.exact_div(a)
+        d = d.exact_div(a) - _derivative(c)
+        mult += 1
+    return out

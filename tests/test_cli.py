@@ -6,10 +6,19 @@ import sys
 
 import pytest
 
+import endex
 from endex.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+# Child interpreters import endex from the tree under test, whether the
+# path came from PYTHONPATH or from pytest's own pythonpath setting.
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(endex.__file__)), os.environ.get("PYTHONPATH")])
+    ),
+)
 
 
 def path(name):
@@ -215,6 +224,18 @@ def test_errors_use_stderr_and_exit_code(capsys, tmp_path):
     assert code == 1 and "line" in err
 
 
+def test_failed_internal_check_is_reported_not_raised(capsys, monkeypatch):
+    # Dropping the last square-free factor breaks the multiplicity count
+    # that find_roots certifies.
+    import endex.spectral
+
+    decompose = endex.spectral.squarefree_decomposition
+    monkeypatch.setattr(endex.spectral, "squarefree_decomposition", lambda p: decompose(p)[:-1])
+    code, out, err = run_cli(["analyze", "--input", path("fox.json")], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("endex: error: internal check failed in roots:") and "Traceback" not in err
+
+
 def test_composite_error_reports_degree(capsys, tmp_path):
     doc = {
         "ranks": [1, 1, 1],
@@ -250,6 +271,7 @@ def test_golden_byte_stability(tmp_path):
                 [sys.executable, "-m", "endex.cli", "analyze", "--input", path(name),
                  "--output", str(out_path)],
                 capture_output=True,
+                env=CHILD_ENV,
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(out_path.read_bytes())
@@ -264,6 +286,7 @@ def test_golden_plotdata_text(tmp_path):
         [sys.executable, "-m", "endex.cli", "plotdata", "--input", path("fox.json"),
          "--format", "text", "--output", str(out_path)],
         capture_output=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     with open(os.path.join(GOLDEN, "fox_plotdata.txt"), "rb") as fh:
@@ -272,7 +295,7 @@ def test_golden_plotdata_text(tmp_path):
 
 def test_console_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "endex.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "endex.cli", "--help"], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 0
     for cmd in ("analyze", "alexander", "index", "twisted", "fredholm", "l2-oracle",
@@ -284,7 +307,7 @@ def test_cli_import_leaves_numpy_unloaded():
     # numpy is loaded only by the float paths, so exact runs do not pay for it.
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, endex.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

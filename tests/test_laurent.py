@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from endex import GaussianRational, LaurentPoly, canonicalize, laurent_gcd, squarefree_decomposition
-from endex.laurent import poly
+from endex import CertificationError, GaussianRational, LaurentPoly, canonicalize, laurent_gcd, squarefree_decomposition
+from endex.laurent import _exact_quo, poly
 
-from conftest import random_laurent
+from conftest import random_laurent, reference_laurent_gcd, reference_squarefree_decomposition
 
 
 def test_ring_identities():
@@ -46,6 +46,32 @@ def test_gcd_examples():
     assert laurent_gcd(poly("2*t^2 - 2*t"), LaurentPoly.zero()) == poly("t - 1")
     with pytest.raises(ValueError):
         laurent_gcd(LaurentPoly.zero(), LaurentPoly.zero())
+
+
+def test_gcd_with_zero_is_canonical_associate():
+    rng = random.Random(61)
+    for _ in range(60):
+        p = random_laurent(rng, max_span=6, zero_chance=0.0)
+        assert laurent_gcd(p, LaurentPoly.zero()) == canonicalize(p)
+        assert laurent_gcd(LaurentPoly.zero(), p) == canonicalize(p)
+
+
+def test_gaussian_input_rejected():
+    gauss = LaurentPoly(0, [GaussianRational(0, 1), 1])
+    with pytest.raises(TypeError):
+        laurent_gcd(gauss, poly("t - 1"))
+    with pytest.raises(TypeError):
+        squarefree_decomposition(gauss * gauss)
+
+
+def test_inexact_integer_division_is_certification_error():
+    # t^2 + 1 leaves remainder 2 on division by t + 1; 3t + 1 stops at the
+    # leading coefficient, 3 not being a multiple of 2.
+    for n, a in (([1, 0, 1], [1, 1]), ([1, 3], [1, 2])):
+        with pytest.raises(CertificationError) as info:
+            _exact_quo(n, a)
+        assert info.value.stage == "squarefree" and info.value.check == "inexact integer division"
+    assert _exact_quo([-1, 0, 1], [1, 1]) == [-1, 1]
 
 
 def test_gcd_divides_both_random():
@@ -99,6 +125,74 @@ def test_squarefree_multiplicities_increase_and_reconstruct():
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 assert laurent_gcd(parts[i][0], parts[j][0]) == poly("1")
+
+
+_FACTOR_POOL = ["t - 1", "t + 1", "2*t - 3", "t^2 + 1", "3*t^2 - t + 2"]
+
+
+def _random_factor(rng: random.Random) -> LaurentPoly:
+    """A pool factor (so products share factors) or a random one with
+    rational coefficients of span 1 to 4."""
+    if rng.random() < 0.3:
+        return poly(rng.choice(_FACTOR_POOL))
+    span = rng.randint(1, 4)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(span + 1)]
+    coeffs[0] = coeffs[0] or Fraction(1, 2)
+    coeffs[-1] = coeffs[-1] or Fraction(-3, 4)
+    return LaurentPoly(0, coeffs)
+
+
+def _random_product(rng: random.Random, max_degree: int = 24) -> LaurentPoly:
+    """A product of factors with multiplicities 1 to 3, of degree at most
+    max_degree, times a unit c*t^k."""
+    target = rng.randint(1, max_degree)
+    p = LaurentPoly.one()
+    while True:
+        f = _random_factor(rng)
+        m = rng.randint(1, 3)
+        if p.span + f.span * m > target:
+            break
+        p = p * f ** m
+    unit = LaurentPoly(rng.randint(-3, 3), [Fraction(rng.choice([1, -1, 2, -5]), rng.randint(1, 7))])
+    return p * unit
+
+
+def test_integer_kernel_matches_rational_reference():
+    rng = random.Random(404)
+    seen_mult3 = seen_common = max_degree = 0
+    for _ in range(500):
+        p = _random_product(rng)
+        got = squarefree_decomposition(p)
+        want = reference_squarefree_decomposition(p)
+        assert [(f.low, f.coeffs, m) for f, m in got] == [(f.low, f.coeffs, m) for f, m in want]
+        common = _random_product(rng, max_degree=8)
+        a, b = common * _random_product(rng, max_degree=12), common * _random_product(rng, max_degree=12)
+        g, h = laurent_gcd(a, b), reference_laurent_gcd(a, b)
+        assert (g.low, g.coeffs) == (h.low, h.coeffs)
+        seen_mult3 += any(m >= 3 for _, m in got)
+        seen_common += g.span > 0
+        max_degree = max(max_degree, p.span)
+    assert seen_mult3 > 50 and seen_common > 250 and max_degree >= 22
+
+
+def test_squarefree_makes_no_laurent_division(monkeypatch):
+    rng = random.Random(24)
+    p = LaurentPoly.one()
+    while p.span < 24:
+        p = p * _random_factor(rng) ** rng.randint(1, 3)
+    p = p.shift(-2)
+    want = reference_squarefree_decomposition(p)
+    calls = []
+    divmod_ = LaurentPoly.__divmod__
+
+    def counting(self, other):
+        calls.append(1)
+        return divmod_(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__divmod__", counting)
+    assert p.span >= 24
+    assert squarefree_decomposition(p) == want
+    assert calls == []
 
 
 def test_evaluation():
