@@ -41,7 +41,6 @@ from .indexfn import (
     excision_index,
     index_at,
     index_function,
-    jump_at,
 )
 from .laurent import LaurentPoly, canonicalize, laurent_gcd, poly, squarefree_decomposition
 from .polymatrix import LaurentMatrix, SnfResult, determinant, smith_normal_form
@@ -98,7 +97,6 @@ __all__ = [
     "homology",
     "index_at",
     "index_function",
-    "jump_at",
     "l2_hom_dim_analytic",
     "l2_kernel_truncated",
     "laurent_gcd",

@@ -13,27 +13,25 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import EndexError, NotFiniteError
-from .homology import alexander_polynomials, finiteness_check, homology
-from .indexfn import duality_check, index_function
+from .cup import cup_product_check
+from .errors import EndexError, NotFiniteError, UnsupportedInputError
+from .indexfn import duality_check
 from .inputs import load_input, parse_point
+from .laurent import LaurentPoly
 from .linalg import NUMERIC_RANK_RTOL
-from .pipeline import analyze, strip_internal
-from .spectral import exceptional_weights, find_roots
+from .pipeline import Analysis, analyze
 from .svgplot import plot_data, plot_text, render_svg
 from .twisted import WeightedWindow, fredholm_check, l2_hom_dim_analytic, l2_kernel_truncated, twisted_dims, uct_dims
-from .cup import cup_product_check
-from .errors import UnsupportedInputError
 
 _L2_GRID_POINTS = (Fraction(1, 2), Fraction(1), Fraction(2), 1 + 1j)
 _L2_GRID_WEIGHTS = ((1.0, 0.5), (0.5, 1.0), (1.0, -1.0), (-1.0, -2.0))
 
 
 def _emit(args, payload, text_renderer=None):
-    if args.format == "json":
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if args.format == "text" and text_renderer:
+        body = text_renderer(payload)
     else:
-        body = text_renderer(payload) if text_renderer else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(body)
@@ -83,60 +81,59 @@ def _analyze_text(report) -> str:
 
 
 def _poly_text(pj) -> str:
-    from .laurent import LaurentPoly
-
     return LaurentPoly.from_json(pj).pretty()
 
 
-def _cmd_analyze(args):
-    parsed = load_input(args.input, args.dim, args.chi)
-    report = analyze(parsed)
-    f = report.get("_index_function")
+def _analysis(args) -> Analysis:
+    return Analysis(load_input(args.input, args.dim, args.chi))
+
+
+def _write_svg(args, f):
     if args.svg and f is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_svg(f))
-    _emit(args, strip_internal(report), _analyze_text)
+
+
+def _cmd_analyze(args):
+    analysis = _analysis(args)
+    report = analyze(analysis)
+    _write_svg(args, analysis.index)
+    _emit(args, report, _analyze_text)
 
 
 def _cmd_alexander(args):
-    parsed = load_input(args.input, args.dim, args.chi)
-    if parsed.alexander is not None:
-        payload = {"alexander": parsed.alexander.to_json()}
-    else:
-        h = homology(parsed.complex)
-        verdict = finiteness_check(h)
-        payload = {"homology": h.to_json(), "finiteness": verdict.to_json()}
-        if verdict.finite:
-            payload["alexander"] = alexander_polynomials(h, parsed.context.dim).to_json()
+    analysis = _analysis(args)
+    payload = {}
+    if analysis.parsed.complex is not None:
+        payload["homology"] = analysis.homology.to_json()
+        payload["finiteness"] = analysis.finiteness.to_json()
+    if analysis.finite:
+        payload["alexander"] = analysis.alexander.to_json()
     _emit(args, payload)
 
 
 def _cmd_index(args):
-    parsed = load_input(args.input, args.dim, args.chi)
-    if parsed.context.chi is None:
+    analysis = _analysis(args)
+    if analysis.parsed.context.chi is None:
         raise EndexError("the index needs --chi (or a manifold block with chi)")
-    report = analyze(parsed)
-    if "values" not in report:
-        raise NotFiniteError(report["finiteness"]["infinite_degrees"])
-    payload = {k: report[k] for k in ("n", "chi", "walls", "values", "intervals")}
-    _emit(args, payload)
+    if not analysis.finite:
+        raise NotFiniteError(analysis.finiteness.infinite_degrees)
+    _emit(args, analysis.index.to_json())
 
 
 def _cmd_twisted(args):
-    parsed = load_input(args.input, args.dim, args.chi)
-    if parsed.complex is None:
+    analysis = _analysis(args)
+    if analysis.parsed.complex is None:
         raise UnsupportedInputError("twisted dimensions need a chain complex input")
     z = parse_point(args.z)
-    fiber = twisted_dims(parsed.complex, z, rtol=args.tol)
+    fiber = twisted_dims(analysis.parsed.complex, z, rtol=args.tol)
     payload = fiber.to_json()
-    if fiber.exact:
-        h = homology(parsed.complex)
-        if finiteness_check(h).finite:
-            predicted = uct_dims(h, z)
-            payload["uct_dims"] = predicted
-            payload["uct_crosscheck"] = list(fiber.dims) == predicted[: len(fiber.dims)] and all(
-                d == 0 for d in predicted[len(fiber.dims):]
-            )
+    if fiber.exact and analysis.finite:
+        predicted = uct_dims(analysis.homology, z)
+        payload["uct_dims"] = predicted
+        payload["uct_crosscheck"] = list(fiber.dims) == predicted[: len(fiber.dims)] and all(
+            d == 0 for d in predicted[len(fiber.dims):]
+        )
     _emit(args, payload)
 
 
@@ -147,41 +144,21 @@ def _cmd_fredholm(args):
     _emit(args, fredholm_check(parsed.complex, args.delta, args.samples, rtol=args.tol))
 
 
+def _l2_row(label, lam, m, d1, d2, args):
+    lamc = complex(lam)
+    window = WeightedWindow(lamc, m, d1, d2, args.window, args.tol)
+    analytic = l2_hom_dim_analytic(lamc, m, d1, d2)
+    truncated = l2_kernel_truncated(window)
+    return {"lambda": label, "m": m, "delta1": d1, "delta2": d2,
+            "analytic": analytic, "truncated": truncated, "agree": analytic == truncated}
+
+
 def _cmd_l2_oracle(args):
     if args.lam is not None:
-        lam = parse_point(args.lam)
-        lamc = complex(lam)
-        window = WeightedWindow(lamc, args.mult, args.delta1, args.delta2, args.window, args.tol)
-        payload = {
-            "lambda": args.lam,
-            "m": args.mult,
-            "delta1": args.delta1,
-            "delta2": args.delta2,
-            "analytic": l2_hom_dim_analytic(lamc, args.mult, args.delta1, args.delta2),
-            "truncated": l2_kernel_truncated(window),
-        }
-        payload["agree"] = payload["analytic"] == payload["truncated"]
+        payload = _l2_row(args.lam, parse_point(args.lam), args.mult, args.delta1, args.delta2, args)
     else:
-        rows = []
-        for lam in _L2_GRID_POINTS:
-            for m in (1, 2):
-                for d1, d2 in _L2_GRID_WEIGHTS:
-                    lamc = complex(lam)
-                    analytic = l2_hom_dim_analytic(lamc, m, d1, d2)
-                    truncated = l2_kernel_truncated(
-                        WeightedWindow(lamc, m, d1, d2, args.window, args.tol)
-                    )
-                    rows.append(
-                        {
-                            "lambda": str(lam),
-                            "m": m,
-                            "delta1": d1,
-                            "delta2": d2,
-                            "analytic": analytic,
-                            "truncated": truncated,
-                            "agree": analytic == truncated,
-                        }
-                    )
+        rows = [_l2_row(str(lam), lam, m, d1, d2, args)
+                for lam in _L2_GRID_POINTS for m in (1, 2) for d1, d2 in _L2_GRID_WEIGHTS]
         payload = {"grid": rows, "all_agree": all(r["agree"] for r in rows)}
     _emit(args, payload)
 
@@ -194,31 +171,17 @@ def _cmd_cup_check(args):
 
 
 def _cmd_duality(args):
-    parsed = load_input(args.input, args.dim, args.chi)
-    alex = parsed.alexander
-    f = None
-    if alex is None:
-        h = homology(parsed.complex)
-        alex = alexander_polynomials(h, parsed.context.dim)
-    n = parsed.context.dim
-    if parsed.context.chi is not None:
-        roots = [r for k in range(n) for r in find_roots(alex.poly(k), k)]
-        walls = exceptional_weights(roots, n)
-        f = index_function(alex, parsed.context, walls)
-    _emit(args, duality_check(alex, n, f))
+    analysis = _analysis(args)
+    f = analysis.index if analysis.parsed.context.chi is not None else None
+    _emit(args, duality_check(analysis.alexander, analysis.n, f))
 
 
 def _cmd_plotdata(args):
-    parsed = load_input(args.input, args.dim, args.chi)
-    report = analyze(parsed)
-    f = report.get("_index_function")
+    f = _analysis(args).index
     if f is None:
         raise EndexError("plot data needs a computable index (finite homology and chi)")
-    data = plot_data(f)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(f))
-    _emit(args, data, lambda d: plot_text(d))
+    _write_svg(args, f)
+    _emit(args, plot_data(f), plot_text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ from .complexes import ManifoldContext
 from .errors import CertificationError, OnWallError
 from .homology import AlexanderData
 from .laurent import canonicalize
-from .spectral import ExceptionalSet, Wall
+from .spectral import ExceptionalSet
 
 _WALL_PAD = 1e-12
 
@@ -124,20 +124,6 @@ def index_function(alex: AlexanderData, ctx: ManifoldContext, walls: Exceptional
 def index_at(f: IndexFunction, delta: float) -> int:
     """Value of the step function at an off-wall weight."""
     return f.values[f.interval_of(delta)]
-
-
-def jump_at(f: IndexFunction, wall_index: int):
-    """Signed jump across one wall with its per-degree breakdown.
-
-    Returns (jump, breakdown) where breakdown lists (degree, multiplicity,
-    signed term); the jump equals the value difference across the wall.
-    """
-    w: Wall = f.walls.walls[wall_index]
-    breakdown = [(c.degree_k, c.multiplicity, c.jump_term) for c in w.contributions]
-    jump = sum(term for _, _, term in breakdown)
-    if jump != w.jump or jump != f.values[wall_index + 1] - f.values[wall_index]:
-        raise CertificationError("index", "wall jump inconsistent with interval values")
-    return jump, breakdown
 
 
 def excision_index(

@@ -83,14 +83,6 @@ class LaurentPoly:
     def t_power(k: int, c=Fraction(1)) -> "LaurentPoly":
         return LaurentPoly(k, (c,))
 
-    @staticmethod
-    def from_roots(roots) -> "LaurentPoly":
-        """Monic product of (t - r) over the given exact roots."""
-        out = LaurentPoly.one()
-        for r in roots:
-            out = out * LaurentPoly(0, (-Fraction(r), Fraction(1)))
-        return out
-
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -1,29 +1,108 @@
-"""End-to-end analysis: homology, characteristic polynomials, walls, index.
+"""One shared analysis per input: homology, characteristic polynomials,
+roots, walls, index.
 
-The full report is a plain JSON-serializable dictionary; it embeds the
-validated complex so a report can be re-ingested in direct-matrix mode and
-reproduce itself.
+An `Analysis` holds one parsed input and computes each stage of the chain
+
+    homology -> finiteness -> alexander -> roots -> walls -> index
+
+on first use, keeping the result, so a command computes only the stages it
+reads and none of them twice.  Every command and oracle reads from it.
+
+`analyze` reads every stage and assembles the full report, a plain
+JSON-serializable dictionary; it embeds the validated complex so a report
+can be re-ingested in direct-matrix mode and reproduce itself.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from functools import cached_property
+
+from .complexes import ChainComplexOverLambda, ManifoldContext
 from .cup import cup_product_check
-from .homology import alexander_polynomials, finiteness_check, homology
+from .homology import AlexanderData, FinitenessVerdict, HomologyModule, alexander_polynomials, finiteness_check
+from .homology import homology as compute_homology
 from .indexfn import IndexFunction, duality_check, excision_index, index_function
 from .inputs import ParsedInput
-from .spectral import exceptional_weights, find_roots
+from .spectral import ExceptionalSet, RootDatum, exceptional_weights, find_roots
 
 
-def analyze(parsed: ParsedInput):
-    """Run the whole pipeline on one parsed input, as far as the data allows."""
+@dataclass(frozen=True)
+class Analysis:
+    """The stages of one parsed input, each computed once, on first use."""
+
+    parsed: ParsedInput
+    _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @classmethod
+    def of_complex(cls, cc: ChainComplexOverLambda) -> "Analysis":
+        """A complex on its own, in its own dimension and without chi."""
+        return cls(ParsedInput("complex", cc, None, None, ManifoldContext(dim=cc.n, chi=None)))
+
+    @property
+    def n(self) -> int:
+        return self.parsed.context.dim
+
+    @cached_property
+    def homology(self) -> HomologyModule:
+        return compute_homology(self.parsed.complex)
+
+    @cached_property
+    def finiteness(self) -> FinitenessVerdict:
+        return finiteness_check(self.homology)
+
+    @property
+    def finite(self) -> bool:
+        """Whether the characteristic polynomials exist; always true when the
+        input gives them directly."""
+        return self.parsed.complex is None or self.finiteness.finite
+
+    @cached_property
+    def alexander(self) -> AlexanderData:
+        """The characteristic polynomials; NotFiniteError for free homology."""
+        if self.parsed.alexander is not None:
+            return self.parsed.alexander
+        return alexander_polynomials(self.homology, self.n)
+
+    def roots(self, k: int) -> list[RootDatum]:
+        """Roots of the degree-k characteristic polynomial."""
+        if k not in self._roots:
+            self._roots[k] = find_roots(self.alexander.poly(k), k)
+        return self._roots[k]
+
+    @cached_property
+    def walls(self) -> ExceptionalSet:
+        return exceptional_weights([r for k in range(self.n) for r in self.roots(k)], self.n)
+
+    @cached_property
+    def index(self) -> IndexFunction | None:
+        """The index step function; None without finite homology or chi.
+
+        The walls come first, so an undecidable wall is reported before a
+        missing chi.
+        """
+        if not self.finite:
+            return None
+        walls = self.walls
+        if self.parsed.context.chi is None:
+            return None
+        return index_function(self.alexander, self.parsed.context, walls)
+
+
+def analyze(parsed: ParsedInput | Analysis):
+    """Run the whole pipeline on one parsed input, as far as the data allows.
+
+    Given an `Analysis`, reads its stages, which stay there for the caller.
+    """
+    a = parsed if isinstance(parsed, Analysis) else Analysis(parsed)
+    parsed = a.parsed
     report = {
         "input_kind": parsed.kind,
-        "n": parsed.context.dim,
+        "n": a.n,
         "chi": parsed.context.chi,
         "warnings": [],
         "notices": [],
     }
-    alex = parsed.alexander
     if parsed.complex is not None:
         cc = parsed.complex
         report["complex"] = cc.to_json()
@@ -34,64 +113,43 @@ def analyze(parsed: ParsedInput):
                 f"euler characteristic of the covered space is {chi_x}; "
                 "finite end-periodic homology is impossible"
             )
-        h = homology(cc)
-        verdict = finiteness_check(h)
-        report["homology"] = h.to_json()
-        report["finiteness"] = verdict.to_json()
-        if verdict.finite:
-            alex = alexander_polynomials(h, parsed.context.dim)
-        else:
+        report["homology"] = a.homology.to_json()
+        report["finiteness"] = a.finiteness.to_json()
+        if not a.finite:
             report["notices"].append(
                 "homology has free summands; characteristic polynomials, walls "
                 "and index are omitted"
             )
     if parsed.simplicial is not None:
         report["cup_check"] = cup_product_check(parsed.simplicial)
-    if alex is None:
+    if not a.finite:
         return report
 
-    n = parsed.context.dim
+    alex = a.alexander
     report["alexander"] = alex.to_json()
     for deg in report.get("homology", {}).get("degrees", ()):
         deg["alexander"] = alex.poly(deg["degree"]).to_json()
-    roots = [r for k in range(n) for r in find_roots(alex.poly(k), k)]
-    walls = exceptional_weights(roots, n)
-    report["walls"] = [w.to_json() for w in walls.walls]
+    report["walls"] = [w.to_json() for w in a.walls.walls]
 
-    if parsed.context.chi is None:
+    f = a.index
+    if f is None:
         report["notices"].append("no euler characteristic given; index section omitted")
-        report["duality"] = duality_check(alex, n)
+        report["duality"] = duality_check(alex, a.n)
         return report
 
-    f = index_function(alex, parsed.context, walls)
     fj = f.to_json()
     report["values"] = fj["values"]
     report["intervals"] = fj["intervals"]
-    report["duality"] = duality_check(alex, n, f)
-    report["excision_samples"] = _excision_samples(alex, walls, f)
-    report["_index_function"] = f  # stripped before serialization
+    report["duality"] = duality_check(alex, a.n, f)
+    report["excision_samples"] = _excision_samples(alex, a.walls, f)
     return report
 
 
 def _excision_samples(alex, walls, f: IndexFunction, cap: int = 10):
     """Deterministic excision consistency records over interval samples."""
     pts = f.sample_points()
-    out = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if len(out) >= cap:
-                return out
-            value = excision_index(alex, pts[i], pts[j], walls, f)
-            out.append(
-                {
-                    "delta1": pts[i],
-                    "delta2": pts[j],
-                    "index_difference": value,
-                    "agree": True,
-                }
-            )
-    return out
-
-
-def strip_internal(report):
-    return {k: v for k, v in report.items() if not k.startswith("_")}
+    pairs = [(d1, d2) for i, d1 in enumerate(pts) for d2 in pts[i + 1:]][:cap]
+    return [
+        {"delta1": d1, "delta2": d2, "index_difference": excision_index(alex, d1, d2, walls, f), "agree": True}
+        for d1, d2 in pairs
+    ]

@@ -71,11 +71,6 @@ class LaurentMatrix:
     def to_lists(self):
         return [self.row(i) for i in range(self.rows)]
 
-    def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(
-            self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)]
-        )
-
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if not isinstance(other, LaurentMatrix):
             return NotImplemented

@@ -61,12 +61,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         """|z|^2, exactly."""
         return self.re * self.re + self.im * self.im

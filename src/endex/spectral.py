@@ -249,9 +249,6 @@ class ExceptionalSet:
     def to_json(self):
         return {"walls": [w.to_json() for w in self.walls]}
 
-    def total_multiplicity(self) -> int:
-        return sum(c.multiplicity for w in self.walls for c in w.contributions)
-
 
 def _sqrt_fraction(x: Fraction) -> Fraction | None:
     ns = math.isqrt(x.numerator)

@@ -18,10 +18,10 @@ from numbers import Rational as _RationalABC
 
 from .complexes import ChainComplexOverLambda
 from .errors import CertificationError, NotFiniteError, OnWallError, WindowTooSmallError
-from .homology import HomologyModule, alexander_polynomials, finiteness_check, homology
+from .homology import HomologyModule, finiteness_check
 from .linalg import NUMERIC_RANK_RTOL
+from .pipeline import Analysis
 from .rationals import GaussianRational
-from .spectral import find_roots
 
 _CIRCLE_PAD = 1e-9
 # Kernel vectors must hold all but this fraction of their mass away from
@@ -107,23 +107,18 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float, samples: int = 16,
     modulus e^delta; authoritative) and a numeric one (the evaluated
     complex is exact at sample points of the circle of radius e^delta).
     """
-    h = homology(cc)
-    verdict = finiteness_check(h)
+    analysis = Analysis.of_complex(cc)
+    verdict = analysis.finiteness
     if not verdict.finite:
         symbolic = False
         reason = f"homology has free summands in degrees {list(verdict.infinite_degrees)}"
     else:
-        alex = alexander_polynomials(h)
-        symbolic = True
-        reason = "no exceptional weight at delta"
-        for k in range(h.n + 1):
-            for r in find_roots(alex.poly(k), k):
-                if abs(r.delta - delta) <= r.radius / max(r.modulus, 1e-300) + 1e-12:
-                    symbolic = False
-                    reason = f"root of the degree-{k} polynomial has modulus e^delta"
-                    break
-            if not symbolic:
-                break
+        # Degrees are searched in order, up to the first root on the circle.
+        hit = next((k for k in range(cc.n + 1) for r in analysis.roots(k)
+                    if abs(r.delta - delta) <= r.radius / max(r.modulus, 1e-300) + 1e-12), None)
+        symbolic = hit is None
+        reason = ("no exceptional weight at delta" if symbolic
+                  else f"root of the degree-{hit} polynomial has modulus e^delta")
     radius = math.exp(delta)
     numeric = True
     for j in range(samples):

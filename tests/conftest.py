@@ -11,13 +11,42 @@ from math import gcd
 
 import pytest
 
-from endex import AlexanderData, ChainComplexOverLambda, LaurentMatrix, LaurentPoly
+from endex import AlexanderData, ChainComplexOverLambda, GaussianRational, LaurentMatrix, LaurentPoly
 from endex.laurent import canonicalize, poly
 from endex.polymatrix import _pivot_key
 
 
 def mat(rows):
     return LaurentMatrix.from_rows([[poly(e) for e in r] for r in rows])
+
+
+def from_roots(roots) -> LaurentPoly:
+    """Monic product of (t - r) over the given exact roots."""
+    out = LaurentPoly.one()
+    for r in roots:
+        out = out * LaurentPoly(0, (-Fraction(r), Fraction(1)))
+    return out
+
+
+def conjugate(z: GaussianRational) -> GaussianRational:
+    return GaussianRational(z.re, -z.im)
+
+
+def total_multiplicity(walls) -> int:
+    """Sum of root multiplicities over every wall of an ExceptionalSet."""
+    return sum(c.multiplicity for w in walls.walls for c in w.contributions)
+
+
+def jump_at(f, wall_index: int):
+    """Signed jump across one wall of an IndexFunction, with its per-degree
+    breakdown: (jump, [(degree, multiplicity, signed term), ...]).  Checks
+    the jump against the wall and against the value difference across it.
+    """
+    w = f.walls.walls[wall_index]
+    breakdown = [(c.degree_k, c.multiplicity, c.jump_term) for c in w.contributions]
+    jump = sum(term for _, _, term in breakdown)
+    assert jump == w.jump == f.values[wall_index + 1] - f.values[wall_index]
+    return jump, breakdown
 
 
 @pytest.fixture
@@ -84,7 +113,7 @@ def random_alexander(rng: random.Random, max_n: int = 5, max_deg: int = 4,
                 if rng.random() < 0.7:
                     quad = None
             else:
-                p = p * LaurentPoly.from_roots([rng.choice(ROOT_POOL)])
+                p = p * from_roots([rng.choice(ROOT_POOL)])
                 deg += 1
         polys.append(p)
     chi = rng.randint(-3, 3)
@@ -152,7 +181,7 @@ def planted_complex(rng: random.Random, n: int | None = None, allow_free: bool =
         chain = []
         q = LaurentPoly.one()
         for _ in range(count):
-            q = q * LaurentPoly.from_roots([rng.choice(ROOT_POOL)])
+            q = q * from_roots([rng.choice(ROOT_POOL)])
             chain.append(q)
         torsion[k] = chain
     ranks = []

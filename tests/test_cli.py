@@ -293,6 +293,21 @@ def test_golden_plotdata_text(tmp_path):
         assert out_path.read_bytes() == fh.read()
 
 
+def test_report_is_plain_json():
+    from endex.inputs import load_input
+    from endex.pipeline import analyze
+
+    for name in ("fox.json", "s1s2.json", "circle.json", "circle_trivial.json"):
+        report = analyze(load_input(path(name)))
+        assert json.loads(json.dumps(report)) == report
+        assert [k for k in report if k.startswith("_")] == []
+
+
+def test_every_export_resolves():
+    missing = [name for name in endex.__all__ if not hasattr(endex, name)]
+    assert missing == []
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "endex.cli", "--help"], capture_output=True, text=True, env=CHILD_ENV

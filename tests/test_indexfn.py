@@ -13,12 +13,11 @@ from endex import (
     find_roots,
     index_at,
     index_function,
-    jump_at,
 )
 from endex.indexfn import _accumulated_values, _closed_values, mirrored_sample_points
 from endex.laurent import poly
 
-from conftest import off_wall_delta, random_alexander
+from conftest import jump_at, off_wall_delta, random_alexander
 
 
 def walls_for(alex, n=None):
