@@ -43,7 +43,7 @@ from .indexfn import (
     index_function,
 )
 from .laurent import LaurentPoly, canonicalize, laurent_gcd, poly, squarefree_decomposition
-from .polymatrix import LaurentMatrix, SnfResult, determinant, smith_normal_form
+from .polymatrix import LaurentMatrix, SnfResult, smith_normal_form
 from .rationals import GaussianRational
 from .spectral import ExceptionalSet, RootDatum, Wall, exceptional_weights, find_roots
 from .twisted import (
@@ -86,7 +86,6 @@ __all__ = [
     "alexander_polynomials",
     "canonicalize",
     "cup_product_check",
-    "determinant",
     "duality_check",
     "excision_index",
     "exceptional_weights",

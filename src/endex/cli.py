@@ -122,7 +122,7 @@ def _cmd_index(args):
 
 
 def _cmd_twisted(args):
-    analysis = _analysis(args)
+    analysis = Analysis(load_input(args.input))
     if analysis.parsed.complex is None:
         raise UnsupportedInputError("twisted dimensions need a chain complex input")
     z = parse_point(args.z)
@@ -138,7 +138,7 @@ def _cmd_twisted(args):
 
 
 def _cmd_fredholm(args):
-    parsed = load_input(args.input, args.dim, args.chi)
+    parsed = load_input(args.input)
     if parsed.complex is None:
         raise UnsupportedInputError("the Fredholm check needs a chain complex input")
     _emit(args, fredholm_check(parsed.complex, args.delta, args.samples, rtol=args.tol))
@@ -164,7 +164,7 @@ def _cmd_l2_oracle(args):
 
 
 def _cmd_cup_check(args):
-    parsed = load_input(args.input, args.dim, args.chi)
+    parsed = load_input(args.input)
     if parsed.simplicial is None:
         raise UnsupportedInputError("the cup check needs a simplicial input")
     _emit(args, cup_product_check(parsed.simplicial))
@@ -191,13 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, needs_input=True, context=True):
+        """context: take --chi and --dim, for the commands that read the manifold block."""
         if needs_input:
             p.add_argument("--input", required=True, help="path to a JSON input document")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--chi", type=int, default=None, help="euler characteristic override")
-        p.add_argument("--dim", type=int, default=None, help="manifold dimension override")
+        if context:
+            p.add_argument("--chi", type=int, default=None, help="euler characteristic override")
+            p.add_argument("--dim", type=int, default=None, help="manifold dimension override")
 
     p = sub.add_parser("analyze", help="full pipeline report")
     common(p)
@@ -213,14 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("twisted", help="twisted cohomology dimensions at a point")
-    common(p)
+    common(p, context=False)
     p.add_argument("--z", required=True, help="evaluation point, e.g. '1/2', '1+2i', '0.7'")
     p.add_argument("--tol", type=float, default=NUMERIC_RANK_RTOL,
                    help="relative rank tolerance for float points")
     p.set_defaults(func=_cmd_twisted)
 
     p = sub.add_parser("fredholm", help="Fredholm verdict at a weight")
-    common(p)
+    common(p, context=False)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--samples", type=int, default=16, help="circle sample count")
     p.add_argument("--tol", type=float, default=NUMERIC_RANK_RTOL,
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fredholm)
 
     p = sub.add_parser("l2-oracle", help="weighted shift kernel oracle vs analytic count")
-    common(p, needs_input=False)
+    common(p, needs_input=False, context=False)
     p.add_argument("--lam", help="eigenvalue; omit to run the standard grid")
     p.add_argument("--mult", type=int, default=1)
     p.add_argument("--delta1", type=float, default=1.0)
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_l2_oracle)
 
     p = sub.add_parser("cup-check", help="cup multiplication exactness on cohomology")
-    common(p)
+    common(p, context=False)
     p.set_defaults(func=_cmd_cup_check)
 
     p = sub.add_parser("duality", help="polynomial reversal symmetry and index parity")

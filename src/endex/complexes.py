@@ -24,13 +24,6 @@ class ManifoldContext:
     dim: int
     chi: int | None = None
 
-    @staticmethod
-    def from_json(obj) -> "ManifoldContext":
-        return ManifoldContext(dim=int(obj["dim"]), chi=(int(obj["chi"]) if "chi" in obj and obj["chi"] is not None else None))
-
-    def to_json(self):
-        return {"dim": self.dim, "chi": self.chi}
-
 
 class ChainComplexOverLambda:
     """A bounded complex of free Laurent-ring modules.

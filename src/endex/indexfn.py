@@ -106,7 +106,7 @@ def _accumulated_values(n: int, chi: int, walls: ExceptionalSet):
     return list(reversed(vals))
 
 
-def index_function(alex: AlexanderData, ctx: ManifoldContext, walls: ExceptionalSet) -> IndexFunction:
+def index_function(ctx: ManifoldContext, walls: ExceptionalSet) -> IndexFunction:
     """Assemble the step function; the closed count and the jump
     accumulation are both evaluated and must agree on every interval."""
     if ctx.chi is None:
@@ -127,7 +127,6 @@ def index_at(f: IndexFunction, delta: float) -> int:
 
 
 def excision_index(
-    alex: AlexanderData,
     delta1: float,
     delta2: float,
     walls: ExceptionalSet,
@@ -142,7 +141,7 @@ def excision_index(
     must agree; the common value is returned.
     """
     if f is None:
-        f = index_function(alex, ManifoldContext(dim=walls.n, chi=0), walls)
+        f = index_function(ManifoldContext(dim=walls.n, chi=0), walls)
     i1 = f.interval_of(delta1)
     i2 = f.interval_of(delta2)
     path_a = f.values[i2] - f.values[i1]

@@ -1,4 +1,4 @@
-"""Exact Laurent polynomials over the rationals (and Gaussian rationals).
+"""Exact Laurent polynomials over the rationals.
 
 A Laurent polynomial is stored as a lowest exponent plus a dense coefficient
 run whose first and last entries are nonzero; the zero polynomial is the
@@ -9,11 +9,15 @@ zero, nonzero constant term and monic leading coefficient, which is the
 representative used for invariant factors and characteristic polynomials
 throughout the package.
 
+Coefficients are rationals only, and the constructor is the one place that
+enforces it: anything but an exact rational raises TypeError.  Gaussian
+rationals appear only as points where a polynomial is evaluated.
+
 ``laurent_gcd`` and ``squarefree_decomposition`` run over Z, on lists of
 Python ints: each input is scaled to its primitive integer associate, and
 by Gauss's lemma a primitive divisor over Q divides over Z as well, so the
 gcd needs no rational and every division in the decomposition is an exact
-integer one.  Both take rational coefficients only.
+integer one.
 
 >>> poly("t^2 - 1") == poly("t - 1") * poly("t + 1")
 True
@@ -35,16 +39,14 @@ from .rationals import GaussianRational, format_rational, parse_rational
 
 
 def _norm_coeff(c):
-    """Coerce to Fraction or GaussianRational; real Gaussians demote."""
-    if isinstance(c, GaussianRational):
-        return Fraction(c.re) if c.im == 0 else c
+    """Coerce an exact rational to Fraction; anything else is a TypeError."""
     if isinstance(c, _RationalABC):
         return Fraction(c)
     raise TypeError(f"unsupported coefficient {c!r}")
 
 
 class LaurentPoly:
-    """An element of the Laurent polynomial ring Q[t, 1/t] (or Q(i)[t, 1/t])."""
+    """An element of the Laurent polynomial ring Q[t, 1/t]."""
 
     __slots__ = ("low", "coeffs")
 
@@ -114,9 +116,6 @@ class LaurentPoly:
             and self.coeffs[0] != 0
         )
 
-    def is_rational(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.coeffs)
-
     def coefficient(self, k: int):
         """Coefficient of t^k."""
         i = k - self.low
@@ -124,18 +123,11 @@ class LaurentPoly:
             return self.coeffs[i]
         return Fraction(0)
 
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def height(self) -> int:
-        """Max of |numerator| and denominator over all coefficient parts."""
+        """Max of |numerator| and denominator over all coefficients."""
         h = 0
         for c in self.coeffs:
-            parts = (c,) if isinstance(c, Fraction) else (c.re, c.im)
-            for x in parts:
-                h = max(h, abs(x.numerator), x.denominator)
+            h = max(h, abs(c.numerator), c.denominator)
         return h
 
     # -- ring operations -----------------------------------------------
@@ -196,9 +188,7 @@ class LaurentPoly:
         if n < 0:
             if not self.is_unit():
                 raise ValueError("negative power of a non-unit")
-            c = self.coeffs[0]
-            inv = c.inverse() if isinstance(c, GaussianRational) else 1 / c
-            return LaurentPoly(self.low * n, (inv ** (-n),))
+            return LaurentPoly(self.low * n, ((1 / self.coeffs[0]) ** (-n),))
         out = LaurentPoly.one()
         base = self
         while n:
@@ -238,8 +228,7 @@ class LaurentPoly:
         rem = list(self.coeffs)
         div = other.coeffs
         dn = len(div)
-        lead = div[-1]
-        lead_inv = 1 / lead if isinstance(lead, Fraction) else lead.inverse()
+        lead_inv = 1 / div[-1]
         quot = [Fraction(0)] * max(len(rem) - dn + 1, 0)
         for top in range(len(rem) - 1, dn - 2, -1):
             c = rem[top]
@@ -254,9 +243,6 @@ class LaurentPoly:
             LaurentPoly(self.low - other.low, quot),
             LaurentPoly(self.low, rem),
         )
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -274,9 +260,6 @@ class LaurentPoly:
 
     # -- substitution ---------------------------------------------------
 
-    def __call__(self, z):
-        return self.evaluate(z)
-
     def evaluate(self, z):
         """Evaluate at z.  Exact for Fraction/GaussianRational, float otherwise.
 
@@ -292,10 +275,9 @@ class LaurentPoly:
             z = complex(z)
             acc = 0j
         for c in reversed(self.coeffs):
-            cv = c if exact else (complex(c) if isinstance(c, GaussianRational) else float(c))
-            acc = acc * z + cv
+            acc = acc * z + (c if exact else float(c))
         if self.low:
-            if self.low < 0 and exact and (z.is_zero() if isinstance(z, GaussianRational) else z == 0):
+            if self.low < 0 and exact and z == 0:
                 raise ZeroDivisionError("evaluation at 0 with negative exponents")
             acc = acc * z ** self.low
         return acc
@@ -309,10 +291,7 @@ class LaurentPoly:
     # -- unit normalization ---------------------------------------------
 
     def content(self) -> Fraction:
-        """Positive rational c with self = c * (primitive integer poly).
-
-        Only defined for rational coefficients.
-        """
+        """Positive rational c with self = c * (primitive integer poly)."""
         if self.is_zero():
             return Fraction(0)
         num = 0
@@ -324,20 +303,14 @@ class LaurentPoly:
 
     def primitive_part(self) -> "LaurentPoly":
         """self divided by its unit content: integer coprime coefficients,
-        lowest exponent zero.  Falls back to monic for Gaussian coefficients.
+        lowest exponent zero.
         """
         if self.is_zero():
             return self
-        if self.is_rational():
-            c = self.content()
-            return LaurentPoly(0, tuple(a / c for a in self.coeffs))
-        lead = self.coeffs[-1]
-        inv = lead.inverse() if isinstance(lead, GaussianRational) else 1 / lead
-        return LaurentPoly(0, tuple(a * inv for a in self.coeffs))
+        c = self.content()
+        return LaurentPoly(0, tuple(a / c for a in self.coeffs))
 
     def to_json(self):
-        if not self.is_rational():
-            raise ValueError("only rational-coefficient polynomials serialize")
         return {"lowest": self.low, "coeffs": [format_rational(c) for c in self.coeffs]}
 
     @staticmethod
@@ -351,7 +324,7 @@ class LaurentPoly:
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self.low == other.low and self.coeffs == other.coeffs
-        if isinstance(other, (_RationalABC, GaussianRational)):
+        if isinstance(other, _RationalABC):
             return self == LaurentPoly.constant(other) if other != 0 else self.is_zero()
         return NotImplemented
 
@@ -370,14 +343,9 @@ class LaurentPoly:
             if c == 0:
                 continue
             e = self.low + i
-            if isinstance(c, GaussianRational):
-                cs = f"({format_rational(c.re)}{'+' if c.im >= 0 else '-'}{format_rational(abs(c.im))}i)"
-                sign = " + " if parts else ""
-            else:
-                neg = c < 0
-                mag = -c if neg else c
-                sign = (" - " if neg else " + ") if parts else ("-" if neg else "")
-                cs = format_rational(mag)
+            neg = c < 0
+            sign = (" - " if neg else " + ") if parts else ("-" if neg else "")
+            cs = format_rational(-c if neg else c)
             if e == 0:
                 term = cs
             else:
@@ -395,7 +363,7 @@ class LaurentPoly:
 def _as_poly(value):
     if isinstance(value, LaurentPoly):
         return value
-    if isinstance(value, (_RationalABC, GaussianRational)):
+    if isinstance(value, _RationalABC):
         return LaurentPoly.constant(value)
     return None
 
@@ -413,13 +381,15 @@ _TERM_RE = re.compile(
 def poly(text) -> LaurentPoly:
     """Parse a human-readable Laurent polynomial, e.g. ``"t^-1 - 2*t + 1/2"``.
 
-    Accepts LaurentPoly and exact scalars unchanged, so call sites can be
-    permissive about argument types.
+    Accepts LaurentPoly and exact rationals unchanged, so call sites can be
+    permissive about argument types; anything else raises TypeError.
     """
     if isinstance(text, LaurentPoly):
         return text
-    if isinstance(text, (_RationalABC, GaussianRational)):
+    if isinstance(text, _RationalABC):
         return LaurentPoly.constant(text)
+    if not isinstance(text, str):
+        raise TypeError(f"cannot read a Laurent polynomial from {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial string")
@@ -450,8 +420,7 @@ def canonicalize(p: LaurentPoly) -> LaurentPoly:
     p = poly(p)
     if p.is_zero():
         raise ValueError("the zero polynomial has no canonical associate")
-    lead = p.coeffs[-1]
-    inv = lead.inverse() if isinstance(lead, GaussianRational) else 1 / lead
+    inv = 1 / p.coeffs[-1]
     return LaurentPoly(0, tuple(c * inv for c in p.coeffs))
 
 
@@ -459,11 +428,8 @@ def _int_coeffs(p: LaurentPoly) -> list:
     """The primitive integer associate of p's coefficient run, ascending.
 
     Clears denominators and divides out the content, so the leading
-    coefficient is positive; the zero polynomial gives [].  Rational
-    coefficients only: the integer kernel has no Gaussian counterpart.
+    coefficient is positive; the zero polynomial gives [].
     """
-    if not p.is_rational():
-        raise TypeError(f"gcd and square-free decomposition need rational coefficients, got {p!r}")
     den = math.lcm(*(c.denominator for c in p.coeffs))
     return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
 
@@ -568,7 +534,6 @@ def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     Runs over Z on the primitive integer associates of p and q (a primitive
     pseudo-remainder sequence); gcds are unique up to units and
     ``canonicalize`` picks the same associate as a Euclid chain over Q.
-    Rational coefficients only: Gaussian input raises TypeError.
     """
     a, b = poly(p), poly(q)
     if a.is_zero() and b.is_zero():
@@ -585,8 +550,7 @@ def squarefree_decomposition(p: LaurentPoly):
     Yun's algorithm on the primitive integer associate of p, so
     multiplicities are exact.  Every division in it is by a primitive
     divisor, which by Gauss's lemma divides over Z as well as over Q, so
-    all divisions are exact integer ones.  Rational coefficients only:
-    Gaussian input raises TypeError.
+    all divisions are exact integer ones.
     """
     p = poly(p)
     if p.is_zero():

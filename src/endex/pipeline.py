@@ -86,15 +86,14 @@ class Analysis:
         walls = self.walls
         if self.parsed.context.chi is None:
             return None
-        return index_function(self.alexander, self.parsed.context, walls)
+        return index_function(self.parsed.context, walls)
 
 
-def analyze(parsed: ParsedInput | Analysis):
-    """Run the whole pipeline on one parsed input, as far as the data allows.
+def analyze(a: Analysis):
+    """Run the whole pipeline on one input, as far as the data allows.
 
-    Given an `Analysis`, reads its stages, which stay there for the caller.
+    Reads the stages of the `Analysis`, which stay there for the caller.
     """
-    a = parsed if isinstance(parsed, Analysis) else Analysis(parsed)
     parsed = a.parsed
     report = {
         "input_kind": parsed.kind,
@@ -141,15 +140,15 @@ def analyze(parsed: ParsedInput | Analysis):
     report["values"] = fj["values"]
     report["intervals"] = fj["intervals"]
     report["duality"] = duality_check(alex, a.n, f)
-    report["excision_samples"] = _excision_samples(alex, a.walls, f)
+    report["excision_samples"] = _excision_samples(a.walls, f)
     return report
 
 
-def _excision_samples(alex, walls, f: IndexFunction, cap: int = 10):
+def _excision_samples(walls, f: IndexFunction, cap: int = 10):
     """Deterministic excision consistency records over interval samples."""
     pts = f.sample_points()
     pairs = [(d1, d2) for i, d1 in enumerate(pts) for d2 in pts[i + 1:]][:cap]
     return [
-        {"delta1": d1, "delta2": d2, "index_difference": excision_index(alex, d1, d2, walls, f), "agree": True}
+        {"delta1": d1, "delta2": d2, "index_difference": excision_index(d1, d2, walls, f), "agree": True}
         for d1, d2 in pairs
     ]

@@ -68,9 +68,6 @@ class LaurentMatrix:
     def row(self, i):
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
-    def to_lists(self):
-        return [self.row(i) for i in range(self.rows)]
-
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
@@ -98,9 +95,6 @@ class LaurentMatrix:
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
 
     def __repr__(self):
         body = "; ".join(", ".join(e.pretty() for e in self.row(i)) for i in range(self.rows))
@@ -244,18 +238,14 @@ class _Worker:
                 d[j] = d[j] - q * y
 
     def scale_row(self, i, unit: LaurentPoly):
-        c = unit.coeffs[0]
-        inv_c = c.inverse() if isinstance(c, GaussianRational) else 1 / c
-        inv = LaurentPoly(-unit.low, (inv_c,))
+        inv = unit ** -1
         self.a[i] = [unit * x for x in self.a[i]]
         self.left[i] = [unit * x for x in self.left[i]]
         for r in self.left_inv:
             r[i] = r[i] * inv
 
     def scale_col(self, j, unit: LaurentPoly):
-        c = unit.coeffs[0]
-        inv_c = c.inverse() if isinstance(c, GaussianRational) else 1 / c
-        inv = LaurentPoly(-unit.low, (inv_c,))
+        inv = unit ** -1
         for r in self.a:
             r[j] = r[j] * unit
         for r in self.right:
@@ -345,9 +335,7 @@ def smith_normal_form(m: LaurentMatrix, certify: bool = True) -> SnfResult:
         d = w.a[i][i]
         if d.is_zero():
             break
-        lead = d.coeffs[-1]
-        inv = lead.inverse() if isinstance(lead, GaussianRational) else 1 / lead
-        unit = LaurentPoly(-d.low, (inv,))
+        unit = LaurentPoly(-d.low, (1 / d.coeffs[-1],))
         if not unit.is_one():
             w.scale_row(i, unit)
         diag.append(w.a[i][i])
@@ -391,51 +379,3 @@ def _certify(m: LaurentMatrix, res: SnfResult):
         if t.rows and t * ti != LaurentMatrix.identity(t.rows):
             raise CertificationError("snf", "a transform times its inverse is not the identity")
 
-
-def determinant(m: LaurentMatrix) -> LaurentPoly:
-    """Exact determinant: Laplace expansion to 5x5, Bareiss above."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return LaurentPoly.one()
-    rows = m.to_lists()
-    if n <= 5:
-        return _det_laplace(rows, list(range(n)))
-    return _det_bareiss(rows)
-
-
-def _det_laplace(rows, cols):
-    if len(cols) == 1:
-        return rows[len(rows) - 1][cols[0]]
-    out = LaurentPoly.zero()
-    r = len(rows) - len(cols)
-    for idx, c in enumerate(cols):
-        e = rows[r][c]
-        if e.is_zero():
-            continue
-        sub = _det_laplace(rows, cols[:idx] + cols[idx + 1 :])
-        term = e * sub
-        out = out + (term if idx % 2 == 0 else -term)
-    return out
-
-
-def _det_bareiss(rows):
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if swap is None:
-                return LaurentPoly.zero()
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d

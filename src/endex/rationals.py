@@ -50,14 +50,6 @@ class GaussianRational:
         object.__setattr__(self, "re", Fraction(self.re))
         object.__setattr__(self, "im", Fraction(self.im))
 
-    @staticmethod
-    def of(value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, _RationalABC):
-            return GaussianRational(Fraction(value), Fraction(0))
-        raise ValueError(f"cannot coerce {value!r} to a Gaussian rational")
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: small matrices, random polynomials,
 random chain complexes with known (planted) homology, a fraction-field
-rank that cross-checks the Smith normal form, and a Euclid chain over Q
-that cross-checks the integer gcd and square-free decomposition."""
+rank and an exact determinant that cross-check the Smith normal form, and
+a Euclid chain over Q that cross-checks the integer gcd and square-free
+decomposition."""
 
 from __future__ import annotations
 
@@ -258,16 +259,69 @@ def _strip_row_units(row):
     if shift:
         row = [e.shift(shift) for e in row]
         nz = [e for e in row if not e.is_zero()]
-    if all(e.is_rational() for e in nz):
-        num, den = 0, 1
-        for e in nz:
-            c = e.content()
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        content = Fraction(num, den)
-        if content != 1:
-            row = [e.scale(1 / content) for e in row]
+    num, den = 0, 1
+    for e in nz:
+        c = e.content()
+        num = gcd(num, c.numerator)
+        den = den * c.denominator // gcd(den, c.denominator)
+    content = Fraction(num, den)
+    if content != 1:
+        row = [e.scale(1 / content) for e in row]
     return row
+
+
+def to_lists(m: LaurentMatrix):
+    return [m.row(i) for i in range(m.rows)]
+
+
+def determinant(m: LaurentMatrix) -> LaurentPoly:
+    """Exact determinant: Laplace expansion to 5x5, Bareiss above.  The
+    tests' check that Smith transforms are unimodular."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return LaurentPoly.one()
+    rows = to_lists(m)
+    if n <= 5:
+        return _det_laplace(rows, list(range(n)))
+    return _det_bareiss(rows)
+
+
+def _det_laplace(rows, cols):
+    if len(cols) == 1:
+        return rows[len(rows) - 1][cols[0]]
+    out = LaurentPoly.zero()
+    r = len(rows) - len(cols)
+    for idx, c in enumerate(cols):
+        e = rows[r][c]
+        if e.is_zero():
+            continue
+        sub = _det_laplace(rows, cols[:idx] + cols[idx + 1 :])
+        term = e * sub
+        out = out + (term if idx % 2 == 0 else -term)
+    return out
+
+
+def _det_bareiss(rows):
+    n = len(rows)
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = LaurentPoly.one()
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if swap is None:
+                return LaurentPoly.zero()
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = num.exact_div(prev)
+        prev = a[k][k]
+    d = a[n - 1][n - 1]
+    return -d if sign < 0 else d
 
 
 def reference_laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

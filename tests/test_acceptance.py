@@ -22,7 +22,6 @@ from endex import (
     SimplicialInput,
     WeightedWindow,
     alexander_polynomials,
-    determinant,
     duality_check,
     exceptional_weights,
     excision_index,
@@ -42,6 +41,7 @@ from endex.indexfn import _accumulated_values, _closed_values
 from endex.laurent import poly
 
 from conftest import (
+    determinant,
     mat,
     off_wall_delta,
     planted_complex,
@@ -69,7 +69,7 @@ def test_criterion_1_fox_reproduction():
     ws = _walls(alex, 4)
     ok = [w.exact_modulus for w in ws.walls] == [Fraction(1, 2), Fraction(1), Fraction(2)]
     ok = ok and [w.delta_exact for w in ws.walls] == ["ln(1/2)", "ln(1)", "ln(2)"]
-    f = index_function(alex, ManifoldContext(dim=4, chi=2), ws)
+    f = index_function(ManifoldContext(dim=4, chi=2), ws)
     ok = ok and list(f.values) == [2, 1, 1, 2]
     for d, want in ((0.5, 1), (-0.5, 1), (1.0, 2), (-1.0, 2)):
         ok = ok and index_at(f, d) == want
@@ -94,7 +94,7 @@ def test_criterion_2_product_end_reproduction():
     ws = _walls(alex, 3)
     ok = ok and len(ws.walls) == 1 and ws.walls[0].delta == 0.0
     ok = ok and ws.walls[0].exact_modulus == 1
-    f = index_function(alex, ManifoldContext(dim=3, chi=1), ws)
+    f = index_function(ManifoldContext(dim=3, chi=1), ws)
     ok = ok and list(f.values) == [1, -1]
     for d in (0.25, 1.0, 2.5):
         want_pos = -1  # sign(-d) * chi for d > 0
@@ -185,7 +185,7 @@ def test_criterion_6_l2_lemma_oracle():
 def test_criterion_7_duality_and_parity():
     alex = AlexanderData(4, [poly("t - 1"), poly("t - 2"), poly("t - 1/2"), poly("t - 1")])
     ws = _walls(alex, 4)
-    f = index_function(alex, ManifoldContext(dim=4, chi=2), ws)
+    f = index_function(ManifoldContext(dim=4, chi=2), ws)
     rep = duality_check(alex, 4, f)
     ok = rep["ok"] and len(rep["parity"]["samples"]) == 10
     ok = ok and all(s["ind_neg"] == s["ind_pos"] for s in rep["parity"]["samples"])
@@ -194,7 +194,7 @@ def test_criterion_7_duality_and_parity():
     )
     alex2 = alexander_polynomials(homology(cc), 3)
     ws2 = _walls(alex2, 3)
-    f2 = index_function(alex2, ManifoldContext(dim=3, chi=1), ws2)
+    f2 = index_function(ManifoldContext(dim=3, chi=1), ws2)
     rep2 = duality_check(alex2, 3, f2)
     ok = ok and rep2["ok"]
     ok = ok and all(s["ind_neg"] == -s["ind_pos"] for s in rep2["parity"]["samples"])
@@ -205,8 +205,8 @@ def test_criterion_8_excision_consistency():
     rng = random.Random(88)
     fox = AlexanderData(4, [poly("t - 1"), poly("t - 2"), poly("t - 1/2"), poly("t - 1")])
     fox_walls = _walls(fox, 4)
-    ok = excision_index(fox, 1.0, 0.5, fox_walls) == -1
-    ok = ok and excision_index(fox, 0.31, 0.31, fox_walls) == 0
+    ok = excision_index(1.0, 0.5, fox_walls) == -1
+    ok = ok and excision_index(0.31, 0.31, fox_walls) == 0
     pairs = 0
     while pairs < 100:
         alex, _ = random_alexander(rng)
@@ -215,8 +215,8 @@ def test_criterion_8_excision_consistency():
             d1 = off_wall_delta(rng, ws)
             d2 = off_wall_delta(rng, ws)
             try:
-                excision_index(alex, d1, d2, ws)  # raises on path disagreement
-                same = excision_index(alex, d1, d1, ws)
+                excision_index(d1, d2, ws)  # raises on path disagreement
+                same = excision_index(d1, d1, ws)
             except RuntimeError:
                 ok = False
                 break

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -87,6 +89,20 @@ def test_chi_dim_flags_override(capsys):
     # Rightmost interval carries (-1)^1 * 1; crossing the wall at 0 leftward
     # adds back the root count of the degree-0 polynomial.
     assert report["values"] == [0, -1]
+
+
+def test_context_flags_only_where_read(capsys):
+    # fredholm, twisted, cup-check and l2-oracle never read chi or dim, so
+    # they do not take the flags: argparse refuses them with exit code 2.
+    s1s2, circle = path("s1s2.json"), path("circle.json")
+    for argv in (["fredholm", "--input", s1s2, "--delta", "0", "--dim", "1"],
+                 ["twisted", "--input", s1s2, "--z", "1", "--chi", "9"],
+                 ["cup-check", "--input", circle, "--dim", "7"],
+                 ["l2-oracle", "--lam", "2", "--chi", "1"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_alexander_command(capsys):
@@ -295,16 +311,36 @@ def test_golden_plotdata_text(tmp_path):
 
 def test_report_is_plain_json():
     from endex.inputs import load_input
-    from endex.pipeline import analyze
+    from endex.pipeline import Analysis, analyze
 
     for name in ("fox.json", "s1s2.json", "circle.json", "circle_trivial.json"):
-        report = analyze(load_input(path(name)))
+        report = analyze(Analysis(load_input(path(name))))
         assert json.loads(json.dumps(report)) == report
         assert [k for k in report if k.startswith("_")] == []
 
 
 def test_every_export_resolves():
     missing = [name for name in endex.__all__ if not hasattr(endex, name)]
+    assert missing == []
+
+
+def test_traced_names_resolve():
+    # perfbench/spans.py wraps these by name; look each up the way
+    # Tracer.install does, so a rename in endex cannot break the traced run.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("perfbench_spans", os.path.join(root, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, attr in spans.TRACED:
+        owner = importlib.import_module("endex." + module)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in getattr(owner, cls_name).__dict__
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append((module, attr))
     assert missing == []
 
 

@@ -83,7 +83,10 @@ COMMANDS = [
 @pytest.mark.parametrize("doc", sorted(INPUTS))
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
 def test_each_stage_computed_once(doc, command, calls, capsys):
-    main(command + INPUTS[doc])
+    argv = command + INPUTS[doc]
+    if command[0] in ("twisted", "fredholm", "cup-check"):
+        argv = command + INPUTS[doc][:2]  # these take no --chi
+    main(argv)
     capsys.readouterr()
     assert calls["homology"] <= 1
     if command[0] in ("index", "plotdata"):

@@ -29,7 +29,7 @@ def walls_for(alex, n=None):
 @pytest.fixture
 def fox_index(fox_alexander):
     ws = walls_for(fox_alexander, 4)
-    return index_function(fox_alexander, ManifoldContext(dim=4, chi=2), ws), ws
+    return index_function(ManifoldContext(dim=4, chi=2), ws), ws
 
 
 def test_fox_values(fox_index):
@@ -64,7 +64,7 @@ def test_product_end_values(s1s2_complex):
 
     alex = alexander_polynomials(homology(s1s2_complex))
     ws = walls_for(alex, 3)
-    f = index_function(alex, ManifoldContext(dim=3, chi=1), ws)
+    f = index_function(ManifoldContext(dim=3, chi=1), ws)
     assert list(f.values) == [1, -1]
     for d in (0.25, 0.5, 2.0):
         assert index_at(f, d) == -1 and index_at(f, -d) == 1
@@ -73,7 +73,7 @@ def test_product_end_values(s1s2_complex):
 def test_constant_data_constant_value():
     alex = AlexanderData(4, [poly("1")] * 4)
     ws = walls_for(alex)
-    f = index_function(alex, ManifoldContext(dim=4, chi=7), ws)
+    f = index_function(ManifoldContext(dim=4, chi=7), ws)
     assert list(f.values) == [7]
     assert index_at(f, -3.0) == 7 and index_at(f, 3.0) == 7
 
@@ -83,7 +83,7 @@ def test_rightmost_value_is_signed_chi():
     for _ in range(40):
         alex, chi = random_alexander(rng)
         ws = walls_for(alex)
-        f = index_function(alex, ManifoldContext(dim=alex.n, chi=chi), ws)
+        f = index_function(ManifoldContext(dim=alex.n, chi=chi), ws)
         assert f.values[-1] == (-1) ** alex.n * chi
 
 
@@ -100,17 +100,17 @@ def test_closed_and_accumulated_routes_agree():
 
 def test_excision_fox_annulus(fox_alexander):
     ws = walls_for(fox_alexander, 4)
-    assert excision_index(fox_alexander, 1.0, 0.5, ws) == -1
-    assert excision_index(fox_alexander, 0.5, 1.0, ws) == 1
-    assert excision_index(fox_alexander, 0.9, 0.9, ws) == 0
-    assert excision_index(fox_alexander, -2.0, 2.0, ws) == 0
-    assert excision_index(fox_alexander, -0.5, 0.5, ws) == 0
+    assert excision_index(1.0, 0.5, ws) == -1
+    assert excision_index(0.5, 1.0, ws) == 1
+    assert excision_index(0.9, 0.9, ws) == 0
+    assert excision_index(-2.0, 2.0, ws) == 0
+    assert excision_index(-0.5, 0.5, ws) == 0
 
 
 def test_excision_on_wall_rejected(fox_alexander):
     ws = walls_for(fox_alexander, 4)
     with pytest.raises(OnWallError):
-        excision_index(fox_alexander, 0.0, 0.5, ws)
+        excision_index(0.0, 0.5, ws)
 
 
 def test_excision_random_pairs_agree():
@@ -119,14 +119,14 @@ def test_excision_random_pairs_agree():
     while checked < 100:
         alex, chi = random_alexander(rng)
         ws = walls_for(alex)
-        f = index_function(alex, ManifoldContext(dim=alex.n, chi=chi), ws)
+        f = index_function(ManifoldContext(dim=alex.n, chi=chi), ws)
         for _ in range(5):
             d1 = off_wall_delta(rng, ws)
             d2 = off_wall_delta(rng, ws)
             # Raises internally if the two computation paths disagree.
-            value = excision_index(alex, d1, d2, ws, f)
+            value = excision_index(d1, d2, ws, f)
             assert value == index_at(f, d2) - index_at(f, d1)
-            assert excision_index(alex, d1, d1, ws, f) == 0
+            assert excision_index(d1, d1, ws, f) == 0
             checked += 1
 
 
@@ -144,7 +144,7 @@ def test_duality_product_end(s1s2_complex):
 
     alex = alexander_polynomials(homology(s1s2_complex))
     ws = walls_for(alex, 3)
-    f = index_function(alex, ManifoldContext(dim=3, chi=1), ws)
+    f = index_function(ManifoldContext(dim=3, chi=1), ws)
     rep = duality_check(alex, 3, f)
     assert rep["ok"] and rep["parity"]["n_parity"] == "odd"
     for s in rep["parity"]["samples"]:
@@ -181,4 +181,4 @@ def test_mirrored_sample_points_avoid_walls(fox_index):
 def test_index_requires_chi(fox_alexander):
     ws = walls_for(fox_alexander, 4)
     with pytest.raises(ValueError):
-        index_function(fox_alexander, ManifoldContext(dim=4, chi=None), ws)
+        index_function(ManifoldContext(dim=4, chi=None), ws)

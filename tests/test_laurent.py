@@ -57,11 +57,17 @@ def test_gcd_with_zero_is_canonical_associate():
 
 
 def test_gaussian_input_rejected():
-    gauss = LaurentPoly(0, [GaussianRational(0, 1), 1])
     with pytest.raises(TypeError):
-        laurent_gcd(gauss, poly("t - 1"))
+        LaurentPoly(0, [GaussianRational(0, 1), 1])
     with pytest.raises(TypeError):
-        squarefree_decomposition(gauss * gauss)
+        LaurentPoly(0, [0.5])
+
+
+def test_poly_rejects_what_is_not_text_or_rational():
+    for bad in (0.5, None, [1, 2], GaussianRational(0, 1)):
+        with pytest.raises(TypeError):
+            poly(bad)
+    assert poly(Fraction(1, 2)) == LaurentPoly.constant(Fraction(1, 2))
 
 
 def test_inexact_integer_division_is_certification_error():

@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from endex import LaurentMatrix, LaurentPoly, SnfResult, determinant, smith_normal_form
+from endex import LaurentMatrix, LaurentPoly, SnfResult, smith_normal_form
 from endex.laurent import poly
 from endex.linalg import numeric_rank
 from endex.polymatrix import _certify
 
-from conftest import mat, random_laurent, random_matrix, rank_ff
+from conftest import _det_bareiss, _det_laplace, determinant, mat, random_laurent, random_matrix, rank_ff, to_lists
 
 
 def test_snf_unit_entry_absorbed():
@@ -86,9 +86,7 @@ def test_determinant_laplace_vs_bareiss():
         m = LaurentMatrix(
             n, n, [LaurentPoly(0, [Fraction(rng.randint(-2, 2)) for _ in range(2)]) for _ in range(n * n)]
         )
-        from endex.polymatrix import _det_bareiss, _det_laplace
-
-        rows = m.to_lists()
+        rows = to_lists(m)
         assert _det_bareiss(rows) == (
             _det_laplace(rows, list(range(n))) if n <= 5 else _det_bareiss(rows)
         )
