@@ -11,7 +11,6 @@ splittings, weighted shift kernels, cup products).
 
 from .complexes import (
     ChainComplexOverLambda,
-    ManifoldContext,
     SimplicialInput,
     from_boundary_matrices,
     lift_simplicial,
@@ -29,10 +28,8 @@ from .errors import (
 )
 from .homology import (
     AlexanderData,
-    FinitenessVerdict,
     HomologyModule,
     alexander_polynomials,
-    finiteness_check,
     homology,
 )
 from .indexfn import (
@@ -45,7 +42,7 @@ from .indexfn import (
 from .laurent import LaurentPoly, canonicalize, laurent_gcd, poly, squarefree_decomposition
 from .polymatrix import LaurentMatrix, SnfResult, smith_normal_form
 from .rationals import GaussianRational
-from .spectral import ExceptionalSet, RootDatum, Wall, exceptional_weights, find_roots
+from .spectral import RootDatum, Wall, exceptional_weights, find_roots
 from .twisted import (
     TwistedFiber,
     WeightedWindow,
@@ -65,14 +62,11 @@ __all__ = [
     "ChainComplexOverLambda",
     "ComplexValidationError",
     "EndexError",
-    "ExceptionalSet",
-    "FinitenessVerdict",
     "GaussianRational",
     "HomologyModule",
     "IndexFunction",
     "LaurentMatrix",
     "LaurentPoly",
-    "ManifoldContext",
     "NotFiniteError",
     "OnWallError",
     "RootDatum",
@@ -90,7 +84,6 @@ __all__ = [
     "excision_index",
     "exceptional_weights",
     "find_roots",
-    "finiteness_check",
     "fredholm_check",
     "from_boundary_matrices",
     "homology",

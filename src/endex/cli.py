@@ -28,7 +28,8 @@ _L2_GRID_WEIGHTS = ((1.0, 0.5), (0.5, 1.0), (1.0, -1.0), (-1.0, -2.0))
 
 
 def _emit(args, payload, text_renderer=None):
-    if args.format == "text" and text_renderer:
+    # Only the commands with a text renderer take --format.
+    if text_renderer and args.format == "text":
         body = text_renderer(payload)
     else:
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -102,11 +103,11 @@ def _cmd_analyze(args):
 
 
 def _cmd_alexander(args):
-    analysis = _analysis(args)
+    analysis = Analysis(load_input(args.input, args.dim))
     payload = {}
     if analysis.parsed.complex is not None:
         payload["homology"] = analysis.homology.to_json()
-        payload["finiteness"] = analysis.finiteness.to_json()
+        payload["finiteness"] = analysis.finiteness_json()
     if analysis.finite:
         payload["alexander"] = analysis.alexander.to_json()
     _emit(args, payload)
@@ -114,10 +115,10 @@ def _cmd_alexander(args):
 
 def _cmd_index(args):
     analysis = _analysis(args)
-    if analysis.parsed.context.chi is None:
+    if analysis.parsed.chi is None:
         raise EndexError("the index needs --chi (or a manifold block with chi)")
     if not analysis.finite:
-        raise NotFiniteError(analysis.finiteness.infinite_degrees)
+        raise NotFiniteError(analysis.homology.infinite_degrees)
     _emit(args, analysis.index.to_json())
 
 
@@ -172,8 +173,8 @@ def _cmd_cup_check(args):
 
 def _cmd_duality(args):
     analysis = _analysis(args)
-    f = analysis.index if analysis.parsed.context.chi is not None else None
-    _emit(args, duality_check(analysis.alexander, analysis.n, f))
+    f = analysis.index if analysis.parsed.chi is not None else None
+    _emit(args, duality_check(analysis.alexander, f))
 
 
 def _cmd_plotdata(args):
@@ -191,38 +192,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True, context=True):
-        """context: take --chi and --dim, for the commands that read the manifold block."""
+    def common(p, *flags, needs_input=True):
+        """--input and --output, then each of the optional flags named:
+        "format" for the commands with a text renderer, "chi" and "dim"
+        for the commands that read the manifold block."""
         if needs_input:
             p.add_argument("--input", required=True, help="path to a JSON input document")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        if "format" in flags:
+            p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--output", help="write the report here instead of stdout")
-        if context:
+        if "chi" in flags:
             p.add_argument("--chi", type=int, default=None, help="euler characteristic override")
+        if "dim" in flags:
             p.add_argument("--dim", type=int, default=None, help="manifold dimension override")
 
     p = sub.add_parser("analyze", help="full pipeline report")
-    common(p)
+    common(p, "format", "chi", "dim")
     p.add_argument("--svg", help="also render the step function to this SVG file")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("alexander", help="homology and characteristic polynomials")
-    common(p)
+    common(p, "dim")
     p.set_defaults(func=_cmd_alexander)
 
     p = sub.add_parser("index", help="walls and index values")
-    common(p)
+    common(p, "chi", "dim")
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("twisted", help="twisted cohomology dimensions at a point")
-    common(p, context=False)
+    common(p)
     p.add_argument("--z", required=True, help="evaluation point, e.g. '1/2', '1+2i', '0.7'")
     p.add_argument("--tol", type=float, default=NUMERIC_RANK_RTOL,
                    help="relative rank tolerance for float points")
     p.set_defaults(func=_cmd_twisted)
 
     p = sub.add_parser("fredholm", help="Fredholm verdict at a weight")
-    common(p, context=False)
+    common(p)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--samples", type=int, default=16, help="circle sample count")
     p.add_argument("--tol", type=float, default=NUMERIC_RANK_RTOL,
@@ -230,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fredholm)
 
     p = sub.add_parser("l2-oracle", help="weighted shift kernel oracle vs analytic count")
-    common(p, needs_input=False, context=False)
+    common(p, needs_input=False)
     p.add_argument("--lam", help="eigenvalue; omit to run the standard grid")
     p.add_argument("--mult", type=int, default=1)
     p.add_argument("--delta1", type=float, default=1.0)
@@ -240,15 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_l2_oracle)
 
     p = sub.add_parser("cup-check", help="cup multiplication exactness on cohomology")
-    common(p, context=False)
+    common(p)
     p.set_defaults(func=_cmd_cup_check)
 
     p = sub.add_parser("duality", help="polynomial reversal symmetry and index parity")
-    common(p)
+    common(p, "chi", "dim")
     p.set_defaults(func=_cmd_duality)
 
     p = sub.add_parser("plotdata", help="step function samples and wall markers")
-    common(p)
+    common(p, "format", "chi", "dim")
     p.add_argument("--svg", help="render a self-contained SVG here")
     p.set_defaults(func=_cmd_plotdata)
     return top

@@ -9,20 +9,9 @@ consecutive boundaries must multiply to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ComplexValidationError
 from .laurent import LaurentPoly
 from .polymatrix import LaurentMatrix
-
-
-@dataclass(frozen=True)
-class ManifoldContext:
-    """Ambient data for the index formula: manifold dimension and Euler
-    characteristic.  chi may be None when only walls are requested."""
-
-    dim: int
-    chi: int | None = None
 
 
 class ChainComplexOverLambda:
@@ -207,13 +196,6 @@ class SimplicialInput:
             simplices=obj.get("simplices", {}),
             cocycle=obj.get("cocycle", {}),
         )
-
-    def to_json(self):
-        return {
-            "vertices": self.n_vertices,
-            "simplices": {str(d): [list(s) for s in lst] for d, lst in self.simplices.items()},
-            "cocycle": {f"{u},{v}": w for (u, v), w in sorted(self.cocycle.items())},
-        }
 
 
 def lift_simplicial(x: SimplicialInput) -> ChainComplexOverLambda:

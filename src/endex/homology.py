@@ -14,21 +14,10 @@ only when every free rank vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import ChainComplexOverLambda
 from .errors import CertificationError, NotFiniteError
 from .laurent import LaurentPoly, canonicalize
 from .polymatrix import LaurentMatrix, smith_normal_form
-
-
-@dataclass(frozen=True)
-class FinitenessVerdict:
-    finite: bool
-    infinite_degrees: tuple
-
-    def to_json(self):
-        return {"finite": self.finite, "infinite_degrees": list(self.infinite_degrees)}
 
 
 class HomologyModule:
@@ -51,8 +40,11 @@ class HomologyModule:
     def __setattr__(self, name, value):
         raise AttributeError("HomologyModule is immutable")
 
-    def free_rank(self, k: int) -> int:
-        return self.free_ranks[k] if 0 <= k <= self.n else 0
+    @property
+    def infinite_degrees(self) -> tuple:
+        """The degrees with a free summand; the module is finite
+        dimensional over Q exactly when there are none."""
+        return tuple(k for k, r in enumerate(self.free_ranks) if r > 0)
 
     def invariant_factors(self, k: int):
         return list(self.factors[k]) if 0 <= k <= self.n else []
@@ -122,12 +114,6 @@ def homology(cc: ChainComplexOverLambda) -> HomologyModule:
     return HomologyModule(n, free_ranks, factors)
 
 
-def finiteness_check(h: HomologyModule) -> FinitenessVerdict:
-    """Finite iff no degree carries a free summand."""
-    bad = tuple(k for k in range(h.n + 1) if h.free_ranks[k] > 0)
-    return FinitenessVerdict(finite=not bad, infinite_degrees=bad)
-
-
 class AlexanderData:
     """Characteristic polynomials of the covering translation, one per
     degree 0..n."""
@@ -152,9 +138,6 @@ class AlexanderData:
     def poly(self, k: int) -> LaurentPoly:
         return self.polys[k] if 0 <= k <= self.n else LaurentPoly.one()
 
-    def dim(self, k: int) -> int:
-        return self.poly(k).span
-
     def to_json(self):
         return {"n": self.n, "polys": [p.to_json() for p in self.polys]}
 
@@ -169,9 +152,8 @@ def alexander_polynomials(h: HomologyModule, n: int | None = None) -> AlexanderD
     Raises NotFiniteError when any free rank is positive; the polynomials
     only exist for torsion homology.
     """
-    verdict = finiteness_check(h)
-    if not verdict.finite:
-        raise NotFiniteError(verdict.infinite_degrees)
+    if h.infinite_degrees:
+        raise NotFiniteError(h.infinite_degrees)
     if n is None:
         n = h.n
     polys = []

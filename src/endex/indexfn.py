@@ -1,5 +1,7 @@
 """The index of the weighted complex as a step function of the weight.
 
+`index_function(n, chi, walls)` assembles it from the manifold dimension,
+the Euler characteristic and the walls of `spectral.exceptional_weights`.
 Values are computed twice and must agree: by the closed count (signed
 number of roots of each characteristic polynomial outside the weight
 circle, plus the signed Euler characteristic) and by accumulating wall
@@ -12,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ManifoldContext
 from .errors import CertificationError, OnWallError
 from .homology import AlexanderData
 from .laurent import canonicalize
-from .spectral import ExceptionalSet
+from .spectral import Wall
 
 _WALL_PAD = 1e-12
 
@@ -28,21 +29,21 @@ class IndexFunction:
 
     n: int
     chi: int
-    walls: ExceptionalSet
+    walls: tuple[Wall, ...]
     values: tuple
 
     @property
     def wall_deltas(self):
-        return [w.delta for w in self.walls.walls]
+        return [w.delta for w in self.walls]
 
     def interval_of(self, delta: float) -> int:
         """Index of the open interval containing delta; OnWallError if the
         weight sits within certified radius of a wall."""
-        for w in self.walls.walls:
+        for w in self.walls:
             if abs(delta - w.delta) <= w.delta_radius + _WALL_PAD:
                 raise OnWallError(delta, w.delta)
         count = 0
-        for w in self.walls.walls:
+        for w in self.walls:
             if w.delta < delta:
                 count += 1
         return count
@@ -73,52 +74,50 @@ class IndexFunction:
         return {
             "n": self.n,
             "chi": self.chi,
-            "walls": [w.to_json() for w in self.walls.walls],
+            "walls": [w.to_json() for w in self.walls],
             "values": list(self.values),
             "intervals": intervals,
         }
 
 
-def _closed_values(n: int, chi: int, walls: ExceptionalSet):
+def _closed_values(n: int, chi: int, walls: tuple[Wall, ...]):
     """Index on each interval by the closed root count.
 
     On the interval left of wall i the roots with |root| above the weight
     circle are exactly those sitting on walls i, i+1, ...; counting by wall
     membership keeps the comparison exact.
     """
-    nw = len(walls.walls)
     end = (-1) ** n * chi
     out = []
-    for i in range(nw + 1):
+    for i in range(len(walls) + 1):
         acc = end
-        for w in walls.walls[i:]:
-            for c in w.contributions:
-                acc += (-1) ** c.degree_k * c.multiplicity
+        for w in walls[i:]:
+            for r in w.contributions:
+                acc += (-1) ** r.degree_k * r.multiplicity
         out.append(acc)
     return out
 
 
-def _accumulated_values(n: int, chi: int, walls: ExceptionalSet):
+def _accumulated_values(n: int, chi: int, walls: tuple[Wall, ...]):
     """Index on each interval by wall-jump accumulation from the right."""
     vals = [(-1) ** n * chi]
-    for w in reversed(walls.walls):
+    for w in reversed(walls):
         vals.append(vals[-1] - w.jump)
     return list(reversed(vals))
 
 
-def index_function(ctx: ManifoldContext, walls: ExceptionalSet) -> IndexFunction:
+def index_function(n: int, chi: int, walls: tuple[Wall, ...]) -> IndexFunction:
     """Assemble the step function; the closed count and the jump
     accumulation are both evaluated and must agree on every interval."""
-    if ctx.chi is None:
+    if chi is None:
         raise ValueError("index function needs the Euler characteristic")
-    n = ctx.dim
-    closed = _closed_values(n, ctx.chi, walls)
-    accumulated = _accumulated_values(n, ctx.chi, walls)
+    closed = _closed_values(n, chi, walls)
+    accumulated = _accumulated_values(n, chi, walls)
     if closed != accumulated:
         raise CertificationError(
             "index", f"closed count {closed} disagrees with jump accumulation {accumulated}"
         )
-    return IndexFunction(n=n, chi=ctx.chi, walls=walls, values=tuple(closed))
+    return IndexFunction(n=n, chi=chi, walls=walls, values=tuple(closed))
 
 
 def index_at(f: IndexFunction, delta: float) -> int:
@@ -126,32 +125,24 @@ def index_at(f: IndexFunction, delta: float) -> int:
     return f.values[f.interval_of(delta)]
 
 
-def excision_index(
-    delta1: float,
-    delta2: float,
-    walls: ExceptionalSet,
-    f: IndexFunction | None = None,
-) -> int:
+def excision_index(delta1: float, delta2: float, f: IndexFunction) -> int:
     """Index of the doubly weighted complex on the cover, two ways.
 
     Path one takes the difference of the step function at the two weights
-    (the Euler term cancels, so a chi of zero is used when no assembled
-    function is supplied).  Path two counts root multiplicities in the open
-    annulus between the two weight circles with degree signs.  The paths
-    must agree; the common value is returned.
+    (the Euler term cancels).  Path two counts root multiplicities in the
+    open annulus between the two weight circles with degree signs.  The
+    paths must agree; the common value is returned.
     """
-    if f is None:
-        f = index_function(ManifoldContext(dim=walls.n, chi=0), walls)
     i1 = f.interval_of(delta1)
     i2 = f.interval_of(delta2)
     path_a = f.values[i2] - f.values[i1]
 
     lo, hi = min(delta1, delta2), max(delta1, delta2)
     count = 0
-    for w in walls.walls:
+    for w in f.walls:
         if lo < w.delta < hi:
-            for c in w.contributions:
-                count += (-1) ** c.degree_k * c.multiplicity
+            for r in w.contributions:
+                count += (-1) ** r.degree_k * r.multiplicity
     path_b = count if delta2 < delta1 else -count
 
     if path_a != path_b:
@@ -179,16 +170,16 @@ def mirrored_sample_points(f: IndexFunction, count: int = 10):
     return pts
 
 
-def duality_check(alex: AlexanderData, n: int | None = None, f: IndexFunction | None = None):
+def duality_check(alex: AlexanderData, f: IndexFunction | None = None):
     """Root-reversal symmetry of the polynomials and parity of the index.
 
-    Degree k pairs with n-1-k: the reversed partner polynomial must be the
-    canonical associate of the degree-k one.  When a step function is
-    supplied, ind(-d) == (-1)^n ind(d) is checked at mirrored samples.
-    Failures are reported, not raised: inputs need not come from manifolds.
+    Degree k pairs with n-1-k, n = alex.n: the reversed partner polynomial
+    must be the canonical associate of the degree-k one.  When a step
+    function is supplied, ind(-d) == (-1)^n ind(d) is checked at mirrored
+    samples.  Failures are reported, not raised: inputs need not come from
+    manifolds.
     """
-    if n is None:
-        n = alex.n
+    n = alex.n
     pairs = []
     all_ok = True
     for k in range((n + 1) // 2):

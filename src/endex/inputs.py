@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .complexes import (
     ChainComplexOverLambda,
-    ManifoldContext,
     SimplicialInput,
     from_boundary_matrices,
     lift_simplicial,
@@ -30,11 +29,15 @@ from .rationals import GaussianRational, parse_rational
 
 @dataclass
 class ParsedInput:
+    """One classified input document, with the manifold dimension and Euler
+    characteristic the index formula reads (chi may be None)."""
+
     kind: str
     complex: ChainComplexOverLambda | None
     simplicial: SimplicialInput | None
     alexander: AlexanderData | None
-    context: ManifoldContext
+    dim: int
+    chi: int | None
 
 
 def parse_document(doc, dim_override: int | None = None, chi_override: int | None = None) -> ParsedInput:
@@ -53,16 +56,16 @@ def parse_document(doc, dim_override: int | None = None, chi_override: int | Non
         polys = [LaurentPoly.from_json(p) for p in doc["alexander"]]
         n = dim if dim is not None else len(polys)
         alex = AlexanderData(n, polys)
-        return ParsedInput("alexander", None, None, alex, ManifoldContext(dim=n, chi=chi))
+        return ParsedInput("alexander", None, None, alex, n, chi)
     if "vertices" in doc or "simplices" in doc:
         si = SimplicialInput.from_json(doc)
         cc = lift_simplicial(si)
         n = dim if dim is not None else cc.n
-        return ParsedInput("simplicial", cc, si, None, ManifoldContext(dim=n, chi=chi))
+        return ParsedInput("simplicial", cc, si, None, n, chi)
     if "ranks" in doc or "boundaries" in doc:
         cc = from_boundary_matrices(doc)
         n = dim if dim is not None else cc.n
-        return ParsedInput("complex", cc, None, None, ManifoldContext(dim=n, chi=chi))
+        return ParsedInput("complex", cc, None, None, n, chi)
     raise ComplexValidationError(
         "unrecognized input: expected 'alexander', 'vertices'/'simplices', or 'ranks'/'boundaries'"
     )

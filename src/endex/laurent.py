@@ -35,7 +35,7 @@ from fractions import Fraction
 from numbers import Rational as _RationalABC
 
 from .errors import CertificationError
-from .rationals import GaussianRational, format_rational, parse_rational
+from .rationals import GaussianRational, parse_rational
 
 
 def _norm_coeff(c):
@@ -198,18 +198,6 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def scale(self, c) -> "LaurentPoly":
-        c = _norm_coeff(c)
-        if c == 0:
-            return LaurentPoly.zero()
-        return LaurentPoly(self.low, tuple(a * c for a in self.coeffs))
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return LaurentPoly(self.low + k, self.coeffs)
-
     def __divmod__(self, other):
         """Division with remainder, after aligning t-powers.
 
@@ -311,7 +299,7 @@ class LaurentPoly:
         return LaurentPoly(0, tuple(a / c for a in self.coeffs))
 
     def to_json(self):
-        return {"lowest": self.low, "coeffs": [format_rational(c) for c in self.coeffs]}
+        return {"lowest": self.low, "coeffs": [str(c) for c in self.coeffs]}
 
     @staticmethod
     def from_json(obj) -> "LaurentPoly":
@@ -345,7 +333,7 @@ class LaurentPoly:
             e = self.low + i
             neg = c < 0
             sign = (" - " if neg else " + ") if parts else ("-" if neg else "")
-            cs = format_rational(-c if neg else c)
+            cs = str(-c if neg else c)
             if e == 0:
                 term = cs
             else:

@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .complexes import ChainComplexOverLambda, ManifoldContext
+from .complexes import ChainComplexOverLambda
 from .cup import cup_product_check
-from .homology import AlexanderData, FinitenessVerdict, HomologyModule, alexander_polynomials, finiteness_check
+from .homology import AlexanderData, HomologyModule, alexander_polynomials
 from .homology import homology as compute_homology
 from .indexfn import IndexFunction, duality_check, excision_index, index_function
 from .inputs import ParsedInput
-from .spectral import ExceptionalSet, RootDatum, exceptional_weights, find_roots
+from .spectral import RootDatum, Wall, exceptional_weights, find_roots
 
 
 @dataclass(frozen=True)
@@ -37,25 +37,26 @@ class Analysis:
     @classmethod
     def of_complex(cls, cc: ChainComplexOverLambda) -> "Analysis":
         """A complex on its own, in its own dimension and without chi."""
-        return cls(ParsedInput("complex", cc, None, None, ManifoldContext(dim=cc.n, chi=None)))
+        return cls(ParsedInput("complex", cc, None, None, cc.n, None))
 
     @property
     def n(self) -> int:
-        return self.parsed.context.dim
+        return self.parsed.dim
 
     @cached_property
     def homology(self) -> HomologyModule:
         return compute_homology(self.parsed.complex)
 
-    @cached_property
-    def finiteness(self) -> FinitenessVerdict:
-        return finiteness_check(self.homology)
-
     @property
     def finite(self) -> bool:
         """Whether the characteristic polynomials exist; always true when the
         input gives them directly."""
-        return self.parsed.complex is None or self.finiteness.finite
+        return self.parsed.complex is None or not self.homology.infinite_degrees
+
+    def finiteness_json(self):
+        """The finiteness verdict of the homology, as reported."""
+        infinite = self.homology.infinite_degrees
+        return {"finite": not infinite, "infinite_degrees": list(infinite)}
 
     @cached_property
     def alexander(self) -> AlexanderData:
@@ -71,7 +72,7 @@ class Analysis:
         return self._roots[k]
 
     @cached_property
-    def walls(self) -> ExceptionalSet:
+    def walls(self) -> tuple[Wall, ...]:
         return exceptional_weights([r for k in range(self.n) for r in self.roots(k)], self.n)
 
     @cached_property
@@ -84,9 +85,9 @@ class Analysis:
         if not self.finite:
             return None
         walls = self.walls
-        if self.parsed.context.chi is None:
+        if self.parsed.chi is None:
             return None
-        return index_function(self.parsed.context, walls)
+        return index_function(self.n, self.parsed.chi, walls)
 
 
 def analyze(a: Analysis):
@@ -98,7 +99,7 @@ def analyze(a: Analysis):
     report = {
         "input_kind": parsed.kind,
         "n": a.n,
-        "chi": parsed.context.chi,
+        "chi": parsed.chi,
         "warnings": [],
         "notices": [],
     }
@@ -113,7 +114,7 @@ def analyze(a: Analysis):
                 "finite end-periodic homology is impossible"
             )
         report["homology"] = a.homology.to_json()
-        report["finiteness"] = a.finiteness.to_json()
+        report["finiteness"] = a.finiteness_json()
         if not a.finite:
             report["notices"].append(
                 "homology has free summands; characteristic polynomials, walls "
@@ -128,27 +129,27 @@ def analyze(a: Analysis):
     report["alexander"] = alex.to_json()
     for deg in report.get("homology", {}).get("degrees", ()):
         deg["alexander"] = alex.poly(deg["degree"]).to_json()
-    report["walls"] = [w.to_json() for w in a.walls.walls]
+    report["walls"] = [w.to_json() for w in a.walls]
 
     f = a.index
     if f is None:
         report["notices"].append("no euler characteristic given; index section omitted")
-        report["duality"] = duality_check(alex, a.n)
+        report["duality"] = duality_check(alex)
         return report
 
     fj = f.to_json()
     report["values"] = fj["values"]
     report["intervals"] = fj["intervals"]
-    report["duality"] = duality_check(alex, a.n, f)
-    report["excision_samples"] = _excision_samples(a.walls, f)
+    report["duality"] = duality_check(alex, f)
+    report["excision_samples"] = _excision_samples(f)
     return report
 
 
-def _excision_samples(walls, f: IndexFunction, cap: int = 10):
+def _excision_samples(f: IndexFunction, cap: int = 10):
     """Deterministic excision consistency records over interval samples."""
     pts = f.sample_points()
     pairs = [(d1, d2) for i, d1 in enumerate(pts) for d2 in pts[i + 1:]][:cap]
     return [
-        {"delta1": d1, "delta2": d2, "index_difference": excision_index(d1, d2, walls, f), "agree": True}
+        {"delta1": d1, "delta2": d2, "index_difference": excision_index(d1, d2, f), "agree": True}
         for d1, d2 in pairs
     ]

@@ -2,9 +2,10 @@
 
 Plain rationals are ``fractions.Fraction`` (already canonical: reduced,
 positive denominator).  This module adds the complex extension Q(i) needed
-for exact evaluation points z in the punctured plane, plus the string
-encoding used by every serialized schema: a rational is written ``"p/q"``
-(or just ``"p"`` when the denominator is 1).
+for exact evaluation points z in the punctured plane, plus the decoding of
+the string form every serialized schema uses: a rational is written
+``"p/q"`` (or just ``"p"`` when the denominator is 1), which is what
+``str`` of a ``Fraction`` gives.
 """
 
 from __future__ import annotations
@@ -12,14 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
-
-
-def format_rational(x: Fraction) -> str:
-    """Encode a rational as the canonical string ``p/q`` (``p`` if q = 1)."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(s) -> Fraction:

@@ -7,10 +7,12 @@ examples produce), the rest go to a simultaneous Aberth-Ehrlich iteration
 with a deterministic start, and every approximate root carries an
 a-posteriori error radius.
 
-Weights are walls at ln|root|.  Two moduli are merged into one wall only
-when their equality is certain: equal exact modulus squares, or roots of
-one and the same square-free factor.  Overlapping-but-uncertifiable moduli
-raise AmbiguousWallError instead of being merged silently.
+Weights are walls at ln|root|: `exceptional_weights` returns a tuple of
+`Wall`s sorted by weight, each holding the `RootDatum`s that sit on it.
+Two moduli are merged into one wall only when their equality is certain:
+equal exact modulus squares, or roots of one and the same square-free
+factor.  Overlapping-but-uncertifiable moduli raise AmbiguousWallError
+instead of being merged silently.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from fractions import Fraction
 
 from .errors import AmbiguousWallError, CertificationError
 from .laurent import LaurentPoly, canonicalize, poly, squarefree_decomposition
-from .rationals import format_rational
 
 RESIDUAL_RTOL = 1e-12
 
@@ -49,11 +50,6 @@ class RootDatum:
     @property
     def delta(self) -> float:
         return math.log(self.modulus)
-
-    def lambda_json(self):
-        if self.exact is not None:
-            return format_rational(self.exact)
-        return [self.approx.real, self.approx.imag]
 
 
 def _divisors(n: int):
@@ -194,60 +190,36 @@ def find_roots(a: LaurentPoly, degree_k: int) -> list[RootDatum]:
 
 
 @dataclass(frozen=True)
-class WallContribution:
-    degree_k: int
-    root: RootDatum
-
-    @property
-    def multiplicity(self) -> int:
-        return self.root.multiplicity
-
-    @property
-    def jump_term(self) -> int:
-        return (-1) ** (self.degree_k + 1) * self.root.multiplicity
-
-    def to_json(self):
-        return {
-            "k": self.degree_k,
-            "lambda": self.root.lambda_json(),
-            "mult": self.root.multiplicity,
-        }
-
-
-@dataclass(frozen=True)
 class Wall:
-    """One exceptional weight: delta = ln|root| with its signed jump."""
+    """One exceptional weight: delta = ln|root| with its signed jump and the
+    roots sitting on it, ordered by degree."""
 
     delta: float
     delta_radius: float
     exact_modulus: Fraction | None
-    contributions: tuple
+    contributions: tuple[RootDatum, ...]
     jump: int
 
     @property
     def delta_exact(self) -> str | None:
         if self.exact_modulus is None:
             return None
-        return f"ln({format_rational(self.exact_modulus)})"
+        return f"ln({self.exact_modulus})"
 
     def to_json(self):
         return {
             "delta": self.delta,
             "delta_exact": self.delta_exact,
             "jump": self.jump,
-            "contributions": [c.to_json() for c in self.contributions],
+            "contributions": [
+                {
+                    "k": r.degree_k,
+                    "lambda": str(r.exact) if r.exact is not None else [r.approx.real, r.approx.imag],
+                    "mult": r.multiplicity,
+                }
+                for r in self.contributions
+            ],
         }
-
-
-@dataclass(frozen=True)
-class ExceptionalSet:
-    """All candidate walls for degrees 0..n-1, sorted by weight."""
-
-    n: int
-    walls: tuple
-
-    def to_json(self):
-        return {"walls": [w.to_json() for w in self.walls]}
 
 
 def _sqrt_fraction(x: Fraction) -> Fraction | None:
@@ -281,8 +253,9 @@ def _certified_equal(a: RootDatum, b: RootDatum) -> bool:
     return a.squarefree_factor == b.squarefree_factor
 
 
-def exceptional_weights(roots, n: int) -> ExceptionalSet:
-    """Group roots of the degree 0..n-1 polynomials into walls.
+def exceptional_weights(roots, n: int) -> tuple[Wall, ...]:
+    """Group roots of the degree 0..n-1 polynomials into walls, sorted by
+    weight.
 
     Raises AmbiguousWallError when two moduli overlap within certified
     error but cannot be proved equal (distinct square-free factors without
@@ -328,11 +301,8 @@ def exceptional_weights(roots, n: int) -> ExceptionalSet:
                 max(delta - math.log(max(lo, 1e-300)), math.log(hi) - delta)
                 for lo, hi in (_modulus_interval(m) for m in members)
             )
-        contribs = tuple(
-            WallContribution(m.degree_k, m)
-            for m in sorted(members, key=lambda m: (m.degree_k, m.approx.real, m.approx.imag))
-        )
-        jump = sum(c.jump_term for c in contribs)
+        contribs = tuple(sorted(members, key=lambda m: (m.degree_k, m.approx.real, m.approx.imag)))
+        jump = sum((-1) ** (r.degree_k + 1) * r.multiplicity for r in contribs)
         walls.append(Wall(delta, delta_radius, exact_modulus, contribs, jump))
     walls.sort(key=lambda w: w.delta)
-    return ExceptionalSet(n=n, walls=tuple(walls))
+    return tuple(walls)

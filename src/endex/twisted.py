@@ -18,7 +18,7 @@ from numbers import Rational as _RationalABC
 
 from .complexes import ChainComplexOverLambda
 from .errors import CertificationError, NotFiniteError, OnWallError, WindowTooSmallError
-from .homology import HomologyModule, finiteness_check
+from .homology import HomologyModule
 from .linalg import NUMERIC_RANK_RTOL
 from .pipeline import Analysis
 from .rationals import GaussianRational
@@ -77,9 +77,8 @@ def uct_dims(h: HomologyModule, z) -> list:
     the degree-(k-1) module vanishing at z.  Returns degrees 0..n+1.
     Requires finite homology and an exact z.
     """
-    verdict = finiteness_check(h)
-    if not verdict.finite:
-        raise NotFiniteError(verdict.infinite_degrees)
+    if h.infinite_degrees:
+        raise NotFiniteError(h.infinite_degrees)
     if not isinstance(z, (GaussianRational, _RationalABC)):
         raise TypeError("coefficient splitting is an exact oracle; z must be exact")
     if isinstance(z, _RationalABC):
@@ -108,10 +107,10 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float, samples: int = 16,
     complex is exact at sample points of the circle of radius e^delta).
     """
     analysis = Analysis.of_complex(cc)
-    verdict = analysis.finiteness
-    if not verdict.finite:
+    infinite = analysis.homology.infinite_degrees
+    if infinite:
         symbolic = False
-        reason = f"homology has free summands in degrees {list(verdict.infinite_degrees)}"
+        reason = f"homology has free summands in degrees {list(infinite)}"
     else:
         # Degrees are searched in order, up to the first root on the circle.
         hit = next((k for k in range(cc.n + 1) for r in analysis.roots(k)

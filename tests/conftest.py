@@ -21,6 +21,35 @@ def mat(rows):
     return LaurentMatrix.from_rows([[poly(e) for e in r] for r in rows])
 
 
+def scale(p: LaurentPoly, c) -> LaurentPoly:
+    """p times the rational c."""
+    return p * LaurentPoly.constant(c)
+
+
+def shift(p: LaurentPoly, k: int) -> LaurentPoly:
+    """p times t^k."""
+    return p if p.is_zero() else LaurentPoly(p.low + k, p.coeffs)
+
+
+def free_rank(h, k: int) -> int:
+    """Free rank of the degree-k homology module, zero off 0..n."""
+    return h.free_ranks[k] if 0 <= k <= h.n else 0
+
+
+def alex_dim(alex, k: int) -> int:
+    """Degree span of the degree-k characteristic polynomial."""
+    return alex.poly(k).span
+
+
+def simplicial_json(si) -> dict:
+    """A SimplicialInput in the input document schema."""
+    return {
+        "vertices": si.n_vertices,
+        "simplices": {str(d): [list(s) for s in lst] for d, lst in si.simplices.items()},
+        "cocycle": {f"{u},{v}": w for (u, v), w in sorted(si.cocycle.items())},
+    }
+
+
 def from_roots(roots) -> LaurentPoly:
     """Monic product of (t - r) over the given exact roots."""
     out = LaurentPoly.one()
@@ -34,8 +63,8 @@ def conjugate(z: GaussianRational) -> GaussianRational:
 
 
 def total_multiplicity(walls) -> int:
-    """Sum of root multiplicities over every wall of an ExceptionalSet."""
-    return sum(c.multiplicity for w in walls.walls for c in w.contributions)
+    """Sum of root multiplicities over every wall in a tuple of walls."""
+    return sum(r.multiplicity for w in walls for r in w.contributions)
 
 
 def jump_at(f, wall_index: int):
@@ -43,8 +72,9 @@ def jump_at(f, wall_index: int):
     breakdown: (jump, [(degree, multiplicity, signed term), ...]).  Checks
     the jump against the wall and against the value difference across it.
     """
-    w = f.walls.walls[wall_index]
-    breakdown = [(c.degree_k, c.multiplicity, c.jump_term) for c in w.contributions]
+    w = f.walls[wall_index]
+    breakdown = [(r.degree_k, r.multiplicity, (-1) ** (r.degree_k + 1) * r.multiplicity)
+                 for r in w.contributions]
     jump = sum(term for _, _, term in breakdown)
     assert jump == w.jump == f.values[wall_index + 1] - f.values[wall_index]
     return jump, breakdown
@@ -125,7 +155,7 @@ def off_wall_delta(rng: random.Random, walls, lo: float = -2.5, hi: float = 2.5,
                    margin: float = 0.02) -> float:
     while True:
         d = rng.uniform(lo, hi)
-        if all(abs(d - w.delta) > margin for w in walls.walls):
+        if all(abs(d - w.delta) > margin for w in walls):
             return d
 
 
@@ -255,9 +285,9 @@ def _strip_row_units(row):
     nz = [e for e in row if not e.is_zero()]
     if not nz:
         return row
-    shift = -min(e.low for e in nz)
-    if shift:
-        row = [e.shift(shift) for e in row]
+    lead = -min(e.low for e in nz)
+    if lead:
+        row = [shift(e, lead) for e in row]
         nz = [e for e in row if not e.is_zero()]
     num, den = 0, 1
     for e in nz:
@@ -266,7 +296,7 @@ def _strip_row_units(row):
         den = den * c.denominator // gcd(den, c.denominator)
     content = Fraction(num, den)
     if content != 1:
-        row = [e.scale(1 / content) for e in row]
+        row = [scale(e, 1 / content) for e in row]
     return row
 
 

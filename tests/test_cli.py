@@ -105,6 +105,34 @@ def test_context_flags_only_where_read(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_alexander_refuses_chi(capsys):
+    # alexander reads --dim (how many polynomials to report) but never chi.
+    with pytest.raises(SystemExit) as info:
+        main(["alexander", "--input", path("s1s2.json"), "--chi", "7"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_format_only_where_text_is_rendered(capsys):
+    # Only analyze and plotdata have a text renderer; the other commands
+    # print JSON alone and refuse --format with exit code 2.
+    s1s2, circle, fox = path("s1s2.json"), path("circle.json"), path("fox.json")
+    for argv in (["alexander", "--input", s1s2],
+                 ["index", "--input", fox],
+                 ["twisted", "--input", s1s2, "--z", "1"],
+                 ["fredholm", "--input", s1s2, "--delta", "0"],
+                 ["l2-oracle", "--lam", "2"],
+                 ["cup-check", "--input", circle],
+                 ["duality", "--input", fox]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--format", "json"])
+        assert info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for argv in (["analyze", "--input", fox], ["plotdata", "--input", fox]):
+        assert main(argv + ["--format", "text"]) == 0
+        capsys.readouterr()
+
+
 def test_alexander_command(capsys):
     code, out, _ = run_cli(["alexander", "--input", path("s1s2.json")], capsys)
     assert code == 0

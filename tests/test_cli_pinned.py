@@ -84,7 +84,7 @@ COMMANDS = [
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
 def test_each_stage_computed_once(doc, command, calls, capsys):
     argv = command + INPUTS[doc]
-    if command[0] in ("twisted", "fredholm", "cup-check"):
+    if command[0] in ("alexander", "twisted", "fredholm", "cup-check"):
         argv = command + INPUTS[doc][:2]  # these take no --chi
     main(argv)
     capsys.readouterr()

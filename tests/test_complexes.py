@@ -12,7 +12,7 @@ from endex import (
 )
 from endex.laurent import poly
 
-from conftest import mat
+from conftest import mat, simplicial_json
 
 
 def winding_triangle():
@@ -142,7 +142,7 @@ def test_coboundary_shift_preserves_invariant_factors():
         shifted = {
             (u, w): val + g[w] - g[u] for (u, w), val in si.cocycle.items()
         }
-        si2 = SimplicialInput(si.n_vertices, si.to_json()["simplices"], shifted)
+        si2 = SimplicialInput(si.n_vertices, simplicial_json(si)["simplices"], shifted)
         other = homology(lift_simplicial(si2))
         assert base.factors == other.factors
         assert base.free_ranks == other.free_ranks

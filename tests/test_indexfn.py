@@ -5,7 +5,6 @@ import pytest
 
 from endex import (
     AlexanderData,
-    ManifoldContext,
     OnWallError,
     duality_check,
     exceptional_weights,
@@ -29,7 +28,7 @@ def walls_for(alex, n=None):
 @pytest.fixture
 def fox_index(fox_alexander):
     ws = walls_for(fox_alexander, 4)
-    return index_function(ManifoldContext(dim=4, chi=2), ws), ws
+    return index_function(4, 2, ws), ws
 
 
 def test_fox_values(fox_index):
@@ -64,7 +63,7 @@ def test_product_end_values(s1s2_complex):
 
     alex = alexander_polynomials(homology(s1s2_complex))
     ws = walls_for(alex, 3)
-    f = index_function(ManifoldContext(dim=3, chi=1), ws)
+    f = index_function(3, 1, ws)
     assert list(f.values) == [1, -1]
     for d in (0.25, 0.5, 2.0):
         assert index_at(f, d) == -1 and index_at(f, -d) == 1
@@ -73,7 +72,7 @@ def test_product_end_values(s1s2_complex):
 def test_constant_data_constant_value():
     alex = AlexanderData(4, [poly("1")] * 4)
     ws = walls_for(alex)
-    f = index_function(ManifoldContext(dim=4, chi=7), ws)
+    f = index_function(4, 7, ws)
     assert list(f.values) == [7]
     assert index_at(f, -3.0) == 7 and index_at(f, 3.0) == 7
 
@@ -83,7 +82,7 @@ def test_rightmost_value_is_signed_chi():
     for _ in range(40):
         alex, chi = random_alexander(rng)
         ws = walls_for(alex)
-        f = index_function(ManifoldContext(dim=alex.n, chi=chi), ws)
+        f = index_function(alex.n, chi, ws)
         assert f.values[-1] == (-1) ** alex.n * chi
 
 
@@ -98,19 +97,19 @@ def test_closed_and_accumulated_routes_agree():
         assert closed[-1] == (-1) ** alex.n * chi
 
 
-def test_excision_fox_annulus(fox_alexander):
-    ws = walls_for(fox_alexander, 4)
-    assert excision_index(1.0, 0.5, ws) == -1
-    assert excision_index(0.5, 1.0, ws) == 1
-    assert excision_index(0.9, 0.9, ws) == 0
-    assert excision_index(-2.0, 2.0, ws) == 0
-    assert excision_index(-0.5, 0.5, ws) == 0
+def test_excision_fox_annulus(fox_index):
+    f, _ = fox_index
+    assert excision_index(1.0, 0.5, f) == -1
+    assert excision_index(0.5, 1.0, f) == 1
+    assert excision_index(0.9, 0.9, f) == 0
+    assert excision_index(-2.0, 2.0, f) == 0
+    assert excision_index(-0.5, 0.5, f) == 0
 
 
-def test_excision_on_wall_rejected(fox_alexander):
-    ws = walls_for(fox_alexander, 4)
+def test_excision_on_wall_rejected(fox_index):
+    f, _ = fox_index
     with pytest.raises(OnWallError):
-        excision_index(0.0, 0.5, ws)
+        excision_index(0.0, 0.5, f)
 
 
 def test_excision_random_pairs_agree():
@@ -119,20 +118,20 @@ def test_excision_random_pairs_agree():
     while checked < 100:
         alex, chi = random_alexander(rng)
         ws = walls_for(alex)
-        f = index_function(ManifoldContext(dim=alex.n, chi=chi), ws)
+        f = index_function(alex.n, chi, ws)
         for _ in range(5):
             d1 = off_wall_delta(rng, ws)
             d2 = off_wall_delta(rng, ws)
             # Raises internally if the two computation paths disagree.
-            value = excision_index(d1, d2, ws, f)
+            value = excision_index(d1, d2, f)
             assert value == index_at(f, d2) - index_at(f, d1)
-            assert excision_index(d1, d1, ws, f) == 0
+            assert excision_index(d1, d1, f) == 0
             checked += 1
 
 
 def test_duality_fox(fox_alexander, fox_index):
     f, _ = fox_index
-    rep = duality_check(fox_alexander, 4, f)
+    rep = duality_check(fox_alexander, f)
     assert rep["ok"]
     assert [(p["k"], p["partner"]) for p in rep["pairs"]] == [(0, 3), (1, 2)]
     assert rep["parity"]["n_parity"] == "even"
@@ -144,8 +143,8 @@ def test_duality_product_end(s1s2_complex):
 
     alex = alexander_polynomials(homology(s1s2_complex))
     ws = walls_for(alex, 3)
-    f = index_function(ManifoldContext(dim=3, chi=1), ws)
-    rep = duality_check(alex, 3, f)
+    f = index_function(3, 1, ws)
+    rep = duality_check(alex, f)
     assert rep["ok"] and rep["parity"]["n_parity"] == "odd"
     for s in rep["parity"]["samples"]:
         assert s["ind_neg"] == -s["ind_pos"]
@@ -153,19 +152,19 @@ def test_duality_product_end(s1s2_complex):
 
 def test_duality_failure_reported_not_raised():
     alex = AlexanderData(2, [poly("t - 2"), poly("t - 3")])
-    rep = duality_check(alex, 2)
+    rep = duality_check(alex)
     assert not rep["ok"]
     assert any(not p["ok"] for p in rep["pairs"])
 
 
 def test_wall_set_symmetry_for_duality_passing_input(fox_alexander):
     ws = walls_for(fox_alexander, 4)
-    deltas = [w.delta for w in ws.walls]
+    deltas = [w.delta for w in ws]
     assert deltas == sorted(deltas)
     mirrored = sorted(-d for d in deltas)
     assert all(abs(a - b) < 1e-12 for a, b in zip(deltas, mirrored))
     n = 4
-    for w, wm in zip(ws.walls, reversed(ws.walls)):
+    for w, wm in zip(ws, reversed(ws)):
         assert w.jump == -((-1) ** n) * wm.jump
 
 
@@ -181,4 +180,4 @@ def test_mirrored_sample_points_avoid_walls(fox_index):
 def test_index_requires_chi(fox_alexander):
     ws = walls_for(fox_alexander, 4)
     with pytest.raises(ValueError):
-        index_function(ManifoldContext(dim=4, chi=None), ws)
+        index_function(4, None, ws)

@@ -9,7 +9,7 @@ from endex.laurent import LaurentPoly, poly
 from endex import spectral
 from endex.spectral import RESIDUAL_RTOL
 
-from conftest import random_alexander, total_multiplicity
+from conftest import alex_dim, random_alexander, total_multiplicity
 
 
 def all_roots(alex, n=None):
@@ -46,7 +46,7 @@ def test_multiplicity_sums_to_degree():
         alex, _ = random_alexander(rng)
         for k in range(alex.n):
             roots = find_roots(alex.poly(k), k)
-            assert sum(r.multiplicity for r in roots) == alex.dim(k)
+            assert sum(r.multiplicity for r in roots) == alex_dim(alex, k)
 
 
 def test_residuals_below_bound():
@@ -58,12 +58,12 @@ def test_residuals_below_bound():
 
 def test_fox_walls(fox_alexander):
     ws = exceptional_weights(all_roots(fox_alexander, 4), 4)
-    assert [w.exact_modulus for w in ws.walls] == [Fraction(1, 2), Fraction(1), Fraction(2)]
-    assert [w.delta_exact for w in ws.walls] == ["ln(1/2)", "ln(1)", "ln(2)"]
-    assert [w.jump for w in ws.walls] == [-1, 0, 1]
-    assert ws.walls[1].delta == 0.0
-    assert abs(ws.walls[2].delta - math.log(2)) < 1e-15
-    contribs = {(c.degree_k, c.multiplicity) for c in ws.walls[1].contributions}
+    assert [w.exact_modulus for w in ws] == [Fraction(1, 2), Fraction(1), Fraction(2)]
+    assert [w.delta_exact for w in ws] == ["ln(1/2)", "ln(1)", "ln(2)"]
+    assert [w.jump for w in ws] == [-1, 0, 1]
+    assert ws[1].delta == 0.0
+    assert abs(ws[2].delta - math.log(2)) < 1e-15
+    contribs = {(c.degree_k, c.multiplicity) for c in ws[1].contributions}
     assert contribs == {(0, 1), (3, 1)}
 
 
@@ -73,8 +73,8 @@ def test_product_end_single_wall():
 
     alex = AlexanderData(3, alex_polys)
     ws = exceptional_weights(all_roots(alex), 3)
-    assert len(ws.walls) == 1
-    w = ws.walls[0]
+    assert len(ws) == 1
+    w = ws[0]
     assert w.delta == 0.0 and w.exact_modulus == 1
     assert w.jump == (-1) ** 1 * 2 + (-1) ** 2 * 1 + (-1) ** 3 * 3
 
@@ -84,7 +84,7 @@ def test_no_walls_for_constant_data():
 
     alex = AlexanderData(3, [poly("1"), poly("1"), poly("1")])
     ws = exceptional_weights(all_roots(alex), 3)
-    assert ws.walls == ()
+    assert ws == ()
 
 
 def test_total_multiplicity_conservation():
@@ -92,7 +92,7 @@ def test_total_multiplicity_conservation():
     for _ in range(20):
         alex, _ = random_alexander(rng)
         ws = exceptional_weights(all_roots(alex), alex.n)
-        assert total_multiplicity(ws) == sum(alex.dim(k) for k in range(alex.n))
+        assert total_multiplicity(ws) == sum(alex_dim(alex, k) for k in range(alex.n))
 
 
 def test_degree_filter_excludes_top():
@@ -101,7 +101,7 @@ def test_degree_filter_excludes_top():
     alex = AlexanderData(2, [poly("t - 2"), poly("1"), poly("t - 3")])
     roots = [r for k in range(3) for r in find_roots(alex.poly(k), k)]
     ws = exceptional_weights(roots, 2)
-    assert len(ws.walls) == 1 and ws.walls[0].exact_modulus == 2
+    assert len(ws) == 1 and ws[0].exact_modulus == 2
 
 
 def test_conjugation_insensitivity():
@@ -124,11 +124,11 @@ def test_conjugation_insensitivity():
     ]
     a = exceptional_weights(roots, 1)
     b = exceptional_weights(conjugated, 1)
-    assert [w.delta for w in a.walls] == [w.delta for w in b.walls]
-    assert [w.jump for w in a.walls] == [w.jump for w in b.walls]
+    assert [w.delta for w in a] == [w.delta for w in b]
+    assert [w.jump for w in a] == [w.jump for w in b]
     # Non-real roots appear in conjugate pairs on the same wall.
-    for w in a.walls:
-        imags = sorted(round(c.root.approx.imag, 6) for c in w.contributions)
+    for w in a:
+        imags = sorted(round(c.approx.imag, 6) for c in w.contributions)
         assert imags == sorted(-v for v in imags)
 
 
@@ -137,9 +137,9 @@ def test_conjugate_pair_merges_with_rational_wall():
 
     alex = AlexanderData(2, [poly("t - 1"), poly("t^2 + 1")])
     ws = exceptional_weights(all_roots(alex), 2)
-    assert len(ws.walls) == 1
-    assert ws.walls[0].exact_modulus == 1
-    assert len(ws.walls[0].contributions) == 3
+    assert len(ws) == 1
+    assert ws[0].exact_modulus == 1
+    assert len(ws[0].contributions) == 3
 
 
 def test_ambiguous_wall_raises():
@@ -152,15 +152,15 @@ def test_ambiguous_wall_raises():
 def test_same_factor_cluster_merges_without_error():
     roots = find_roots(poly("t^2 - 2"), 0)
     ws = exceptional_weights(roots, 1)
-    assert len(ws.walls) == 1
-    assert ws.walls[0].jump == -2
+    assert len(ws) == 1
+    assert ws[0].jump == -2
 
 
 def test_wall_json_shape(fox_alexander):
     ws = exceptional_weights(all_roots(fox_alexander, 4), 4)
-    j = ws.to_json()
-    assert j["walls"][2]["delta_exact"] == "ln(2)"
-    assert j["walls"][2]["contributions"] == [{"k": 1, "lambda": "2", "mult": 1}]
+    j = [w.to_json() for w in ws]
+    assert j[2]["delta_exact"] == "ln(2)"
+    assert j[2]["contributions"] == [{"k": 1, "lambda": "2", "mult": 1}]
 
 
 def test_rational_roots_lists_divisors_once_per_round(monkeypatch):
