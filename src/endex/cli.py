@@ -18,7 +18,6 @@ from .errors import EndexError, NotFiniteError, UnsupportedInputError
 from .indexfn import duality_check
 from .inputs import load_input, parse_point
 from .laurent import LaurentPoly
-from .linalg import NUMERIC_RANK_RTOL
 from .pipeline import Analysis, analyze
 from .svgplot import plot_data, plot_text, render_svg
 from .twisted import WeightedWindow, fredholm_check, l2_hom_dim_analytic, l2_kernel_truncated, twisted_dims, uct_dims
@@ -127,7 +126,7 @@ def _cmd_twisted(args):
     if analysis.parsed.complex is None:
         raise UnsupportedInputError("twisted dimensions need a chain complex input")
     z = parse_point(args.z)
-    fiber = twisted_dims(analysis.parsed.complex, z, rtol=args.tol)
+    fiber = twisted_dims(analysis.parsed.complex, z)
     payload = fiber.to_json()
     if fiber.exact and analysis.finite:
         predicted = uct_dims(analysis.homology, z)
@@ -142,12 +141,12 @@ def _cmd_fredholm(args):
     parsed = load_input(args.input)
     if parsed.complex is None:
         raise UnsupportedInputError("the Fredholm check needs a chain complex input")
-    _emit(args, fredholm_check(parsed.complex, args.delta, args.samples, rtol=args.tol))
+    _emit(args, fredholm_check(parsed.complex, args.delta, args.samples))
 
 
 def _l2_row(label, lam, m, d1, d2, args):
     lamc = complex(lam)
-    window = WeightedWindow(lamc, m, d1, d2, args.window, args.tol)
+    window = WeightedWindow(lamc, m, d1, d2, args.window)
     analytic = l2_hom_dim_analytic(lamc, m, d1, d2)
     truncated = l2_kernel_truncated(window)
     return {"lambda": label, "m": m, "delta1": d1, "delta2": d2,
@@ -222,16 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twisted", help="twisted cohomology dimensions at a point")
     common(p)
     p.add_argument("--z", required=True, help="evaluation point, e.g. '1/2', '1+2i', '0.7'")
-    p.add_argument("--tol", type=float, default=NUMERIC_RANK_RTOL,
-                   help="relative rank tolerance for float points")
     p.set_defaults(func=_cmd_twisted)
 
     p = sub.add_parser("fredholm", help="Fredholm verdict at a weight")
     common(p)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--samples", type=int, default=16, help="circle sample count")
-    p.add_argument("--tol", type=float, default=NUMERIC_RANK_RTOL,
-                   help="relative rank tolerance for circle samples")
     p.set_defaults(func=_cmd_fredholm)
 
     p = sub.add_parser("l2-oracle", help="weighted shift kernel oracle vs analytic count")
@@ -241,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta1", type=float, default=1.0)
     p.add_argument("--delta2", type=float, default=0.5)
     p.add_argument("--window", type=int, default=200, help="truncation half-width")
-    p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_l2_oracle)
 
     p = sub.add_parser("cup-check", help="cup multiplication exactness on cohomology")

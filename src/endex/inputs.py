@@ -59,16 +59,17 @@ def parse_document(doc, dim_override: int | None = None, chi_override: int | Non
         return ParsedInput("alexander", None, None, alex, n, chi)
     if "vertices" in doc or "simplices" in doc:
         si = SimplicialInput.from_json(doc)
-        cc = lift_simplicial(si)
-        n = dim if dim is not None else cc.n
-        return ParsedInput("simplicial", cc, si, None, n, chi)
-    if "ranks" in doc or "boundaries" in doc:
-        cc = from_boundary_matrices(doc)
-        n = dim if dim is not None else cc.n
-        return ParsedInput("complex", cc, None, None, n, chi)
-    raise ComplexValidationError(
-        "unrecognized input: expected 'alexander', 'vertices'/'simplices', or 'ranks'/'boundaries'"
-    )
+        kind, cc = "simplicial", lift_simplicial(si)
+    elif "ranks" in doc or "boundaries" in doc:
+        si, kind, cc = None, "complex", from_boundary_matrices(doc)
+    else:
+        raise ComplexValidationError(
+            "unrecognized input: expected 'alexander', 'vertices'/'simplices', or 'ranks'/'boundaries'"
+        )
+    # A dimension below the top degree would drop the homology above it.
+    if dim is not None and dim < cc.n:
+        raise ComplexValidationError(f"manifold dimension {dim} is below the complex's top degree {cc.n}")
+    return ParsedInput(kind, cc, si, None, cc.n if dim is None else dim, chi)
 
 
 def load_input(path: str, dim_override: int | None = None, chi_override: int | None = None) -> ParsedInput:

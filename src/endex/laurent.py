@@ -251,13 +251,25 @@ class LaurentPoly:
     def evaluate(self, z):
         """Evaluate at z.  Exact for Fraction/GaussianRational, float otherwise.
 
-        z must be nonzero when the polynomial has negative exponents.
+        At a+bi, Horner's rule runs on (re, im) pairs of Fractions and the
+        value is a GaussianRational.  z must be nonzero when the polynomial
+        has negative exponents.
         """
-        if self.is_zero():
-            return Fraction(0) if not isinstance(z, (complex, float)) else 0j
-        exact = isinstance(z, (_RationalABC, GaussianRational))
+        if isinstance(z, GaussianRational):
+            zr, zi = z.re, z.im
+            ar = ai = Fraction(0)
+            for c in reversed(self.coeffs):
+                ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
+            # t^low is |low| factors of z, or of 1/z when low is negative.
+            if self.low < 0:
+                n = zr * zr + zi * zi
+                zr, zi = zr / n, -zi / n
+            for _ in range(abs(self.low)):
+                ar, ai = ar * zr - ai * zi, ar * zi + ai * zr
+            return GaussianRational(ar, ai)
+        exact = isinstance(z, _RationalABC)
         if exact:
-            z = Fraction(z) if isinstance(z, _RationalABC) else z
+            z = Fraction(z)
             acc = Fraction(0)
         else:
             z = complex(z)
@@ -265,8 +277,6 @@ class LaurentPoly:
         for c in reversed(self.coeffs):
             acc = acc * z + (c if exact else float(c))
         if self.low:
-            if self.low < 0 and exact and z == 0:
-                raise ZeroDivisionError("evaluation at 0 with negative exponents")
             acc = acc * z ** self.low
         return acc
 

@@ -1,9 +1,9 @@
 """Field linear algebra shared by the matrix, twisted-fiber and cup modules.
 
-Exact routines operate on list-of-list matrices whose entries are Fraction
-or GaussianRational (any mix); numeric routines use SVD with a single
-relative tolerance so every floating rank decision in the package is
-calibrated at one point.
+Exact routines operate on list-of-list matrices of Fractions; a rank over
+Q(i) is taken on the realified rational matrix (``LaurentMatrix.rank_at``).
+The numeric rank uses SVD with one fixed relative tolerance, so every
+floating rank decision in the package is calibrated at one point.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 NUMERIC_RANK_RTOL = 1e-9
 
 
-def numeric_rank(a, rtol: float = NUMERIC_RANK_RTOL) -> int:
+def numeric_rank(a) -> int:
     """Numeric rank of a numpy array by SVD."""
     import numpy as np
 
@@ -23,11 +23,11 @@ def numeric_rank(a, rtol: float = NUMERIC_RANK_RTOL) -> int:
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > NUMERIC_RANK_RTOL * s[0]))
 
 
 def exact_rref(rows, ncols: int):
-    """Reduced row echelon form over an exact field.
+    """Reduced row echelon form over Q.
 
     Returns (rref rows, pivot column list).  The input rows are not
     mutated.
@@ -45,7 +45,7 @@ def exact_rref(rows, ncols: int):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = _inv(a[r][c])
+        inv = 1 / a[r][c]
         a[r] = [x * inv for x in a[r]]
         # Only the pivot row's nonzero entries change the other rows.
         support = [(j, y) for j, y in enumerate(a[r]) if y != 0]
@@ -80,8 +80,3 @@ def exact_kernel(rows, ncols: int):
         basis.append(v)
     return basis
 
-
-def _inv(x):
-    if isinstance(x, Fraction):
-        return 1 / x
-    return x.inverse()

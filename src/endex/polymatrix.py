@@ -15,11 +15,11 @@ computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from numbers import Rational as _RationalABC
 
 from .errors import CertificationError
 from .laurent import LaurentPoly, poly
-from .linalg import NUMERIC_RANK_RTOL, exact_rank, numeric_rank
+from .linalg import exact_rank, numeric_rank
 from .rationals import GaussianRational
 
 
@@ -120,17 +120,14 @@ class LaurentMatrix:
     def evaluate(self, z):
         """Evaluate entrywise at z in C*.
 
-        Exact (nested lists of Fraction/GaussianRational) when z is exact;
-        a complex numpy array otherwise.
+        Nested lists of exact values when z is exact (Fractions at a
+        rational point, GaussianRationals at a Gaussian one); a complex
+        numpy array otherwise.
         """
-        if isinstance(z, GaussianRational):
-            if z.is_zero():
+        if isinstance(z, (GaussianRational, _RationalABC)):
+            if z in (0, GaussianRational(0, 0)):
                 raise ZeroDivisionError("evaluation point must be nonzero")
             return [[e.evaluate(z) for e in self.row(i)] for i in range(self.rows)]
-        if isinstance(z, Fraction) or isinstance(z, int):
-            if z == 0:
-                raise ZeroDivisionError("evaluation point must be nonzero")
-            return [[e.evaluate(Fraction(z)) for e in self.row(i)] for i in range(self.rows)]
         import numpy as np
 
         zc = complex(z)
@@ -142,12 +139,20 @@ class LaurentMatrix:
                 out[i, j] = self[i, j].evaluate(zc)
         return out
 
-    def rank_at(self, z, rtol: float = NUMERIC_RANK_RTOL) -> int:
-        """Rank of the evaluated matrix: exact for exact z, SVD otherwise."""
+    def rank_at(self, z) -> int:
+        """Rank of the evaluated matrix: exact for exact z, SVD otherwise.
+
+        At a Gaussian point the value A + iB has rank r over Q(i) exactly
+        when the rational matrix [[A, -B], [B, A]] has rank 2r.
+        """
         val = self.evaluate(z)
+        if isinstance(z, GaussianRational):
+            val = ([[v.re for v in row] + [-v.im for v in row] for row in val]
+                   + [[v.im for v in row] + [v.re for v in row] for row in val])
+            return exact_rank(val, 2 * self.cols) // 2
         if isinstance(val, list):
             return exact_rank(val, self.cols)
-        return numeric_rank(val, rtol)
+        return numeric_rank(val)
 
 
 @dataclass

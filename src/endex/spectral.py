@@ -9,10 +9,13 @@ a-posteriori error radius.
 
 Weights are walls at ln|root|: `exceptional_weights` returns a tuple of
 `Wall`s sorted by weight, each holding the `RootDatum`s that sit on it.
-Two moduli are merged into one wall only when their equality is certain:
-equal exact modulus squares, or roots of one and the same square-free
-factor.  Overlapping-but-uncertifiable moduli raise AmbiguousWallError
-instead of being merged silently.
+Two roots whose modulus intervals overlap are merged into one wall when
+their exact modulus squares are equal or, when either has none, when they
+are roots of one and the same square-free factor.  That second rule does
+not prove the moduli equal: it merges the moduli 1 and sqrt(1 + 1e-13) of
+(t^2 + 1)(t^2 + t + 1 + 1e-13) (ROADMAP item 3).  Overlapping moduli that
+pass neither rule raise AmbiguousWallError instead of being merged
+silently.
 """
 
 from __future__ import annotations

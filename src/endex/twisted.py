@@ -6,6 +6,10 @@ symbolically, by an independent route: evaluating the complex at points of
 the punctured plane, splitting cohomology through the homology module, and
 brute-forcing kernels of truncated weighted shift operators.  Agreement of
 these routes is what the test suite leans on.
+
+Ranks at rational and Gaussian points are exact; at float points they use
+the fixed cutoff of ``linalg.numeric_rank``.  The shift-kernel oracle has
+its own fixed cutoff, ``KERNEL_RTOL``.  Neither is a parameter.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from numbers import Rational as _RationalABC
 from .complexes import ChainComplexOverLambda
 from .errors import CertificationError, NotFiniteError, OnWallError, WindowTooSmallError
 from .homology import HomologyModule
-from .linalg import NUMERIC_RANK_RTOL
 from .pipeline import Analysis
 from .rationals import GaussianRational
 
@@ -27,6 +30,9 @@ _CIRCLE_PAD = 1e-9
 # Kernel vectors must hold all but this fraction of their mass away from
 # the outer tenth of the window to count as decaying.
 _BOUNDARY_MASS = 1e-3
+# Relative singular-value cutoff of the shift-kernel oracle; it also sets
+# how wide a window must be (WindowTooSmallError).
+KERNEL_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,15 +54,15 @@ class TwistedFiber:
         return {"z": zj, "dims": list(self.dims), "exact": self.exact}
 
 
-def twisted_dims(cc: ChainComplexOverLambda, z, rtol: float = NUMERIC_RANK_RTOL) -> TwistedFiber:
+def twisted_dims(cc: ChainComplexOverLambda, z) -> TwistedFiber:
     """Dimensions of the evaluated cochain complex in each degree.
 
-    Exact over the Gaussian rationals; floating (SVD ranks) otherwise.
+    Exact at rational and Gaussian points; floating (SVD ranks) otherwise.
     The alternating sum always equals the Euler characteristic of the
-    complex, which is asserted on the exact path.
+    complex; on the exact path a mismatch raises CertificationError.
     """
     exact = isinstance(z, (GaussianRational, _RationalABC))
-    ranks = [cc.boundary(k).rank_at(z, rtol) for k in range(1, cc.n + 2)]
+    ranks = [cc.boundary(k).rank_at(z) for k in range(1, cc.n + 2)]
     dims = []
     for k in range(cc.n + 1):
         into = ranks[k - 1] if k >= 1 else 0
@@ -79,16 +85,15 @@ def uct_dims(h: HomologyModule, z) -> list:
     """
     if h.infinite_degrees:
         raise NotFiniteError(h.infinite_degrees)
-    if not isinstance(z, (GaussianRational, _RationalABC)):
-        raise TypeError("coefficient splitting is an exact oracle; z must be exact")
     if isinstance(z, _RationalABC):
-        z = Fraction(z)
-        if z == 0:
-            raise ZeroDivisionError("z must be nonzero")
-    elif z.is_zero():
+        z = GaussianRational(z, 0)
+    if not isinstance(z, GaussianRational):
+        raise TypeError("coefficient splitting is an exact oracle; z must be exact")
+    zero = GaussianRational(0, 0)
+    if z == zero:
         raise ZeroDivisionError("z must be nonzero")
     vanish = [
-        sum(1 for q in h.invariant_factors(k) if q.evaluate(z) == 0) for k in range(h.n + 1)
+        sum(1 for q in h.invariant_factors(k) if q.evaluate(z) == zero) for k in range(h.n + 1)
     ]
     dims = []
     for k in range(h.n + 2):
@@ -98,8 +103,7 @@ def uct_dims(h: HomologyModule, z) -> list:
     return dims
 
 
-def fredholm_check(cc: ChainComplexOverLambda, delta: float, samples: int = 16,
-                   rtol: float = NUMERIC_RANK_RTOL):
+def fredholm_check(cc: ChainComplexOverLambda, delta: float, samples: int = 16):
     """Is the weighted complex Fredholm at this weight?
 
     Two verdicts: the symbolic one (no root of any invariant factor has
@@ -122,7 +126,7 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float, samples: int = 16,
     numeric = True
     for j in range(samples):
         z = radius * cmath.exp(2j * math.pi * j / samples)
-        fiber = twisted_dims(cc, z, rtol)
+        fiber = twisted_dims(cc, z)
         if any(d != 0 for d in fiber.dims):
             numeric = False
             break
@@ -146,13 +150,10 @@ class WeightedWindow:
     delta1: float
     delta2: float
     n_window: int
-    tol: float = 1e-6
 
     def __post_init__(self):
         if self.n_window < 1:
             raise ValueError("window half-width must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
         if self.m < 1:
             raise ValueError("multiplicity must be at least 1")
         if complex(self.lam) == 0:
@@ -212,8 +213,8 @@ def l2_kernel_truncated(w: WeightedWindow) -> int:
     gap = min(abs(ln_mod - w.delta1), abs(ln_mod - w.delta2))
     if gap <= _CIRCLE_PAD:
         raise OnWallError(ln_mod, w.delta1 if abs(ln_mod - w.delta1) < abs(ln_mod - w.delta2) else w.delta2)
-    if math.exp(-n * gap) >= w.tol:
-        needed = math.ceil(math.log(1.0 / w.tol) / gap) + 1
+    if math.exp(-n * gap) >= KERNEL_RTOL:
+        needed = math.ceil(math.log(1.0 / KERNEL_RTOL) / gap) + 1
         raise WindowTooSmallError(
             needed,
             f"window {n} too small for gap {gap:.3g}; need about {needed}",
@@ -236,7 +237,7 @@ def l2_kernel_truncated(w: WeightedWindow) -> int:
     a /= np.max(np.abs(a), axis=1)[:, None]
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     kernel_rows = [vh[i] for i in range(len(s), size)]
-    kernel_rows += [vh[i] for i in range(len(s)) if s[i] < w.tol * s[0]]
+    kernel_rows += [vh[i] for i in range(len(s)) if s[i] < KERNEL_RTOL * s[0]]
     outer = int(math.floor(0.9 * n))
     boundary = np.abs(idx) > outer
     count = 0

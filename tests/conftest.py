@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 
-from endex import AlexanderData, ChainComplexOverLambda, GaussianRational, LaurentMatrix, LaurentPoly
+from endex import AlexanderData, ChainComplexOverLambda, LaurentMatrix, LaurentPoly
 from endex.laurent import canonicalize, poly
 from endex.polymatrix import _pivot_key
 
@@ -56,10 +56,6 @@ def from_roots(roots) -> LaurentPoly:
     for r in roots:
         out = out * LaurentPoly(0, (-Fraction(r), Fraction(1)))
     return out
-
-
-def conjugate(z: GaussianRational) -> GaussianRational:
-    return GaussianRational(z.re, -z.im)
 
 
 def total_multiplicity(walls) -> int:

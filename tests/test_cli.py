@@ -105,6 +105,42 @@ def test_context_flags_only_where_read(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_rank_tolerances_are_not_options(capsys):
+    # Every rank decision uses a fixed relative tolerance, so the oracles
+    # refuse --tol with exit code 2.
+    s1s2 = path("s1s2.json")
+    for argv in (["twisted", "--input", s1s2, "--z", "0.7", "--tol", "1e-3"],
+                 ["fredholm", "--input", s1s2, "--delta", "0.5", "--tol", "1e-3"],
+                 ["l2-oracle", "--lam", "2", "--tol", "1e-3"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_dim_below_top_degree_is_refused(capsys, tmp_path):
+    # A smaller dimension would drop the homology above it (s1s2 has
+    # H2 = Lambda/(t - 1)), from --dim or from the manifold block alike.
+    s1s2 = path("s1s2.json")
+    low = tmp_path / "low.json"
+    with open(s1s2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    low.write_text(json.dumps(dict(doc, manifold={"dim": 2, "chi": 1})))
+    circle = tmp_path / "circle0.json"
+    with open(path("circle.json"), encoding="utf-8") as fh:
+        circle.write_text(json.dumps(dict(json.load(fh), manifold={"dim": 0})))
+    for argv, dims in ((["alexander", "--input", s1s2, "--dim", "1"], (1, 3)),
+                       (["analyze", "--input", s1s2, "--dim", "1"], (1, 3)),
+                       (["analyze", "--input", str(low)], (2, 3)),
+                       (["alexander", "--input", str(circle)], (0, 1))):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == "", argv
+        assert err == f"endex: error: manifold dimension {dims[0]} is below the complex's top degree {dims[1]}\n"
+    for dim in ("3", "4"):
+        code, _, err = run_cli(["analyze", "--input", s1s2, "--dim", dim], capsys)
+        assert code == 0 and err == ""
+
+
 def test_alexander_refuses_chi(capsys):
     # alexander reads --dim (how many polynomials to report) but never chi.
     with pytest.raises(SystemExit) as info:

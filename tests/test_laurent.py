@@ -7,7 +7,6 @@ from endex import CertificationError, GaussianRational, LaurentPoly, canonicaliz
 from endex.laurent import _exact_quo, poly
 
 from conftest import (
-    conjugate,
     random_laurent,
     reference_laurent_gcd,
     reference_squarefree_decomposition,
@@ -212,7 +211,7 @@ def test_evaluation():
     assert poly("t^-1").evaluate(Fraction(2)) == Fraction(1, 2)
     assert poly("t^2 - 4").evaluate(Fraction(2)) == 0
     i = GaussianRational(0, 1)
-    assert poly("t^2 + 1").evaluate(i) == 0
+    assert poly("t^2 + 1").evaluate(i) == GaussianRational(0, 0)
     assert abs(poly("t^2 + 1").evaluate(1j)) < 1e-15
     with pytest.raises(ZeroDivisionError):
         poly("t^-1").evaluate(Fraction(0))
@@ -244,16 +243,21 @@ def test_parser_rejects_garbage():
         poly("")
 
 
-def test_gaussian_rational_field():
-    a = GaussianRational(Fraction(1, 2), Fraction(-3))
-    b = GaussianRational(Fraction(2), Fraction(1, 5))
-    assert (a * b) / b == a
-    assert a + (-a) == 0
-    assert conjugate(conjugate(a)) == a
-    assert (a * conjugate(a)).im == 0
-    assert a * a.inverse() == 1
+def test_evaluate_gaussian_matches_complex():
+    rng = random.Random(41)
+    for _ in range(200):
+        p = random_laurent(rng, max_span=5, low_range=(-4, 3))
+        z = GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+                             Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+        if z == GaussianRational(0, 0):
+            continue
+        exact = p.evaluate(z)
+        approx = p.evaluate(complex(z))
+        assert isinstance(exact, GaussianRational)
+        assert abs(complex(exact) - approx) <= 1e-9 * (1 + abs(approx))
     with pytest.raises(ZeroDivisionError):
-        GaussianRational(0, 0).inverse()
+        poly("t^-2 + 1").evaluate(GaussianRational(0, 0))
+    assert poly("t^2 + 3").evaluate(GaussianRational(0, 0)) == GaussianRational(3, 0)
 
 
 def test_serialization_roundtrip():

@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from endex import LaurentMatrix, LaurentPoly, SnfResult, smith_normal_form
+from endex import GaussianRational, LaurentMatrix, LaurentPoly, SnfResult, smith_normal_form
 from endex.laurent import poly
 from endex.linalg import numeric_rank
 from endex.polymatrix import _certify
 
-from conftest import _det_bareiss, _det_laplace, determinant, mat, random_laurent, random_matrix, rank_ff, to_lists
+from conftest import _det_bareiss, _det_laplace, _random_unimodular, determinant, mat, random_laurent, random_matrix, rank_ff, to_lists
 
 
 def test_snf_unit_entry_absorbed():
@@ -66,18 +66,57 @@ def test_snf_property_suite_with_reconstruction():
         assert rank_ff(m) == s.rank
 
 
+def _nonvanishing(diag, z) -> int:
+    """How many diagonal entries are nonzero at the exact point z."""
+    zero = GaussianRational(0, 0) if isinstance(z, GaussianRational) else 0
+    return sum(1 for d in diag if d.evaluate(z) != zero)
+
+
+# Factors with roots in Q(i): 2, -1, i and -i, 1 + i and 1 - i, 2i and -2i.
+_PLANTED_FACTORS = ["t - 2", "t + 1", "t^2 + 1", "t^2 - 2*t + 2", "t^2 + 4"]
+_PLANTED_POINTS = [Fraction(2), Fraction(-1), GaussianRational(0, 1), GaussianRational(0, -1),
+                   GaussianRational(1, 1), GaussianRational(0, 2), GaussianRational(2, 1)]
+
+
+def _planted_snf_matrix(rng):
+    """U * D * V for a divisibility chain D of planted factors, padded with
+    zero rows and columns, and random unimodular U, V."""
+    rank = rng.randint(1, 3)
+    rows, cols = rank + rng.randint(0, 1), rank + rng.randint(0, 1)
+    chain, q = [], LaurentPoly.one()
+    for _ in range(rank):
+        q = q * poly(rng.choice(_PLANTED_FACTORS)) if rng.random() < 0.7 else q
+        chain.append(q)
+    d = [[chain[i] if i == j and i < rank else LaurentPoly.zero() for j in range(cols)] for i in range(rows)]
+    u, _ = _random_unimodular(rng, rows)
+    v, _ = _random_unimodular(rng, cols)
+    return u * LaurentMatrix.from_rows(d) * v, chain
+
+
 def test_snf_rank_matches_evaluation_rank():
+    """At an exact z, M(z) has rank equal to the number of SNF diagonal
+    entries that do not vanish at z, over Q and over Q(i), rank drops
+    included."""
     rng = random.Random(77)
     for _ in range(25):
         m = random_matrix(rng, max_size=4, max_span=2)
         s = smith_normal_form(m)
         z = Fraction(rng.randint(2, 9), rng.randint(1, 7) * 2 + 1)
-        if any(d.evaluate(z) == 0 for d in s.diag):
-            continue
-        assert m.rank_at(z) == s.rank
+        zg = GaussianRational(Fraction(rng.randint(-4, 4), 3), Fraction(rng.randint(1, 4), 5))
+        for point in (z, zg):
+            assert m.rank_at(point) == _nonvanishing(s.diag, point)
         zf = complex(float(z), 0.137)
         if all(abs(d.evaluate(zf)) > 1e-6 for d in s.diag):
             assert m.rank_at(zf) == s.rank
+    drops = 0
+    for _ in range(30):
+        m, chain = _planted_snf_matrix(rng)
+        s = smith_normal_form(m)
+        for z in _PLANTED_POINTS:
+            rank = m.rank_at(z)
+            assert rank == _nonvanishing(s.diag, z) == _nonvanishing(chain, z)
+            drops += rank < s.rank
+    assert drops > 0
 
 
 def test_determinant_laplace_vs_bareiss():
