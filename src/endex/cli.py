@@ -19,6 +19,7 @@ from .indexfn import duality_check
 from .inputs import load_input, parse_point
 from .laurent import LaurentPoly
 from .pipeline import Analysis, analyze
+from .rationals import GaussianRational
 from .svgplot import plot_data, plot_text, render_svg
 from .twisted import WeightedWindow, fredholm_check, l2_hom_dim_analytic, l2_kernel_truncated, twisted_dims, uct_dims
 
@@ -126,6 +127,8 @@ def _cmd_twisted(args):
     if analysis.parsed.complex is None:
         raise UnsupportedInputError("twisted dimensions need a chain complex input")
     z = parse_point(args.z)
+    if z in (0, GaussianRational(0, 0)):
+        raise EndexError("twisted dimensions need a nonzero point z")
     fiber = twisted_dims(analysis.parsed.complex, z)
     payload = fiber.to_json()
     if fiber.exact and analysis.finite:

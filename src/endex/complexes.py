@@ -12,6 +12,7 @@ from __future__ import annotations
 from .errors import ComplexValidationError
 from .laurent import LaurentPoly
 from .polymatrix import LaurentMatrix
+from .rationals import parse_int
 
 
 class ChainComplexOverLambda:
@@ -25,7 +26,7 @@ class ChainComplexOverLambda:
     __slots__ = ("n", "ranks", "boundaries")
 
     def __init__(self, ranks, boundaries):
-        ranks = tuple(int(r) for r in ranks)
+        ranks = tuple(parse_int(r) for r in ranks)
         if not ranks:
             ranks = (0,)
         if any(r < 0 for r in ranks):
@@ -89,7 +90,7 @@ def from_boundary_matrices(data) -> ChainComplexOverLambda:
     ranks = data["ranks"]
     boundaries = [LaurentMatrix.from_json(b) for b in data["boundaries"]]
     cc = ChainComplexOverLambda(ranks, boundaries)
-    if "n" in data and int(data["n"]) != cc.n:
+    if "n" in data and parse_int(data["n"]) != cc.n:
         raise ComplexValidationError(f"declared top degree {data['n']} but ranks give {cc.n}")
     return cc
 
@@ -111,13 +112,13 @@ class SimplicialInput:
             raise ComplexValidationError("negative vertex count")
         simps: dict[int, list[tuple]] = {}
         for d, lst in simplices.items():
-            d = int(d)
+            d = parse_int(d)
             if d < 1:
                 raise ComplexValidationError("explicit simplices start at dimension 1")
             seen = set()
             out = []
             for s in lst:
-                s = tuple(int(v) for v in s)
+                s = tuple(parse_int(v) for v in s)
                 if len(s) != d + 1:
                     raise ComplexValidationError(f"{s} is not a {d}-simplex")
                 if any(not (0 <= v < n_vertices) for v in s):
@@ -133,13 +134,13 @@ class SimplicialInput:
         cmap = {}
         for key, w in cocycle.items():
             if isinstance(key, str):
-                u, v = (int(x) for x in key.split(","))
+                u, v = (parse_int(x) for x in key.split(","))
             else:
-                u, v = (int(x) for x in key)
+                u, v = (parse_int(x) for x in key)
             if not u < v:
                 raise ComplexValidationError(f"cocycle edge ({u},{v}) must have u < v")
-            cmap[(u, v)] = int(w)
-        object.__setattr__(self, "n_vertices", int(n_vertices))
+            cmap[(u, v)] = parse_int(w)
+        object.__setattr__(self, "n_vertices", parse_int(n_vertices))
         object.__setattr__(self, "simplices", simps)
         object.__setattr__(self, "cocycle", cmap)
         self._validate()
@@ -192,7 +193,7 @@ class SimplicialInput:
     @staticmethod
     def from_json(obj) -> "SimplicialInput":
         return SimplicialInput(
-            n_vertices=int(obj["vertices"]),
+            n_vertices=parse_int(obj["vertices"]),
             simplices=obj.get("simplices", {}),
             cocycle=obj.get("cocycle", {}),
         )

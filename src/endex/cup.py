@@ -6,7 +6,12 @@ rule on ordered simplices.  Exactness of the resulting sequence on
 cohomology is a sufficient condition for the end-periodic homology to be
 finite dimensional, so this check is a cheap a priori verdict.
 
-All linear algebra here is exact over the rationals.
+All linear algebra here is exact over the rationals, and each coboundary
+cob_k is eliminated once.  Its kernel is the space Z_k of cocycles, and
+rank-nullity gives rank(cob_k) = dim C^k - dim Z_k, which serves both
+H^k = Z_k / im(cob_(k-1)) and the induced map: cupping sends Z_k to
+H^(k+1) with rank rank([cup_k Z_k | cob_k]) - rank(cob_k), the one other
+elimination per degree.
 """
 
 from __future__ import annotations
@@ -15,50 +20,24 @@ from fractions import Fraction
 
 from .complexes import SimplicialInput
 from .errors import CertificationError, UnsupportedInputError
-from .linalg import exact_kernel, exact_rank
+from .linalg import exact_kernel, exact_rank, mat_mul
 
 
-def _coboundary(x: SimplicialInput, k: int):
-    """Matrix of the degree-k coboundary (rows: (k+1)-simplices)."""
+def _matrices(x: SimplicialInput, k: int):
+    """The degree-k coboundary, and the matrix of cupping a k-cochain with
+    the edge cocycle; both have a row per (k+1)-simplex."""
     lower = x.simplex_list(k)
-    upper = x.simplex_list(k + 1)
     index = {s: i for i, s in enumerate(lower)}
-    rows = []
-    for s in upper:
+    cob, cup = [], []
+    for s in x.simplex_list(k + 1):
         row = [Fraction(0)] * len(lower)
         for i in range(k + 2):
-            face = s[:i] + s[i + 1 :]
-            row[index[face]] += Fraction(-1 if i % 2 else 1)
-        rows.append(row)
-    return rows
-
-
-def _cup_with_cocycle(x: SimplicialInput, k: int):
-    """Matrix of cupping a k-cochain with the edge cocycle."""
-    lower = x.simplex_list(k)
-    upper = x.simplex_list(k + 1)
-    index = {s: i for i, s in enumerate(lower)}
-    rows = []
-    for s in upper:
+            row[index[s[:i] + s[i + 1 :]]] += Fraction(-1 if i % 2 else 1)
+        cob.append(row)
         row = [Fraction(0)] * len(lower)
-        front = s[:-1]
-        row[index[front]] = Fraction(x.edge_value(s[-2], s[-1]))
-        rows.append(row)
-    return rows
-
-
-def _mat_mul(a, b, cols: int):
-    """Exact product a*b; zero entries of a and b are skipped."""
-    b_support = [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
-    out = []
-    for ra in a:
-        row = [Fraction(0)] * cols
-        for x, support in zip(ra, b_support):
-            if x:
-                for j, y in support:
-                    row[j] += x * y
-        out.append(row)
-    return out
+        row[index[s[:-1]]] = Fraction(x.edge_value(s[-2], s[-1]))
+        cup.append(row)
+    return cob, cup
 
 
 def cup_product_check(x: SimplicialInput):
@@ -72,52 +51,34 @@ def cup_product_check(x: SimplicialInput):
     if not isinstance(x, SimplicialInput):
         raise UnsupportedInputError("cup product check needs a simplicial input")
     top = x.dimension
-    counts = [len(x.simplex_list(d)) for d in range(top + 2)]
-    cob = {k: _coboundary(x, k) for k in range(top + 1)}
-    cup = {k: _cup_with_cocycle(x, k) for k in range(top + 1)}
+    counts = [len(x.simplex_list(d)) for d in range(top + 1)]
+    cob, cup = zip(*(_matrices(x, k) for k in range(top + 1)))
 
     # The cup map must commute with the coboundary before it can descend.
+    zero = Fraction(0)
     for k in range(top):
-        left = _mat_mul(cob[k + 1], cup[k], counts[k])
-        right = _mat_mul(cup[k + 1], cob[k], counts[k])
-        if left != right:
+        if mat_mul(cob[k + 1], cup[k], counts[k], zero) != mat_mul(cup[k + 1], cob[k], counts[k], zero):
             raise CertificationError("cup", f"cup map does not commute with the coboundary at degree {k}")
 
-    kernels = {}
-    coh_dims = {}
-    im_ranks = {}
-    for k in range(top + 1):
-        kernels[k] = exact_kernel(cob[k], counts[k])
-        im_ranks[k] = exact_rank(cob[k - 1], counts[k - 1]) if k >= 1 else 0
-        coh_dims[k] = len(kernels[k]) - im_ranks[k]
+    # One elimination per coboundary: its kernel is the cocycles Z_k, and
+    # rank-nullity gives its rank.
+    kernels = [exact_kernel(cob[k], counts[k]) for k in range(top + 1)]
+    ranks = [counts[k] - len(z) for k, z in enumerate(kernels)]
+    coh_dims = [len(z) - (ranks[k - 1] if k else 0) for k, z in enumerate(kernels)]
 
-    # Rank of the induced map on degree-k cohomology: columns are cup
-    # images of kernel representatives together with coboundaries, modulo
-    # the coboundaries.
-    induced_rank = {}
-    for k in range(top + 1):
-        if k == top:
-            induced_rank[k] = 0
-            continue
-        cup_support = [[(i, c) for i, c in enumerate(row) if c] for row in cup[k]]
-        cols = []
-        for v in kernels[k]:
-            cols.append([sum((c * v[i] for i, c in support), Fraction(0)) for support in cup_support])
-        boundary_cols = [
-            [cob[k][r][j] for r in range(counts[k + 1])] for j in range(counts[k])
-        ]
-        combined = [list(c) for c in cols] + boundary_cols
-        total = exact_rank(combined, counts[k + 1])
-        induced_rank[k] = total - exact_rank(boundary_cols, counts[k + 1])
+    # The induced map on degree-k cohomology sends Z_k to cup_k Z_k modulo
+    # the image of cob_k; its rank is rank([cup_k Z_k | cob_k]) - rank(cob_k).
+    induced = []
+    for k in range(top):
+        images = mat_mul(cup[k], list(zip(*kernels[k])), len(kernels[k]), zero)
+        block = [img + row for img, row in zip(images, cob[k])]
+        induced.append(exact_rank(block, len(kernels[k]) + counts[k]) - ranks[k])
+    induced.append(0)
 
-    defects = []
-    for k in range(top + 1):
-        incoming = induced_rank[k - 1] if k >= 1 else 0
-        defects.append(coh_dims[k] - induced_rank[k] - incoming)
-    exact = all(d == 0 for d in defects)
+    defects = [coh_dims[k] - induced[k] - (induced[k - 1] if k else 0) for k in range(top + 1)]
     return {
-        "exact": exact,
-        "cohomology_dims": [coh_dims[k] for k in range(top + 1)],
-        "induced_ranks": [induced_rank[k] for k in range(top + 1)],
+        "exact": all(d == 0 for d in defects),
+        "cohomology_dims": coh_dims,
+        "induced_ranks": induced,
         "defects": defects,
     }

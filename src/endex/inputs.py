@@ -24,7 +24,7 @@ from .complexes import (
 from .errors import ComplexValidationError
 from .homology import AlexanderData
 from .laurent import LaurentPoly
-from .rationals import GaussianRational, parse_rational
+from .rationals import GaussianRational, parse_int, parse_rational
 
 
 @dataclass
@@ -41,15 +41,29 @@ class ParsedInput:
 
 
 def parse_document(doc, dim_override: int | None = None, chi_override: int | None = None) -> ParsedInput:
-    """Classify and validate one input document."""
+    """Classify and validate one input document.
+
+    The decoders index and iterate the document as the schema says, so a
+    value of the wrong JSON type, a missing field or a non-integral integer
+    surfaces as one of four built-in errors; each is reported as a
+    ComplexValidationError.
+    """
     if not isinstance(doc, dict):
         raise ComplexValidationError("input document must be a JSON object")
+    try:
+        return _parse(doc, dim_override, chi_override)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        detail = f"missing field {e}" if isinstance(e, KeyError) else str(e)
+        raise ComplexValidationError(f"malformed input document: {detail}") from e
+
+
+def _parse(doc, dim_override, chi_override) -> ParsedInput:
     manifold = doc.get("manifold") or {}
     dim = dim_override if dim_override is not None else (
-        int(manifold["dim"]) if "dim" in manifold else None
+        parse_int(manifold["dim"]) if "dim" in manifold else None
     )
     chi = chi_override if chi_override is not None else (
-        int(manifold["chi"]) if "chi" in manifold and manifold["chi"] is not None else None
+        parse_int(manifold["chi"]) if "chi" in manifold and manifold["chi"] is not None else None
     )
 
     if "alexander" in doc:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from numbers import Rational as _RationalABC
 
 from .errors import CertificationError
-from .rationals import GaussianRational, parse_rational
+from .rationals import GaussianRational, parse_int, parse_rational
 
 
 def _norm_coeff(c):
@@ -315,7 +315,7 @@ class LaurentPoly:
     def from_json(obj) -> "LaurentPoly":
         if not isinstance(obj, dict) or "coeffs" not in obj:
             raise ValueError(f"not a Laurent polynomial object: {obj!r}")
-        return LaurentPoly(int(obj.get("lowest", 0)), [parse_rational(c) for c in obj["coeffs"]])
+        return LaurentPoly(parse_int(obj.get("lowest", 0)), [parse_rational(c) for c in obj["coeffs"]])
 
     # -- comparison and display -----------------------------------------
 

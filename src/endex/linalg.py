@@ -15,15 +15,32 @@ NUMERIC_RANK_RTOL = 1e-9
 
 
 def numeric_rank(a) -> int:
-    """Numeric rank of a numpy array by SVD."""
+    """Numeric rank by SVD of a matrix of floats (nested lists or array)."""
     import numpy as np
 
+    a = np.asarray(a)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > NUMERIC_RANK_RTOL * s[0]))
+
+
+def mat_mul(a, b, ncols: int, zero):
+    """The product of list-of-rows matrices a and b over any ring whose
+    zero is falsy; b has ncols columns.  Only products of two nonzero
+    entries are formed, and each output entry adds them in order of k."""
+    b_support = [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
+    out = []
+    for ra in a:
+        acc = [zero] * ncols
+        for x, support in zip(ra, b_support):
+            if x:
+                for j, y in support:
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
 
 
 def exact_rref(rows, ncols: int):

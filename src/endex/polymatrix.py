@@ -1,10 +1,20 @@
 """Matrices over the Laurent ring: Smith normal form, ranks, evaluation.
 
 The Smith normal form is computed by Euclidean elimination after clearing
-t-power units row- and column-wise, with the pivot chosen as the minimal
-degree-span entry (ties: smallest coefficient height, then row-major).
-Both transforms and their inverses are accumulated from elementary
-operations, and the result is certified before it is returned:
+t-power units row- and column-wise.  One rule fills diagonal slot k: pick
+the pivot of least degree span in the trailing block (ties: smallest
+coefficient height, then row-major), and clear column k and row k by
+quotients.  A nonzero remainder has a smaller span than the pivot, so
+picking again lowers the least span in the block.  When some trailing
+entry is not divisible by the pivot, its row is added to row k, where
+clearing then leaves a remainder.  Spans are nonnegative, so the loop
+ends.  On a unit pivot (every entry of a lifted simplicial boundary is
+one) the slot is filled at the first pick.
+
+Every step is an elementary operation.  A row operation acts on the rows
+of the working matrix and of the left transform, and its inverse on the
+columns of the left inverse; a column operation mirrors this on the
+right.  The result is certified before it is returned:
 left*M*right must reconstruct the diagonal exactly, the diagonal must form
 a divisibility chain, and each transform times its inverse must be the
 identity.  That last check proves the transforms unimodular: T*T^-1 = I
@@ -19,8 +29,8 @@ from numbers import Rational as _RationalABC
 
 from .errors import CertificationError
 from .laurent import LaurentPoly, poly
-from .linalg import exact_rank, numeric_rank
-from .rationals import GaussianRational
+from .linalg import exact_rank, mat_mul, numeric_rank
+from .rationals import GaussianRational, parse_int
 
 
 class LaurentMatrix:
@@ -73,20 +83,9 @@ class LaurentMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        n, m = self.cols, other.cols
-        zero = LaurentPoly.zero()
-        # The nonzero entries of each row of other, found once; each output
-        # row accumulates only products of two nonzero entries, in order of k.
-        other_rows = [[(j, y) for j, y in enumerate(other.row(k)) if not y.is_zero()] for k in range(n)]
-        out = []
-        for i in range(self.rows):
-            acc = [zero] * m
-            for x, nonzeros in zip(self.entries[i * n : (i + 1) * n], other_rows):
-                if not x.is_zero():
-                    for j, y in nonzeros:
-                        acc[j] = acc[j] + x * y
-            out.extend(acc)
-        return LaurentMatrix(self.rows, m, out)
+        rows = mat_mul([self.row(i) for i in range(self.rows)], [other.row(k) for k in range(other.rows)],
+                       other.cols, LaurentPoly.zero())
+        return LaurentMatrix(self.rows, other.cols, [e for r in rows for e in r])
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -109,8 +108,8 @@ class LaurentMatrix:
 
     @staticmethod
     def from_json(obj) -> "LaurentMatrix":
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = parse_int(obj["rows"])
+        cols = parse_int(obj["cols"])
         ent = obj["entries"]
         if len(ent) != rows or any(len(r) != cols for r in ent):
             raise ValueError("entry grid does not match declared shape")
@@ -118,26 +117,12 @@ class LaurentMatrix:
         return LaurentMatrix(rows, cols, flat)
 
     def evaluate(self, z):
-        """Evaluate entrywise at z in C*.
-
-        Nested lists of exact values when z is exact (Fractions at a
-        rational point, GaussianRationals at a Gaussian one); a complex
-        numpy array otherwise.
-        """
-        if isinstance(z, (GaussianRational, _RationalABC)):
-            if z in (0, GaussianRational(0, 0)):
-                raise ZeroDivisionError("evaluation point must be nonzero")
-            return [[e.evaluate(z) for e in self.row(i)] for i in range(self.rows)]
-        import numpy as np
-
-        zc = complex(z)
-        if zc == 0:
+        """Evaluate entrywise at z in C*, as nested lists: exact values at an
+        exact point (Fractions at a rational one, GaussianRationals at a
+        Gaussian one), complex floats otherwise."""
+        if z in (0, GaussianRational(0, 0)):
             raise ZeroDivisionError("evaluation point must be nonzero")
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = self[i, j].evaluate(zc)
-        return out
+        return [[e.evaluate(z) for e in self.row(i)] for i in range(self.rows)]
 
     def rank_at(self, z) -> int:
         """Rank of the evaluated matrix: exact for exact z, SVD otherwise.
@@ -150,7 +135,7 @@ class LaurentMatrix:
             val = ([[v.re for v in row] + [-v.im for v in row] for row in val]
                    + [[v.im for v in row] + [v.re for v in row] for row in val])
             return exact_rank(val, 2 * self.cols) // 2
-        if isinstance(val, list):
+        if isinstance(z, _RationalABC):
             return exact_rank(val, self.cols)
         return numeric_rank(val)
 
@@ -186,76 +171,68 @@ class _Worker:
     """Mutable elimination state with transform bookkeeping.
 
     Maintains left*M*right == A after every elementary operation, together
-    with the exact inverse transforms.
+    with the exact inverse transforms.  An operation is ("swap", i, j),
+    ("scale", i, u) multiplying line i by the unit u, or ("add", i, j, q)
+    adding q times line j to line i.
     """
 
     def __init__(self, m: LaurentMatrix):
-        self.nr, self.nc = m.rows, m.cols
         self.a = [m.row(i) for i in range(m.rows)]
-        self.left = _eye(self.nr)
-        self.left_inv = _eye(self.nr)
-        self.right = _eye(self.nc)
-        self.right_inv = _eye(self.nc)
+        self.left, self.left_inv = _eye(m.rows), _eye(m.rows)
+        self.right, self.right_inv = _eye(m.cols), _eye(m.cols)
 
-    def swap_rows(self, i, j):
-        if i == j:
-            return
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-        self.left[i], self.left[j] = self.left[j], self.left[i]
-        for r in self.left_inv:
-            r[i], r[j] = r[j], r[i]
+    def row_op(self, *op):
+        """op on the rows of A and left; its inverse on the columns of left_inv."""
+        _on_rows(self.a, op)
+        _on_rows(self.left, op)
+        _on_cols(self.left_inv, _inverse(op))
 
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        for r in self.a:
-            r[i], r[j] = r[j], r[i]
-        for r in self.right:
-            r[i], r[j] = r[j], r[i]
-        self.right_inv[i], self.right_inv[j] = self.right_inv[j], self.right_inv[i]
+    def col_op(self, *op):
+        """op on the columns of A and right; its inverse on the rows of right_inv."""
+        _on_cols(self.a, op)
+        _on_cols(self.right, op)
+        _on_rows(self.right_inv, _inverse(op))
 
-    def addmul_row(self, dst, src, q: LaurentPoly):
-        """row[dst] += q * row[src]; records inverse op.  Entries whose
-        source is zero are left alone."""
-        if q.is_zero():
-            return
-        for mat in (self.a, self.left):
-            d = mat[dst]
-            for j, y in enumerate(mat[src]):
-                if not y.is_zero():
-                    d[j] = d[j] + q * y
-        for r in self.left_inv:
-            y = r[dst]
+
+def _inverse(op):
+    """The operation that undoes op when applied from the other side."""
+    if op[0] == "scale":
+        return ("scale", op[1], op[2] ** -1)
+    if op[0] == "add":
+        return ("add", op[2], op[1], -op[3])
+    return op
+
+
+def _on_rows(m, op):
+    """Apply an elementary operation to the rows of a list-of-rows matrix;
+    an addition skips the zero entries of the added row."""
+    kind, i, x = op[0], op[1], op[2]
+    if kind == "swap":
+        m[i], m[x] = m[x], m[i]
+    elif kind == "scale":
+        m[i] = [x * e for e in m[i]]
+    else:
+        q, d = op[3], m[i]
+        for j, y in enumerate(m[x]):
             if not y.is_zero():
-                r[src] = r[src] - q * y
+                d[j] = d[j] + q * y
 
-    def addmul_col(self, dst, src, q: LaurentPoly):
-        if q.is_zero():
-            return
-        for mat in (self.a, self.right):
-            for r in mat:
-                y = r[src]
-                if not y.is_zero():
-                    r[dst] = r[dst] + q * y
-        d = self.right_inv[src]
-        for j, y in enumerate(self.right_inv[dst]):
-            if not y.is_zero():
-                d[j] = d[j] - q * y
 
-    def scale_row(self, i, unit: LaurentPoly):
-        inv = unit ** -1
-        self.a[i] = [unit * x for x in self.a[i]]
-        self.left[i] = [unit * x for x in self.left[i]]
-        for r in self.left_inv:
-            r[i] = r[i] * inv
-
-    def scale_col(self, j, unit: LaurentPoly):
-        inv = unit ** -1
-        for r in self.a:
-            r[j] = r[j] * unit
-        for r in self.right:
-            r[j] = r[j] * unit
-        self.right_inv[j] = [inv * x for x in self.right_inv[j]]
+def _on_cols(m, op):
+    """Apply an elementary operation to the columns of a list-of-rows
+    matrix; an addition skips the zero entries of the added column."""
+    kind, i, x = op[0], op[1], op[2]
+    if kind == "swap":
+        for r in m:
+            r[i], r[x] = r[x], r[i]
+    elif kind == "scale":
+        for r in m:
+            r[i] = r[i] * x
+    else:
+        q = op[3]
+        for r in m:
+            if not r[x].is_zero():
+                r[i] = r[i] + q * r[x]
 
 
 def _eye(n):
@@ -275,64 +252,51 @@ def smith_normal_form(m: LaurentMatrix, certify: bool = True) -> SnfResult:
     proves the transforms unimodular; a failure raises CertificationError.
     """
     w = _Worker(m)
-    nr, nc = w.nr, w.nc
+    nr, nc = m.rows, m.cols
 
     # Clear t-power units so every entry lives in Q[t].
     for i in range(nr):
-        lows = [e.low for e in w.a[i] if not e.is_zero()]
-        if lows and min(lows) != 0:
-            w.scale_row(i, LaurentPoly.t_power(-min(lows)))
+        low = min((e.low for e in w.a[i] if not e.is_zero()), default=0)
+        if low:
+            w.row_op("scale", i, LaurentPoly.t_power(-low))
     for j in range(nc):
-        lows = [w.a[i][j].low for i in range(nr) if not w.a[i][j].is_zero()]
-        if lows and min(lows) != 0:
-            w.scale_col(j, LaurentPoly.t_power(-min(lows)))
+        low = min((r[j].low for r in w.a if not r[j].is_zero()), default=0)
+        if low:
+            w.col_op("scale", j, LaurentPoly.t_power(-low))
 
     k = 0
     limit = min(nr, nc)
     while k < limit:
-        pos = _best_pivot(w.a, k, nr, nc)
-        if pos is None:
+        # The pivot: least (span, height) in the trailing block, first in
+        # row-major order among equals.
+        best = min(((_pivot_key(e), i, j) for i in range(k, nr) for j, e in enumerate(w.a[i][k:], k)
+                    if not e.is_zero()), default=None)
+        if best is None:
             break
-        w.swap_rows(k, pos[0])
-        w.swap_cols(k, pos[1])
-        while True:
-            # Kill column k, re-pivoting on any nonzero remainder.
-            restart = False
-            for i in range(k + 1, nr):
-                if w.a[i][k].is_zero():
-                    continue
-                q, r = divmod(w.a[i][k], w.a[k][k])
-                w.addmul_row(i, k, -q)
-                if not r.is_zero():
-                    w.swap_rows(i, k)
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(k + 1, nc):
-                if w.a[k][j].is_zero():
-                    continue
-                q, r = divmod(w.a[k][j], w.a[k][k])
-                w.addmul_col(j, k, -q)
-                if not r.is_zero():
-                    w.swap_cols(j, k)
-                    restart = True
-                    break
-            if restart:
-                continue
-            # Row and column are clean; force divisibility of the rest.
-            offender = None
-            for i in range(k + 1, nr):
-                for j in range(k + 1, nc):
-                    if not w.a[i][j].is_zero() and not (w.a[i][j] % w.a[k][k]).is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            w.addmul_row(k, offender, LaurentPoly.one())
-        k += 1
+        w.row_op("swap", k, best[1])
+        w.col_op("swap", k, best[2])
+        p = w.a[k][k]
+        remainder = False
+        for i in range(k + 1, nr):
+            if not w.a[i][k].is_zero():
+                q, r = divmod(w.a[i][k], p)
+                w.row_op("add", i, k, -q)
+                remainder = remainder or not r.is_zero()
+        for j in range(k + 1, nc):
+            if not w.a[k][j].is_zero():
+                q, r = divmod(w.a[k][j], p)
+                w.col_op("add", j, k, -q)
+                remainder = remainder or not r.is_zero()
+        if remainder:
+            # A remainder has smaller span than p: pick again.
+            continue
+        offender = next((i for i in range(k + 1, nr)
+                         if any(not e.is_zero() and not (e % p).is_zero() for e in w.a[i][k + 1:])), None)
+        if offender is None:
+            k += 1
+        else:
+            # Row k now holds an entry p does not divide: pick again.
+            w.row_op("add", k, offender, LaurentPoly.one())
 
     # Canonicalize the diagonal by unit row scalings.
     diag = []
@@ -342,33 +306,15 @@ def smith_normal_form(m: LaurentMatrix, certify: bool = True) -> SnfResult:
             break
         unit = LaurentPoly(-d.low, (1 / d.coeffs[-1],))
         if not unit.is_one():
-            w.scale_row(i, unit)
+            w.row_op("scale", i, unit)
         diag.append(w.a[i][i])
 
-    left = LaurentMatrix.from_rows(w.left) if nr else LaurentMatrix(0, 0, [])
-    right = LaurentMatrix.from_rows(w.right) if nc else LaurentMatrix(0, 0, [])
-    left_inv = LaurentMatrix.from_rows(w.left_inv) if nr else LaurentMatrix(0, 0, [])
-    right_inv = LaurentMatrix.from_rows(w.right_inv) if nc else LaurentMatrix(0, 0, [])
-    res = SnfResult(left=left, diag=diag, right=right, rank=len(diag),
-                    left_inv=left_inv, right_inv=right_inv)
-
+    res = SnfResult(left=LaurentMatrix.from_rows(w.left), diag=diag, right=LaurentMatrix.from_rows(w.right),
+                    rank=len(diag), left_inv=LaurentMatrix.from_rows(w.left_inv),
+                    right_inv=LaurentMatrix.from_rows(w.right_inv))
     if certify:
         _certify(m, res)
     return res
-
-
-def _best_pivot(a, k, nr, nc):
-    best = None
-    best_key = None
-    for i in range(k, nr):
-        for j in range(k, nc):
-            e = a[i][j]
-            if e.is_zero():
-                continue
-            key = _pivot_key(e)
-            if best_key is None or key < best_key:
-                best, best_key = (i, j), key
-    return best
 
 
 def _certify(m: LaurentMatrix, res: SnfResult):
@@ -381,6 +327,6 @@ def _certify(m: LaurentMatrix, res: SnfResult):
     # T*T^-1 = I gives det T * det T^-1 = 1: det T is a unit, so this check
     # alone proves each transform unimodular.
     for t, ti in ((res.left, res.left_inv), (res.right, res.right_inv)):
-        if t.rows and t * ti != LaurentMatrix.identity(t.rows):
+        if t * ti != LaurentMatrix.identity(t.rows):
             raise CertificationError("snf", "a transform times its inverse is not the identity")
 

@@ -6,7 +6,7 @@ a+bi is a plain pair of Fractions naming a point of the punctured plane;
 code that evaluates there works on the (re, im) pair.  This module also
 decodes the string form every serialized schema uses: a rational is
 written ``"p/q"`` (or just ``"p"`` when the denominator is 1), which is
-what ``str`` of a ``Fraction`` gives.
+what ``str`` of a ``Fraction`` gives; an integer field is an integer.
 """
 
 from __future__ import annotations
@@ -27,6 +27,15 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, str):
         return Fraction(s.strip())
     raise ValueError(f"not an exact rational: {s!r}")
+
+
+def parse_int(s) -> int:
+    """Decode an integer field: an int, or a float or string of integral
+    value.  A fractional value raises ValueError instead of being
+    truncated."""
+    if isinstance(s, float) and not s.is_integer():
+        raise ValueError(f"not an integer: {s!r}")
+    return int(s)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Shared builders for the test suite: small matrices, random polynomials,
 random chain complexes with known (planted) homology, a fraction-field
-rank and an exact determinant that cross-check the Smith normal form, and
-a Euclid chain over Q that cross-checks the integer gcd and square-free
-decomposition."""
+rank and an exact determinant that cross-check the Smith normal form, a
+Euclid chain over Q that cross-checks the integer gcd and square-free
+decomposition, and random torus subcomplexes with a cup check that takes
+every rank from its own elimination."""
 
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ from math import gcd
 
 import pytest
 
-from endex import AlexanderData, ChainComplexOverLambda, LaurentMatrix, LaurentPoly
+from endex import AlexanderData, ChainComplexOverLambda, LaurentMatrix, LaurentPoly, SimplicialInput
+from endex.cup import _matrices
 from endex.laurent import canonicalize, poly
+from endex.linalg import exact_kernel, exact_rank
 from endex.polymatrix import _pivot_key
 
 
@@ -395,3 +398,57 @@ def reference_squarefree_decomposition(p: LaurentPoly):
         d = d.exact_div(a) - _derivative(c)
         mult += 1
     return out
+
+
+def random_torus_subcomplex(rng: random.Random) -> SimplicialInput:
+    """A triangulated k x m torus (k, m in 3..4) with none, some or all of
+    its triangles dropped (every edge kept).  The cocycle counts a times each
+    crossing of the first seam and b times each crossing of the second,
+    plus the coboundary of a random potential."""
+    k, m = rng.randint(3, 4), rng.randint(3, 4)
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    potential = [rng.randint(-2, 2) for _ in range(k * m)]
+    keep = rng.choice((1.0, 1.0, 0.8, 0.3, 0.0))
+
+    def vertex(p):
+        return (p[0] % k) * m + p[1] % m
+
+    def level(p):
+        return a * (p[0] // k) + b * (p[1] // m) + potential[vertex(p)]
+
+    cocycle, triangles = {}, []
+    for x in range(k):
+        for y in range(m):
+            for middle in ((x + 1, y), (x, y + 1)):
+                corners = [(x, y), middle, (x + 1, y + 1)]
+                for p in corners:
+                    for q in corners:
+                        if vertex(p) < vertex(q):
+                            cocycle[(vertex(p), vertex(q))] = level(q) - level(p)
+                if rng.random() < keep:
+                    triangles.append(tuple(sorted(vertex(p) for p in corners)))
+    simplices = {1: sorted(cocycle), 2: triangles}
+    return SimplicialInput(k * m, simplices, cocycle)
+
+
+def reference_cup_product_check(x: SimplicialInput):
+    """cup_product_check's numbers with every rank from its own elimination:
+    per degree, the kernel of the coboundary, the rank of the previous
+    coboundary, and the ranks of the coboundary's columns with and without
+    the cup images of the cocycles."""
+    top = x.dimension
+    counts = [len(x.simplex_list(d)) for d in range(top + 2)]
+    cob, cup = zip(*(_matrices(x, k) for k in range(top + 1)))
+    coh, induced = [], []
+    for k in range(top + 1):
+        kernel = exact_kernel(cob[k], counts[k])
+        coh.append(len(kernel) - (exact_rank(cob[k - 1], counts[k - 1]) if k else 0))
+        if k == top:
+            induced.append(0)
+            continue
+        images = [[sum((c * v[i] for i, c in enumerate(row)), Fraction(0)) for row in cup[k]] for v in kernel]
+        cob_cols = [[cob[k][r][j] for r in range(counts[k + 1])] for j in range(counts[k])]
+        induced.append(exact_rank(images + cob_cols, counts[k + 1]) - exact_rank(cob_cols, counts[k + 1]))
+    defects = [coh[k] - induced[k] - (induced[k - 1] if k else 0) for k in range(top + 1)]
+    return {"exact": all(d == 0 for d in defects), "cohomology_dims": coh,
+            "induced_ranks": induced, "defects": defects}

@@ -304,6 +304,44 @@ def test_errors_use_stderr_and_exit_code(capsys, tmp_path):
     assert code == 1 and "line" in err
 
 
+def _edited(name, edit):
+    with open(path(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    return doc
+
+
+# Valid JSON of the wrong shape, and integer fields with fractional values
+# that int() would truncate.
+MALFORMED = {
+    "simplices-list": ("circle.json", lambda d: d.update(simplices=[[0, 1]])),
+    "manifold-number": ("s1s2.json", lambda d: d.update(manifold=5)),
+    "boundary-list": ("s1s2.json", lambda d: d.update(boundaries=[[1]])),
+    "coeffs-number": ("fox.json", lambda d: d["alexander"][0].update(coeffs=5)),
+    "alexander-number": ("fox.json", lambda d: d.update(alexander=5)),
+    "boundary-without-rows": ("s1s2.json", lambda d: d["boundaries"][0].pop("rows")),
+    "fractional-dim": ("circle.json", lambda d: d.update(manifold={"dim": 1.9})),
+    "fractional-chi": ("circle.json", lambda d: d.update(manifold={"dim": 1, "chi": 0.5})),
+    "fractional-cocycle": ("circle.json", lambda d: d["cocycle"].update({"0,2": 1.7})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_refused(case, capsys, tmp_path):
+    name, edit = MALFORMED[case]
+    doc = tmp_path / name
+    doc.write_text(json.dumps(_edited(name, edit)))
+    code, out, err = run_cli(["analyze", "--input", str(doc)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("endex: error: malformed input document: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("z", ["0", "0.0", "0+0i"])
+def test_twisted_refuses_zero(z, capsys):
+    code, out, err = run_cli(["twisted", "--input", path("s1s2.json"), "--z", z], capsys)
+    assert (code, out, err) == (1, "", "endex: error: twisted dimensions need a nonzero point z\n")
+
+
 def test_failed_internal_check_is_reported_not_raised(capsys, monkeypatch):
     # Dropping the last square-free factor breaks the multiplicity count
     # that find_roots certifies.

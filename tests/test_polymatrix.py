@@ -6,7 +6,7 @@ import pytest
 
 from endex import GaussianRational, LaurentMatrix, LaurentPoly, SnfResult, smith_normal_form
 from endex.laurent import poly
-from endex.linalg import numeric_rank
+from endex.linalg import mat_mul, numeric_rank
 from endex.polymatrix import _certify
 
 from conftest import _det_bareiss, _det_laplace, _random_unimodular, determinant, mat, random_laurent, random_matrix, rank_ff, to_lists
@@ -31,7 +31,28 @@ def test_snf_zero_matrix():
 def test_snf_empty_shapes():
     for r, c in ((0, 0), (0, 3), (3, 0)):
         s = smith_normal_form(LaurentMatrix.zero(r, c))
-        assert s.rank == 0
+        assert s.rank == 0 and s.diag == []
+        assert s.left == s.left_inv == LaurentMatrix.identity(r)
+        assert s.right == s.right_inv == LaurentMatrix.identity(c)
+
+
+# Each matrix drives one branch of the pivot loop; the certificate is
+# checked on every call.
+@pytest.mark.parametrize("rows, diag", [
+    # Clearing column 0 leaves the remainder 2 below the pivot t - 1.
+    ([["t - 1", "0"], ["t^2 + 1", "t^2 + 1"]], ["1", "t^3 - t^2 + t - 1"]),
+    # Clearing row 0 leaves the remainder 2 right of the pivot t - 1.
+    ([["t - 1", "t^2 + 1"], ["0", "t^2 + 1"]], ["1", "t^3 - t^2 + t - 1"]),
+    # t - 1 does not divide t + 1: row 1 is added to row 0.
+    ([["t - 1", "0"], ["0", "t + 1"]], ["1", "t^2 - 1"]),
+    # Row 1 is t times row 0.
+    ([["t - 1", "t^2 - 1", "0"], ["t^2 - t", "t^3 - t", "0"], ["0", "0", "2*t + 2"]], ["1", "t^2 - 1"]),
+    ([["t^-1", "t^2 - 1"]], ["1"]),
+    ([["t - 1"], ["t^2 - 1"]], ["t - 1"]),
+], ids=["column-remainder", "row-remainder", "divisibility", "rank-deficient", "1x2", "2x1"])
+def test_snf_pivot_loop_branches(rows, diag):
+    s = smith_normal_form(mat(rows))
+    assert s.diag == [poly(d) for d in diag] and s.rank == len(diag)
 
 
 def test_rank_ff_examples():
@@ -167,6 +188,10 @@ def _naive_product(a, b):
     return LaurentMatrix(a.rows, b.cols, out)
 
 
+def _naive_fraction_product(a, b, cols):
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(cols)] for row in a]
+
+
 def test_matrix_product_matches_naive_triple_loop():
     rng = random.Random(4242)
     shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (0, 0, 0)]
@@ -184,6 +209,15 @@ def test_matrix_product_matches_naive_triple_loop():
             assert p == _naive_product(a, b)
             assert all(p[zi, j].is_zero() for j in range(c))
             assert all(p[i, zj].is_zero() for i in range(r))
+    # The same product over Q, as the cup check uses it.
+    for r, n, c in shapes:
+        a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * (rng.random() < 0.6) for _ in range(n)]
+             for _ in range(r)]
+        b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * (rng.random() < 0.6) for _ in range(c)]
+             for _ in range(n)]
+        p = mat_mul(a, b, c, Fraction(0))
+        assert p == _naive_fraction_product(a, b, c)
+        assert all(isinstance(x, Fraction) for row in p for x in row)
 
 
 def test_numeric_rank_tolerance():

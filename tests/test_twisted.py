@@ -27,7 +27,8 @@ from endex import UnsupportedInputError
 from endex.laurent import poly
 from endex.twisted import KERNEL_RTOL
 
-from conftest import mat, off_wall_delta, planted_complex, planted_roots
+from conftest import (mat, off_wall_delta, planted_complex, planted_roots, random_torus_subcomplex,
+                      reference_cup_product_check)
 
 
 def test_twisted_dims_circle(circle_complex):
@@ -314,3 +315,16 @@ def test_cup_exactness_implies_finiteness():
             h = homology(lift_simplicial(si))
             assert not h.infinite_degrees
     assert cup_product_check(cases[1])["exact"]
+
+
+def test_cup_check_matches_separate_eliminations():
+    """One elimination per coboundary gives the same report as taking each
+    rank from its own elimination, exact or not."""
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(12):
+        si = random_torus_subcomplex(rng)
+        report = cup_product_check(si)
+        assert report == reference_cup_product_check(si)
+        verdicts.add(report["exact"])
+    assert verdicts == {True, False}
