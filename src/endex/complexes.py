@@ -216,7 +216,8 @@ def lift_simplicial(x: SimplicialInput) -> ChainComplexOverLambda:
         lower = x.simplex_list(d - 1)
         index = {s: i for i, s in enumerate(lower)}
         rows, cols = len(lower), ranks[d]
-        entries = [[LaurentPoly.zero() for _ in range(cols)] for _ in range(rows)]
+        zero = LaurentPoly.zero()
+        entries = [[zero] * cols for _ in range(rows)]
         for j, s in enumerate(x.simplex_list(d)):
             for i in range(d + 1):
                 face = s[:i] + s[i + 1 :]

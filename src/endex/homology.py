@@ -7,6 +7,13 @@ transform past the rank), the incoming boundary is rewritten in that basis
 through the exact inverse transform, and a second Smith normal form gives
 the invariant factors.
 
+These steps need no checks of their own.  Each Smith normal form is
+certified, and every complex has d_k d_(k+1) = 0 from construction;
+together they make the rewritten boundary vanish above the rank and keep
+its rank.  By rank-nullity the alternating free ranks sum to the Euler
+characteristic.  The tests cross-check the polynomials by an independent
+route, Milnor's torsion at rational points.
+
 The characteristic polynomial of the covering translation in degree k is
 the canonicalized product of that degree's invariant factors; it exists
 only when every free rank vanishes.
@@ -15,7 +22,7 @@ only when every free rank vanishes.
 from __future__ import annotations
 
 from .complexes import ChainComplexOverLambda
-from .errors import CertificationError, NotFiniteError
+from .errors import NotFiniteError
 from .laurent import LaurentPoly, canonicalize
 from .polymatrix import LaurentMatrix, smith_normal_form
 
@@ -93,24 +100,13 @@ def homology(cc: ChainComplexOverLambda) -> HomologyModule:
             s = snfs[k]
             nullity = cc.ranks[k] - s.rank
             rewritten = s.right_inv * cc.boundary(k + 1)
-            # Rows up to the rank must vanish since the composite is zero.
-            for i in range(s.rank):
-                for j in range(rewritten.cols):
-                    if not rewritten[i, j].is_zero():
-                        raise CertificationError("homology", "incoming boundary leaves the kernel")
+            # The rows up to the rank vanish, since the composite is zero.
             rows = [rewritten.row(i) for i in range(s.rank, cc.ranks[k])]
             incoming_in_kernel = (
                 LaurentMatrix.from_rows(rows) if rows else LaurentMatrix.zero(0, rewritten.cols)
             )
-        sub = smith_normal_form(incoming_in_kernel)
-        if sub.rank != rank_in:
-            raise CertificationError("homology", "rank of the incoming boundary changed under base change")
         free_ranks.append(nullity - rank_in)
-        factors.append(sub.invariant_factors())
-    # Alternating free ranks must reproduce the Euler characteristic.
-    chi = cc.euler_characteristic()
-    if sum((-1) ** k * f for k, f in enumerate(free_ranks)) != chi:
-        raise CertificationError("homology", "free ranks are inconsistent with the Euler characteristic")
+        factors.append(smith_normal_form(incoming_in_kernel).invariant_factors())
     return HomologyModule(n, free_ranks, factors)
 
 

@@ -150,6 +150,7 @@ def _excision_samples(f: IndexFunction, cap: int = 10):
     pts = f.sample_points()
     pairs = [(d1, d2) for i, d1 in enumerate(pts) for d2 in pts[i + 1:]][:cap]
     return [
+        # "agree" is constant since excision has one path; kept so the report keeps its bytes.
         {"delta1": d1, "delta2": d2, "index_difference": excision_index(d1, d2, f), "agree": True}
         for d1, d2 in pairs
     ]

@@ -283,11 +283,8 @@ def exceptional_weights(roots, n: int) -> tuple[Wall, ...]:
                         f" and {b.approx} (degree {b.degree_k}, factor {b.squarefree_factor})"
                         " overlap but cannot be certified equal"
                     )
+        # The pairwise loop above leaves at most one exact modulus square.
         exact_sqs = [m.exact_modulus_sq for m in members if m.exact_modulus_sq is not None]
-        if len(set(exact_sqs)) > 1:
-            raise AmbiguousWallError(
-                f"cluster mixes distinct exact modulus squares {sorted(set(exact_sqs))}"
-            )
         exact_modulus = None
         if exact_sqs:
             exact_modulus = _sqrt_fraction(exact_sqs[0])

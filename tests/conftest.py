@@ -2,11 +2,15 @@
 random chain complexes with known (planted) homology, a fraction-field
 rank and an exact determinant that cross-check the Smith normal form, a
 Euclid chain over Q that cross-checks the integer gcd and square-free
-decomposition, and random torus subcomplexes with a cup check that takes
-every rank from its own elimination."""
+decomposition, grid tori and random torus subcomplexes with a cup check
+that takes every rank from its own elimination, the wall-jump and annulus
+counts that cross-check the index, and Milnor's torsion at rational
+points that cross-checks the characteristic polynomials."""
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -77,6 +81,24 @@ def jump_at(f, wall_index: int):
     jump = sum(term for _, _, term in breakdown)
     assert jump == w.jump == f.values[wall_index + 1] - f.values[wall_index]
     return jump, breakdown
+
+
+def accumulated_values(n: int, chi: int, walls) -> list:
+    """Index on each interval by wall-jump accumulation leftward from the
+    large-weight value (-1)^n chi; the reference for the closed count."""
+    vals = [(-1) ** n * chi]
+    for w in reversed(walls):
+        vals.append(vals[-1] - w.jump)
+    return list(reversed(vals))
+
+
+def annulus_count(f, delta1: float, delta2: float) -> int:
+    """Root multiplicities on the walls strictly between the two weights,
+    signed by degree and by direction; the reference for excision_index."""
+    lo, hi = min(delta1, delta2), max(delta1, delta2)
+    count = sum((-1) ** r.degree_k * r.multiplicity
+                for w in f.walls if lo < w.delta < hi for r in w.contributions)
+    return count if delta2 < delta1 else -count
 
 
 @pytest.fixture
@@ -400,21 +422,14 @@ def reference_squarefree_decomposition(p: LaurentPoly):
     return out
 
 
-def random_torus_subcomplex(rng: random.Random) -> SimplicialInput:
-    """A triangulated k x m torus (k, m in 3..4) with none, some or all of
-    its triangles dropped (every edge kept).  The cocycle counts a times each
-    crossing of the first seam and b times each crossing of the second,
-    plus the coboundary of a random potential."""
-    k, m = rng.randint(3, 4), rng.randint(3, 4)
-    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
-    potential = [rng.randint(-2, 2) for _ in range(k * m)]
-    keep = rng.choice((1.0, 1.0, 0.8, 0.3, 0.0))
+def triangulated_torus(k: int, m: int, level, keep=lambda: True) -> SimplicialInput:
+    """The k x m grid torus, each square cut along its diagonal.  level
+    maps a point of the integer lattice to its level in the cover, and the
+    cocycle is level(q) - level(p) on the edge from p to q; keep() decides
+    for each triangle in turn whether it stays (every edge stays)."""
 
     def vertex(p):
         return (p[0] % k) * m + p[1] % m
-
-    def level(p):
-        return a * (p[0] // k) + b * (p[1] // m) + potential[vertex(p)]
 
     cocycle, triangles = {}, []
     for x in range(k):
@@ -425,10 +440,30 @@ def random_torus_subcomplex(rng: random.Random) -> SimplicialInput:
                     for q in corners:
                         if vertex(p) < vertex(q):
                             cocycle[(vertex(p), vertex(q))] = level(q) - level(p)
-                if rng.random() < keep:
+                if keep():
                     triangles.append(tuple(sorted(vertex(p) for p in corners)))
     simplices = {1: sorted(cocycle), 2: triangles}
     return SimplicialInput(k * m, simplices, cocycle)
+
+
+def grid_torus(k: int) -> SimplicialInput:
+    """The k x k grid torus covered along its first axis: the cover is a
+    cylinder, with H0 = H1 = Λ/(t - 1) and H2 = 0."""
+    return triangulated_torus(k, k, lambda p: p[0] // k)
+
+
+def random_torus_subcomplex(rng: random.Random) -> SimplicialInput:
+    """A triangulated k x m torus (k, m in 3..4) with none, some or all of
+    its triangles dropped (every edge kept).  The cocycle counts a times each
+    crossing of the first seam and b times each crossing of the second,
+    plus the coboundary of a random potential."""
+    k, m = rng.randint(3, 4), rng.randint(3, 4)
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    potential = [rng.randint(-2, 2) for _ in range(k * m)]
+    keep = rng.choice((1.0, 1.0, 0.8, 0.3, 0.0))
+    return triangulated_torus(
+        k, m, lambda p: a * (p[0] // k) + b * (p[1] // m) + potential[(p[0] % k) * m + p[1] % m],
+        lambda: rng.random() < keep)
 
 
 def reference_cup_product_check(x: SimplicialInput):
@@ -452,3 +487,119 @@ def reference_cup_product_check(x: SimplicialInput):
     defects = [coh[k] - induced[k] - (induced[k - 1] if k else 0) for k in range(top + 1)]
     return {"exact": all(d == 0 for d in defects), "cohomology_dims": coh,
             "induced_ranks": induced, "defects": defects}
+
+
+# Milnor's torsion identity (Infinite cyclic coverings, 1968): for finite
+# homology, the torsion of C over Q(t) is c t^m prod_k Δ_k^((-1)^(k+1)).
+# At a rational z that is no root of any Δ_k the evaluated complex is
+# acyclic, and its torsion is the identity's value at z.  Fitting c and m
+# uses two of the three points, and the third must agree.  A wrong factor
+# t - 11 in one Δ_k multiplies the ratio of the values at 2 and 3 by
+# (9/8)^(+-1), which no power of 2/3 absorbs, so it is always caught.
+TORSION_POINTS = (Fraction(2), Fraction(3), Fraction(5, 7))
+
+
+def _nonzero_entries(m: LaurentMatrix) -> list:
+    """(row, column, entry) for every nonzero entry of m."""
+    return [(idx // m.cols, idx % m.cols, e) for idx, e in enumerate(m.entries) if e.coeffs]
+
+
+def _permutation_sign(perm) -> int:
+    """Sign of a permutation of 0..len(perm)-1, from its cycles."""
+    seen = [False] * len(perm)
+    flips = 0
+    for i in range(len(perm)):
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            flips += j != i
+    return -1 if flips % 2 else 1
+
+
+def _pivot_rows(cols):
+    """Eliminate the columns left to right over Q, each against the pivots
+    of those before it; returns each column's pivot row and the product of
+    the pivots, or None when the columns are dependent."""
+    reduced, position, rows = {}, {}, []
+    product = Fraction(1)
+    for col in cols:
+        col = dict(col)
+        pending = [position[r] for r in col if r in position]
+        heapq.heapify(pending)
+        while pending:
+            r = rows[heapq.heappop(pending)]
+            if not col.get(r):
+                continue
+            v = reduced[r]
+            f = col[r] / v[r]
+            for i, x in v.items():
+                y = col.get(i, 0) - f * x
+                if y:
+                    if i not in col and i in position:
+                        heapq.heappush(pending, position[i])
+                    col[i] = y
+                else:
+                    col.pop(i, None)
+        if not col:
+            return None
+        p = min(col)
+        position[p] = len(rows)
+        rows.append(p)
+        reduced[p] = col
+        product *= col[p]
+    return rows, product
+
+
+def milnor_torsion(cc: ChainComplexOverLambda, points=TORSION_POINTS) -> list:
+    """Torsion of the complex evaluated at each point, None at a point
+    where the evaluated complex is not acyclic.
+
+    Turaev's convention, tau = prod_k [d(b_(k+1)) b_k / c_k]^((-1)^(k+1)),
+    with each b_k a set S_k of basis vectors of C_k, chosen from the top
+    degree down: S_n is all of C_n, and S_(k-1) is the complement of the
+    pivot rows of an elimination of the columns S_k of d_k.  Then
+    [d(b_k) b_(k-1) / c_(k-1)] is the product of those pivots, signed by
+    the permutation listing the pivot rows and then S_(k-1).  On the
+    circle, tau(z) = 1 / (z - 1) = Δ0(z)^-1.
+    """
+    entries = {k: _nonzero_entries(cc.boundary(k)) for k in range(1, cc.n + 1)}
+    return [_torsion_at(cc, entries, z) for z in points]
+
+
+def _torsion_at(cc: ChainComplexOverLambda, entries, z: Fraction) -> Fraction | None:
+    """milnor_torsion at one point, from the nonzero entries of each boundary."""
+    tau = Fraction(1)
+    basis = list(range(cc.ranks[cc.n]))
+    for k in range(cc.n, 0, -1):
+        columns = [{} for _ in range(cc.ranks[k])]
+        for i, j, e in entries[k]:
+            v = e.evaluate(z)
+            if v:
+                columns[j][i] = v
+        eliminated = _pivot_rows([columns[j] for j in basis])
+        if eliminated is None:
+            return None
+        rows, product = eliminated
+        taken = set(rows)
+        basis = [r for r in range(cc.ranks[k - 1]) if r not in taken]
+        d = _permutation_sign(rows + basis) * product
+        tau = tau / d if k % 2 else tau * d
+    return None if basis else tau
+
+
+def torsion_matches(torsions, polys) -> bool:
+    """Milnor's identity for the torsions at TORSION_POINTS and the
+    characteristic polynomials polys[k] of degree k: the torsion over
+    prod_k polys[k]^((-1)^(k+1)) is one c z^m at all three points."""
+    ratios = []
+    for z, tau in zip(TORSION_POINTS, torsions):
+        assert tau is not None, f"the complex is not acyclic at {z}"
+        expected = Fraction(1)
+        for k, p in enumerate(polys):
+            expected *= p.evaluate(z) ** (-1) ** (k + 1)
+        ratios.append(tau / expected)
+    q = abs(ratios[0] / ratios[1])  # (2/3)^m when the identity holds
+    m = round((math.log(q.numerator) - math.log(q.denominator)) / math.log(2 / 3))
+    c = ratios[0] / TORSION_POINTS[0] ** m
+    return all(v == c * z ** m for v, z in zip(ratios, TORSION_POINTS))

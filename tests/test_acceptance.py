@@ -35,10 +35,12 @@ from endex import (
     twisted_dims,
     uct_dims,
 )
-from endex.indexfn import _accumulated_values, _closed_values
+from endex.indexfn import _closed_values
 from endex.laurent import poly
 
 from conftest import (
+    accumulated_values,
+    annulus_count,
     determinant,
     free_rank,
     mat,
@@ -214,13 +216,8 @@ def test_criterion_8_excision_consistency():
         for _ in range(4):
             d1 = off_wall_delta(rng, ws)
             d2 = off_wall_delta(rng, ws)
-            try:
-                excision_index(d1, d2, f)  # raises on path disagreement
-                same = excision_index(d1, d1, f)
-            except RuntimeError:
-                ok = False
-                break
-            ok = ok and same == 0
+            ok = ok and excision_index(d1, d2, f) == annulus_count(f, d1, d2)
+            ok = ok and excision_index(d1, d1, f) == 0
             pairs += 1
     _report(8, "excision consistency (Fox + 100 random pairs)", ok)
 
@@ -232,7 +229,7 @@ def test_criterion_9_closed_vs_jump_accumulation():
         alex, chi = random_alexander(rng, max_n=5, max_deg=4)
         ws = _walls(alex, alex.n)
         closed = _closed_values(alex.n, chi, ws)
-        accumulated = _accumulated_values(alex.n, chi, ws)
+        accumulated = accumulated_values(alex.n, chi, ws)
         ok = ok and closed == accumulated
         ok = ok and closed[-1] == (-1) ** alex.n * chi
     _report(9, "closed formula vs jump accumulation (100 instances)", ok)

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -13,10 +14,15 @@ from endex import (
     index_at,
     index_function,
 )
-from endex.indexfn import _accumulated_values, _closed_values, mirrored_sample_points
+from endex.indexfn import _closed_values, mirrored_sample_points
+from endex.inputs import ParsedInput, load_input
 from endex.laurent import poly
+from endex.pipeline import Analysis
 
-from conftest import jump_at, off_wall_delta, random_alexander
+from conftest import (accumulated_values, annulus_count, jump_at, off_wall_delta, planted_complex,
+                      random_alexander)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def walls_for(alex, n=None):
@@ -92,7 +98,7 @@ def test_closed_and_accumulated_routes_agree():
         alex, chi = random_alexander(rng, max_n=5, max_deg=4)
         ws = walls_for(alex)
         closed = _closed_values(alex.n, chi, ws)
-        accumulated = _accumulated_values(alex.n, chi, ws)
+        accumulated = accumulated_values(alex.n, chi, ws)
         assert closed == accumulated
         assert closed[-1] == (-1) ** alex.n * chi
 
@@ -122,11 +128,37 @@ def test_excision_random_pairs_agree():
         for _ in range(5):
             d1 = off_wall_delta(rng, ws)
             d2 = off_wall_delta(rng, ws)
-            # Raises internally if the two computation paths disagree.
             value = excision_index(d1, d2, f)
-            assert value == index_at(f, d2) - index_at(f, d1)
+            assert value == index_at(f, d2) - index_at(f, d1) == annulus_count(f, d1, d2)
             assert excision_index(d1, d1, f) == 0
             checked += 1
+
+
+def _weight_pairs(f):
+    """Every ordered pair of interval samples and mirrored weights."""
+    mirrored = mirrored_sample_points(f)
+    pts = f.sample_points() + mirrored + [-d for d in mirrored]
+    return [(d1, d2) for d1 in pts for d2 in pts]
+
+
+@pytest.mark.parametrize("name, chi", [("fox.json", None), ("s1s2.json", None), ("circle.json", 0)])
+def test_excision_is_the_annulus_count_on_shipped_examples(name, chi):
+    f = Analysis(load_input(os.path.join(DATA, name), chi_override=chi)).index
+    assert f.walls
+    for d1, d2 in _weight_pairs(f):
+        assert excision_index(d1, d2, f) == annulus_count(f, d1, d2)
+
+
+def test_excision_is_the_annulus_count_on_planted_complexes():
+    rng = random.Random(17)
+    walls = 0
+    for _ in range(10):
+        cc, _ = planted_complex(rng)
+        f = Analysis(ParsedInput("complex", cc, None, None, cc.n, cc.euler_characteristic())).index
+        walls += len(f.walls)
+        for d1, d2 in _weight_pairs(f):
+            assert excision_index(d1, d2, f) == annulus_count(f, d1, d2)
+    assert walls >= 10
 
 
 def test_duality_fox(fox_alexander, fox_index):

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from endex import (
     uct_dims,
 )
 from endex import UnsupportedInputError
+from endex.inputs import load_input
 from endex.laurent import poly
 from endex.twisted import KERNEL_RTOL
 
@@ -97,6 +99,26 @@ def test_uct_matches_twisted_on_planted_complexes():
             predicted = uct_dims(h, z)
             assert list(fiber.dims) == predicted[: cc.n + 1]
             assert all(d == 0 for d in predicted[cc.n + 1:])
+
+
+def test_alternating_sum_is_the_euler_characteristic():
+    # Points on and off the roots of the planted and shipped polynomials,
+    # exact and floating.
+    data = os.path.join(os.path.dirname(__file__), "data")
+    complexes = [load_input(os.path.join(data, name)).complex
+                 for name in ("circle.json", "circle_trivial.json", "s1s2.json")]
+    rng = random.Random(23)
+    complexes += [planted_complex(rng, allow_free=True)[0] for _ in range(8)]
+    points = [Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(5, 7), GaussianRational(0, 1),
+              GaussianRational(1, 2), complex(0.5, 0.25)]
+    nonzero = 0
+    for cc in complexes:
+        chi = cc.euler_characteristic()
+        for z in points:
+            dims = twisted_dims(cc, z).dims
+            assert sum((-1) ** k * d for k, d in enumerate(dims)) == chi
+            nonzero += any(dims)
+    assert nonzero >= len(complexes)
 
 
 def test_alternating_sum_constant_in_z(s1s2_complex):
