@@ -122,9 +122,6 @@ class AlexanderData:
             polys.append(LaurentPoly.one())
         if len(polys) != n + 1:
             raise ValueError(f"need polynomials for degrees 0..{n} (or 0..{n - 1}), got {len(polys)}")
-        for p in polys:
-            if p.coefficient(0) == 0:
-                raise ValueError(f"characteristic polynomial {p!r} vanishes at 0")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "polys", tuple(polys))
 
@@ -157,5 +154,5 @@ def alexander_polynomials(h: HomologyModule, n: int | None = None) -> AlexanderD
         p = LaurentPoly.one()
         for q in h.invariant_factors(k):
             p = p * q
-        polys.append(canonicalize(p))
+        polys.append(p)
     return AlexanderData(n, polys)

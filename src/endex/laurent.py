@@ -71,11 +71,14 @@ class LaurentPoly:
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly(0, ())
+        """The zero polynomial: one shared instance, since polynomials are
+        immutable."""
+        return _ZERO
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly(0, (Fraction(1),))
+        """The constant 1: one shared instance, like ``zero``."""
+        return _ONE
 
     @staticmethod
     def constant(c) -> "LaurentPoly":
@@ -356,6 +359,10 @@ class LaurentPoly:
         return f"poly({self.pretty()!r})"
 
     __str__ = pretty
+
+
+_ZERO = LaurentPoly(0, ())
+_ONE = LaurentPoly(0, (Fraction(1),))
 
 
 def _as_poly(value):

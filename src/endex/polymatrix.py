@@ -250,6 +250,8 @@ def smith_normal_form(m: LaurentMatrix, certify: bool = True) -> SnfResult:
     the factorization is re-multiplied, the divisibility chain is checked,
     and each transform times its inverse must give the identity, which
     proves the transforms unimodular; a failure raises CertificationError.
+    Only the benchmark's elimination-only replay (``perfbench/spans.py``)
+    passes certify=False, to time the certificate apart.
     """
     w = _Worker(m)
     nr, nc = m.rows, m.cols

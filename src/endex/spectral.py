@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,8 @@ from .errors import AmbiguousWallError, CertificationError
 from .laurent import LaurentPoly, canonicalize, poly, squarefree_decomposition
 
 RESIDUAL_RTOL = 1e-12
+# Constant c of the Horner rounding bound c * d * eps * sum |c_i| |z|^i.
+HORNER_SLACK = 4
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,6 @@ class RootDatum:
     radius: float = 0.0
     exact: Fraction | None = None
     exact_modulus_sq: Fraction | None = None
-    residual: float = 0.0
 
     @property
     def modulus(self) -> float:
@@ -109,7 +111,14 @@ def _horner(coeffs, z):
 def _aberth(coeffs, max_iter: int = 500):
     """All complex roots of a square-free polynomial (ascending float
     coefficients).  Deterministic start: circle of Cauchy-bound radius with
-    a fixed angular offset."""
+    a fixed angular offset.
+
+    A sweep updates every root once.  The iteration stops after a sweep in
+    which every residual |p(z)| was below RESIDUAL_RTOL * 0.1 * max|c|, or
+    below the rounding error of Horner's rule at z,
+    HORNER_SLACK * d * eps * sum |c_i| |z|^i.  At high degree near |z| = 1
+    floating point cannot meet the first target, as on (t^200 - 1)/(t^2 - 1);
+    it can meet the second."""
     d = len(coeffs) - 1
     lead = coeffs[-1]
     scale = max(abs(c) for c in coeffs)
@@ -119,21 +128,25 @@ def _aberth(coeffs, max_iter: int = 500):
     radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
     roots = [radius * cmath.exp(2j * math.pi * (k + 0.25) / d) for k in range(d)]
     deriv = [coeffs[i] * i for i in range(1, d + 1)]
+    abs_coeffs = [abs(c) for c in coeffs]
+    rounding = HORNER_SLACK * d * sys.float_info.epsilon
     for _ in range(max_iter):
         worst = 0.0
+        settled = True
         for i in range(d):
             z = roots[i]
             pv = _horner(coeffs, z)
             worst = max(worst, abs(pv))
             if pv == 0:
                 continue
+            settled = settled and abs(pv) <= rounding * _horner(abs_coeffs, abs(z)).real
             dv = _horner(deriv, z)
             ratio = pv / dv if dv != 0 else pv
             s = sum(1.0 / (z - roots[j]) for j in range(d) if j != i)
             denom = 1.0 - ratio * s
             step = ratio / denom if denom != 0 else ratio
             roots[i] = z - step
-        if worst <= target:
+        if worst <= target or settled:
             break
     return roots
 
@@ -158,12 +171,10 @@ def find_roots(a: LaurentPoly, degree_k: int) -> list[RootDatum]:
                     radius=0.0,
                     exact=r,
                     exact_modulus_sq=r * r,
-                    residual=0.0,
                 )
             )
         if rest.span >= 1:
             coeffs = [float(c) for c in rest.coeffs]
-            scale = max(abs(c) for c in coeffs)
             deriv = [coeffs[i] * i for i in range(1, len(coeffs))]
             exact_sq = None
             if rest.span == 2:
@@ -184,7 +195,6 @@ def find_roots(a: LaurentPoly, degree_k: int) -> list[RootDatum]:
                         radius=radius,
                         exact=None,
                         exact_modulus_sq=exact_sq,
-                        residual=res / scale if scale else res,
                     )
                 )
     if sum(r.multiplicity for r in out) != a.span:

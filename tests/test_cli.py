@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -62,6 +63,24 @@ def test_analyze_simplicial_circle_without_chi(capsys):
     assert "values" not in report
     assert any("index section omitted" in n for n in report["notices"])
     assert report["cup_check"]["exact"]
+
+
+def test_isolated_vertices_stay_small(tmp_path, capsys):
+    # The SNF's transforms are dense, so 200 isolated vertices still cost
+    # 200 x 200 identities; their entries share one zero and one one.
+    # Traced peak: 12.9 MB when each entry was its own polynomial, 3.3 MB
+    # with shared constants.
+    doc = tmp_path / "vertices.json"
+    doc.write_text('{"vertices": 200}')
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["analyze", "--input", str(doc)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out)["homology"]["degrees"][0]["free_rank"] == 200
+    assert peak < 6_000_000
 
 
 def test_analyze_trivial_cocycle_reports_infinite(capsys):
@@ -426,13 +445,18 @@ def test_every_export_resolves():
     assert missing == []
 
 
-def test_traced_names_resolve():
-    # perfbench/spans.py wraps these by name; look each up the way
-    # Tracer.install does, so a rename in endex cannot break the traced run.
+def _perfbench_spans():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location("perfbench_spans", os.path.join(root, "perfbench", "spans.py"))
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_names_resolve():
+    # perfbench/spans.py wraps these by name; look each up the way
+    # Tracer.install does, so a rename in endex cannot break the traced run.
+    spans = _perfbench_spans()
     missing = []
     for module, attr in spans.TRACED:
         owner = importlib.import_module("endex." + module)
@@ -444,6 +468,16 @@ def test_traced_names_resolve():
         if not found:
             missing.append((module, attr))
     assert missing == []
+
+
+def test_snf_replay_runs():
+    # The traced run times elimination alone through smith_normal_form's
+    # certify=False, so the parameter must stay while the replay uses it.
+    from endex.polymatrix import LaurentMatrix, smith_normal_form
+
+    m = LaurentMatrix.from_rows([["t - 1", "t"], ["1", "t + 2"]])
+    eliminate, certify = _perfbench_spans().replay_snf(smith_normal_form, [m])
+    assert eliminate > 0
 
 
 def test_console_entry_point():

@@ -73,7 +73,7 @@ def test_snf_property_suite_with_reconstruction():
     rng = random.Random(1234)
     for _ in range(50):
         m = random_matrix(rng, max_size=5, max_span=3)
-        s = smith_normal_form(m, certify=False)
+        s = smith_normal_form(m)
         d = s.diagonal_matrix(m.rows, m.cols)
         # Reconstruction is recomputed here rather than trusting the library
         # certificate.

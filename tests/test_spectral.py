@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from endex import AmbiguousWallError, exceptional_weights, find_roots
 from endex.laurent import LaurentPoly, poly
 from endex import spectral
+from endex.cli import main
 from endex.spectral import RESIDUAL_RTOL
 
 from conftest import alex_dim, random_alexander, total_multiplicity
@@ -118,7 +120,6 @@ def test_conjugation_insensitivity():
             radius=r.radius,
             exact=r.exact,
             exact_modulus_sq=r.exact_modulus_sq,
-            residual=r.residual,
         )
         for r in roots
     ]
@@ -182,3 +183,28 @@ def test_rational_roots_lists_divisors_once_per_round(monkeypatch):
     roots, rest = spectral._rational_roots(poly("2t - 1") * poly("t + 3") * cliff)
     assert roots == [Fraction(1, 2), Fraction(-3)] and rest == cliff
     assert len(calls) == 6
+
+
+def test_aberth_stops_on_high_degree_circle(tmp_path, monkeypatch, capsys):
+    # The circle with cocycle 200 on one edge has Delta_0 = t^200 - 1; after
+    # the rational roots +-1, Aberth gets the 198 others on |z| = 1, where
+    # the residual target RESIDUAL_RTOL * 0.1 * max|c| is out of reach of
+    # floating point.  The Horner rounding bound stops it after about 60
+    # sweeps; the residual target alone ran all 500.
+    doc = tmp_path / "circle200.json"
+    doc.write_text('{"vertices": 3, "simplices": {"1": [[0, 1], [1, 2], [0, 2]]},'
+                   ' "cocycle": {"0,1": 0, "1,2": 0, "0,2": 200}}')
+    calls = [0]
+    horner = spectral._horner
+
+    def counting(coeffs, z):
+        # Each sweep evaluates p and p' once at every complex root estimate.
+        calls[0] += isinstance(z, complex)
+        return horner(coeffs, z)
+
+    monkeypatch.setattr(spectral, "_horner", counting)
+    assert main(["analyze", "--input", str(doc)]) == 0
+    walls = json.loads(capsys.readouterr().out)["walls"]
+    assert [(w["delta"], w["jump"], len(w["contributions"])) for w in walls] == [(0.0, -200, 200)]
+    sweeps = calls[0] // (2 * 198)
+    assert sweeps < 100
