@@ -21,7 +21,8 @@ from .laurent import LaurentPoly
 from .pipeline import Analysis, analyze
 from .rationals import GaussianRational
 from .svgplot import plot_data, plot_text, render_svg
-from .twisted import WeightedWindow, fredholm_check, l2_hom_dim_analytic, l2_kernel_truncated, twisted_dims, uct_dims
+from .twisted import (MAX_SAMPLES, MAX_WINDOW, WeightedWindow, fredholm_check, l2_hom_dim_analytic,
+                      l2_kernel_truncated, twisted_dims, uct_dims)
 
 _L2_GRID_POINTS = (Fraction(1, 2), Fraction(1), Fraction(2), 1 + 1j)
 _L2_GRID_WEIGHTS = ((1.0, 0.5), (0.5, 1.0), (1.0, -1.0), (-1.0, -2.0))
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fredholm", help="Fredholm verdict at a weight")
     common(p)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--samples", type=int, default=16, help="circle sample count")
+    p.add_argument("--samples", type=int, default=16, help=f"circle sample count, 1 to {MAX_SAMPLES}")
     p.set_defaults(func=_cmd_fredholm)
 
     p = sub.add_parser("l2-oracle", help="weighted shift kernel oracle vs analytic count")
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mult", type=int, default=1)
     p.add_argument("--delta1", type=float, default=1.0)
     p.add_argument("--delta2", type=float, default=0.5)
-    p.add_argument("--window", type=int, default=200, help="truncation half-width")
+    p.add_argument("--window", type=int, default=200, help=f"truncation half-width, 1 to {MAX_WINDOW}")
     p.set_defaults(func=_cmd_l2_oracle)
 
     p = sub.add_parser("cup-check", help="cup multiplication exactness on cohomology")
@@ -260,10 +261,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except EndexError as e:
-        print(f"endex: error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
+    except (EndexError, ValueError, OSError) as e:
         print(f"endex: error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -20,6 +20,8 @@ from .laurent import canonicalize
 from .spectral import Wall
 
 _WALL_PAD = 1e-12
+# How many mirrored weights the parity check of duality_check samples.
+MIRRORED_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -120,14 +122,15 @@ def excision_index(delta1: float, delta2: float, f: IndexFunction) -> int:
     return f.values[i2] - f.values[i1]
 
 
-def mirrored_sample_points(f: IndexFunction, count: int = 10):
-    """Deterministic positive weights with both +d and -d off every wall."""
+def mirrored_sample_points(f: IndexFunction):
+    """MIRRORED_SAMPLES deterministic positive weights with both +d and -d
+    off every wall."""
     ws = f.wall_deltas
     reach = max((abs(d) for d in ws), default=0.0) + 1.0
     pts = []
     j = 1
-    while len(pts) < count and j < 1000:
-        d = reach * j / (count + 3)
+    while len(pts) < MIRRORED_SAMPLES and j < 1000:
+        d = reach * j / (MIRRORED_SAMPLES + 3)
         j += 1
         try:
             f.interval_of(d)

@@ -17,7 +17,10 @@ rationals appear only as points where a polynomial is evaluated.
 Python ints: each input is scaled to its primitive integer associate, and
 by Gauss's lemma a primitive divisor over Q divides over Z as well, so the
 gcd needs no rational and every division in the decomposition is an exact
-integer one.
+integer one.  The same kernel (``_int_coeffs``, ``_primitive``,
+``_exact_quo``) deflates the rational roots in ``spectral``; there is no
+second, rational-coefficient route to primitive parts or exact quotients.
+Float evaluation, here and in the root finder, goes through ``_horner``.
 
 >>> poly("t^2 - 1") == poly("t - 1") * poly("t + 1")
 True
@@ -118,13 +121,6 @@ class LaurentPoly:
             and self.coeffs[-1] == 1
             and self.coeffs[0] != 0
         )
-
-    def coefficient(self, k: int):
-        """Coefficient of t^k."""
-        i = k - self.low
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
 
     def height(self) -> int:
         """Max of |numerator| and denominator over all coefficients."""
@@ -238,12 +234,6 @@ class LaurentPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def exact_div(self, other) -> "LaurentPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError(f"{self!r} is not divisible by {other!r}")
-        return q
-
     def divides(self, other) -> bool:
         if self.is_zero():
             return other.is_zero() if isinstance(other, LaurentPoly) else other == 0
@@ -270,15 +260,14 @@ class LaurentPoly:
             for _ in range(abs(self.low)):
                 ar, ai = ar * zr - ai * zi, ar * zi + ai * zr
             return GaussianRational(ar, ai)
-        exact = isinstance(z, _RationalABC)
-        if exact:
+        if isinstance(z, _RationalABC):
             z = Fraction(z)
             acc = Fraction(0)
+            for c in reversed(self.coeffs):
+                acc = acc * z + c
         else:
             z = complex(z)
-            acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + (c if exact else float(c))
+            acc = _horner([float(c) for c in self.coeffs], z)
         if self.low:
             acc = acc * z ** self.low
         return acc
@@ -289,27 +278,7 @@ class LaurentPoly:
             return self
         return LaurentPoly(-self.high, tuple(reversed(self.coeffs)))
 
-    # -- unit normalization ---------------------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational c with self = c * (primitive integer poly)."""
-        if self.is_zero():
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
-
-    def primitive_part(self) -> "LaurentPoly":
-        """self divided by its unit content: integer coprime coefficients,
-        lowest exponent zero.
-        """
-        if self.is_zero():
-            return self
-        c = self.content()
-        return LaurentPoly(0, tuple(a / c for a in self.coeffs))
+    # -- JSON -------------------------------------------------------------
 
     def to_json(self):
         return {"lowest": self.low, "coeffs": [str(c) for c in self.coeffs]}
@@ -363,6 +332,15 @@ class LaurentPoly:
 
 _ZERO = LaurentPoly(0, ())
 _ONE = LaurentPoly(0, (Fraction(1),))
+
+
+def _horner(coeffs, z) -> complex:
+    """The polynomial with ascending float coefficients at z, by Horner's
+    rule in complex arithmetic."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 def _as_poly(value):

@@ -26,6 +26,8 @@ from .indexfn import IndexFunction, duality_check, excision_index, index_functio
 from .inputs import ParsedInput
 from .spectral import RootDatum, Wall, exceptional_weights, find_roots
 
+EXCISION_SAMPLES = 10
+
 
 @dataclass(frozen=True)
 class Analysis:
@@ -145,10 +147,11 @@ def analyze(a: Analysis):
     return report
 
 
-def _excision_samples(f: IndexFunction, cap: int = 10):
-    """Deterministic excision consistency records over interval samples."""
+def _excision_samples(f: IndexFunction):
+    """Deterministic excision consistency records over the first
+    EXCISION_SAMPLES pairs of interval samples."""
     pts = f.sample_points()
-    pairs = [(d1, d2) for i, d1 in enumerate(pts) for d2 in pts[i + 1:]][:cap]
+    pairs = [(d1, d2) for i, d1 in enumerate(pts) for d2 in pts[i + 1:]][:EXCISION_SAMPLES]
     return [
         # "agree" is constant since excision has one path; kept so the report keeps its bytes.
         {"delta1": d1, "delta2": d2, "index_difference": excision_index(d1, d2, f), "agree": True}

@@ -1,15 +1,17 @@
 """Matrices over the Laurent ring: Smith normal form, ranks, evaluation.
 
-The Smith normal form is computed by Euclidean elimination after clearing
-t-power units row- and column-wise.  One rule fills diagonal slot k: pick
-the pivot of least degree span in the trailing block (ties: smallest
-coefficient height, then row-major), and clear column k and row k by
-quotients.  A nonzero remainder has a smaller span than the pivot, so
-picking again lowers the least span in the block.  When some trailing
-entry is not divisible by the pivot, its row is added to row k, where
-clearing then leaves a remainder.  Spans are nonnegative, so the loop
-ends.  On a unit pivot (every entry of a lifted simplicial boundary is
-one) the slot is filled at the first pick.
+The Smith normal form is computed by Euclidean elimination.  One rule
+fills diagonal slot k: pick the pivot of least degree span in the trailing
+block (ties: smallest coefficient height, then row-major), and clear
+column k and row k by quotients.  A nonzero remainder has a smaller span
+than the pivot, so picking again lowers the least span in the block.  When
+some trailing entry is not divisible by the pivot, its row is added to row
+k, where clearing then leaves a remainder.  Spans are nonnegative, so the
+loop ends.  On a unit pivot (every entry of a lifted simplicial boundary is
+one) the slot is filled at the first pick.  No step looks at t-powers:
+division aligns them and restores them in the quotient, the pivot key and
+the divisibility test see only coefficient runs, and the diagonal is
+canonicalized at the end, which strips each entry's power of t.
 
 Every step is an elementary operation.  A row operation acts on the rows
 of the working matrix and of the left transform, and its inverse on the
@@ -66,8 +68,7 @@ class LaurentMatrix:
 
     @staticmethod
     def identity(n: int) -> "LaurentMatrix":
-        e = [LaurentPoly.one() if i == j else LaurentPoly.zero() for i in range(n) for j in range(n)]
-        return LaurentMatrix(n, n, e)
+        return LaurentMatrix(n, n, [e for row in _eye(n) for e in row])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -255,16 +256,6 @@ def smith_normal_form(m: LaurentMatrix, certify: bool = True) -> SnfResult:
     """
     w = _Worker(m)
     nr, nc = m.rows, m.cols
-
-    # Clear t-power units so every entry lives in Q[t].
-    for i in range(nr):
-        low = min((e.low for e in w.a[i] if not e.is_zero()), default=0)
-        if low:
-            w.row_op("scale", i, LaurentPoly.t_power(-low))
-    for j in range(nc):
-        low = min((r[j].low for r in w.a if not r[j].is_zero()), default=0)
-        if low:
-            w.col_op("scale", j, LaurentPoly.t_power(-low))
 
     k = 0
     limit = min(nr, nc)

@@ -27,9 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AmbiguousWallError, CertificationError
-from .laurent import LaurentPoly, canonicalize, poly, squarefree_decomposition
+from .laurent import (LaurentPoly, _exact_quo, _horner, _int_coeffs, _primitive, canonicalize, poly,
+                      squarefree_decomposition)
 
 RESIDUAL_RTOL = 1e-12
+ABERTH_MAX_SWEEPS = 500
 # Constant c of the Horner rounding bound c * d * eps * sum |c_i| |z|^i.
 HORNER_SLACK = 4
 
@@ -72,22 +74,25 @@ def _divisors(n: int):
 
 def _rational_roots(f: LaurentPoly):
     """Exact rational roots of a square-free canonical factor, with the
-    deflated remainder (which then has no rational roots)."""
-    g = f.primitive_part()
+    deflated remainder (which then has no rational roots).
+
+    Runs on the primitive integer associate g: a root p/q in lowest terms
+    has p dividing g's constant term and q its leading one, and q*t - p is
+    a primitive divisor of g, so each deflation is an exact integer one."""
+    g = _int_coeffs(f)
     roots = []
-    while g.span >= 1:
-        a0 = g.coeffs[0]
-        ad = g.coeffs[-1]
-        if abs(a0.numerator) > 10**12 or abs(ad.numerator) > 10**12:
+    while len(g) > 1:
+        if abs(g[0]) > 10**12 or abs(g[-1]) > 10**12:
             break
+        value_at = LaurentPoly(0, g).evaluate
         found = None
-        qs = _divisors(int(ad))
-        for p in _divisors(int(a0)):
+        qs = _divisors(g[-1])
+        for p in _divisors(g[0]):
             for q in qs:
                 if math.gcd(p, q) != 1:
                     continue
                 for r in (Fraction(p, q), Fraction(-p, q)):
-                    if g.evaluate(r) == 0:
+                    if value_at(r) == 0:
                         found = r
                         break
                 if found is not None:
@@ -97,18 +102,11 @@ def _rational_roots(f: LaurentPoly):
         if found is None:
             break
         roots.append(found)
-        g = g.exact_div(LaurentPoly(0, (-found, Fraction(1)))).primitive_part()
-    return roots, g
+        g = _primitive(_exact_quo(g, [-found.numerator, found.denominator]))
+    return roots, LaurentPoly(0, g)
 
 
-def _horner(coeffs, z):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _aberth(coeffs, max_iter: int = 500):
+def _aberth(coeffs):
     """All complex roots of a square-free polynomial (ascending float
     coefficients).  Deterministic start: circle of Cauchy-bound radius with
     a fixed angular offset.
@@ -118,7 +116,7 @@ def _aberth(coeffs, max_iter: int = 500):
     below the rounding error of Horner's rule at z,
     HORNER_SLACK * d * eps * sum |c_i| |z|^i.  At high degree near |z| = 1
     floating point cannot meet the first target, as on (t^200 - 1)/(t^2 - 1);
-    it can meet the second."""
+    it can meet the second.  It ends anyway after ABERTH_MAX_SWEEPS sweeps."""
     d = len(coeffs) - 1
     lead = coeffs[-1]
     scale = max(abs(c) for c in coeffs)
@@ -130,7 +128,7 @@ def _aberth(coeffs, max_iter: int = 500):
     deriv = [coeffs[i] * i for i in range(1, d + 1)]
     abs_coeffs = [abs(c) for c in coeffs]
     rounding = HORNER_SLACK * d * sys.float_info.epsilon
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_SWEEPS):
         worst = 0.0
         settled = True
         for i in range(d):

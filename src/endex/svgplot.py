@@ -11,6 +11,8 @@ from __future__ import annotations
 from .indexfn import IndexFunction
 
 _STRADDLE = 0.05
+# Size of the SVG drawing, in pixels.
+_WIDTH, _HEIGHT = 640, 360
 
 
 def plot_data(f: IndexFunction):
@@ -45,8 +47,9 @@ def plot_text(data) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_svg(f: IndexFunction, width: int = 640, height: int = 360) -> str:
+def render_svg(f: IndexFunction) -> str:
     """A self-contained SVG drawing of the step function."""
+    width, height = _WIDTH, _HEIGHT
     ws = f.wall_deltas
     values = list(f.values)
     if ws:

@@ -33,6 +33,12 @@ _BOUNDARY_MASS = 1e-3
 # Relative singular-value cutoff of the shift-kernel oracle; it also sets
 # how wide a window must be (WindowTooSmallError).
 KERNEL_RTOL = 1e-6
+# Upper bounds on the two size parameters of the oracles: the circle
+# samples of the numeric Fredholm verdict (one float evaluation of the
+# complex each) and the half-width N of the shift-kernel window (a dense
+# (2N+1-m) x (2N+1) SVD).  See the README for the time each one costs.
+MAX_SAMPLES = 1000
+MAX_WINDOW = 500
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,10 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float, samples: int = 16):
     Two verdicts: the symbolic one (no root of any invariant factor has
     modulus e^delta; authoritative) and a numeric one (the evaluated
     complex is exact at sample points of the circle of radius e^delta).
+    Refuses a sample count outside 1..MAX_SAMPLES with ValueError.
     """
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"the sample count must be between 1 and {MAX_SAMPLES}, got {samples}")
     analysis = Analysis.of_complex(cc)
     infinite = analysis.homology.infinite_degrees
     if infinite:
@@ -151,6 +160,8 @@ class WeightedWindow:
     def __post_init__(self):
         if self.n_window < 1:
             raise ValueError("window half-width must be at least 1")
+        if self.n_window > MAX_WINDOW:
+            raise ValueError(f"window half-width must be at most {MAX_WINDOW}")
         if self.m < 1:
             raise ValueError("multiplicity must be at least 1")
         if complex(self.lam) == 0:

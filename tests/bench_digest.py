@@ -11,6 +11,11 @@ md5 of the exit code, stdout, stderr and the bytes of any SVG it wrote.
 Work-directory paths are replaced by a placeholder first, so the output of
 two checkouts (say a change and its parent, each on PYTHONPATH in turn)
 can be compared with diff.  The workloads are imported, not edited.
+
+tests/golden/bench_digest.txt holds the digest of the committed tree; an
+intended change of output regenerates it with
+
+    PYTHONPATH=src python tests/bench_digest.py > tests/golden/bench_digest.txt
 """
 import contextlib
 import hashlib

@@ -38,6 +38,30 @@ def shift(p: LaurentPoly, k: int) -> LaurentPoly:
     return p if p.is_zero() else LaurentPoly(p.low + k, p.coeffs)
 
 
+def content(p: LaurentPoly) -> Fraction:
+    """Positive rational c with p = c * (a primitive integer polynomial)."""
+    num, den = 0, 1
+    for c in p.coeffs:
+        num = gcd(num, c.numerator)
+        den = den * c.denominator // gcd(den, c.denominator)
+    return Fraction(num, den)
+
+
+def primitive_part(p: LaurentPoly) -> LaurentPoly:
+    """p over its content, with lowest exponent zero; zero stays zero."""
+    if p.is_zero():
+        return p
+    c = content(p)
+    return LaurentPoly(0, [a / c for a in p.coeffs])
+
+
+def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a / b in the Laurent ring, for b dividing a."""
+    q, r = divmod(a, b)
+    assert r.is_zero(), f"{a!r} is not divisible by {b!r}"
+    return q
+
+
 def free_rank(h, k: int) -> int:
     """Free rank of the degree-k homology module, zero off 0..n."""
     return h.free_ranks[k] if 0 <= k <= h.n else 0
@@ -310,14 +334,9 @@ def _strip_row_units(row):
     if lead:
         row = [shift(e, lead) for e in row]
         nz = [e for e in row if not e.is_zero()]
-    num, den = 0, 1
-    for e in nz:
-        c = e.content()
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    content = Fraction(num, den)
-    if content != 1:
-        row = [scale(e, 1 / content) for e in row]
+    c = content(LaurentPoly(0, [x for e in nz for x in e.coeffs]))
+    if c != 1:
+        row = [scale(e, 1 / c) for e in row]
     return row
 
 
@@ -369,7 +388,7 @@ def _det_bareiss(rows):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
+                a[i][j] = exact_div(num, prev)
         prev = a[k][k]
     d = a[n - 1][n - 1]
     return -d if sign < 0 else d
@@ -383,11 +402,9 @@ def reference_laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     a, b = poly(p), poly(q)
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    a = a.primitive_part() if not a.is_zero() else a
-    b = b.primitive_part() if not b.is_zero() else b
+    a, b = primitive_part(a), primitive_part(b)
     while not b.is_zero():
-        r = a % b
-        a, b = b, (r.primitive_part() if not r.is_zero() else r)
+        a, b = b, primitive_part(a % b)
     return canonicalize(a)
 
 
@@ -408,16 +425,16 @@ def reference_squarefree_decomposition(p: LaurentPoly):
         return []
     fp = _derivative(f)
     g = reference_laurent_gcd(f, fp)
-    c = f.exact_div(g)
-    d = fp.exact_div(g) - _derivative(c)
+    c = exact_div(f, g)
+    d = exact_div(fp, g) - _derivative(c)
     out = []
     mult = 1
     while c.span > 0:
         a = reference_laurent_gcd(c, d)
         if a.span > 0:
             out.append((a, mult))
-        c = c.exact_div(a)
-        d = d.exact_div(a) - _derivative(c)
+        c = exact_div(c, a)
+        d = exact_div(d, a) - _derivative(c)
         mult += 1
     return out
 

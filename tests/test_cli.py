@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -245,6 +246,31 @@ def test_fredholm_command(capsys):
     assert report["fredholm"] is True and report["agree"]
 
 
+def test_fredholm_needs_a_sample(capsys):
+    # With no samples the numeric verdict would rest on no evaluation at all.
+    for samples in ("0", "-3"):
+        code, out, err = run_cli(
+            ["fredholm", "--input", path("s1s2.json"), "--delta", "0", "--samples", samples], capsys)
+        assert code == 1 and out == "" and err.startswith("endex: error:")
+
+
+def test_oracle_sizes_are_bounded(capsys, monkeypatch):
+    # One past each bound is refused before any evaluation or allocation.
+    import endex.cli
+    import endex.twisted
+
+    def unreachable(*args):
+        raise AssertionError("the oracle ran past its size bound")
+
+    monkeypatch.setattr(endex.twisted, "twisted_dims", unreachable)
+    monkeypatch.setattr(endex.cli, "l2_kernel_truncated", unreachable)
+    for argv in (["fredholm", "--input", path("s1s2.json"), "--delta", "0.5",
+                  "--samples", str(endex.twisted.MAX_SAMPLES + 1)],
+                 ["l2-oracle", "--lam", "2", "--window", str(endex.twisted.MAX_WINDOW + 1)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == "" and err.startswith("endex: error:")
+
+
 def test_l2_oracle_single(capsys):
     code, out, _ = run_cli(
         ["l2-oracle", "--lam", "2", "--mult", "1", "--delta1", "1.0", "--delta2", "0.5"],
@@ -468,6 +494,30 @@ def test_traced_names_resolve():
         if not found:
             missing.append((module, attr))
     assert missing == []
+
+
+def test_no_test_only_functions():
+    # Every function and method in src/endex is named somewhere in src/
+    # (called, passed or looked up), unless it is a dunder, public API
+    # (endex.__all__) or wrapped by perfbench/spans.py's traced run.
+    src = os.path.dirname(endex.__file__)
+    defined, named = [], set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((name, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    named |= set(endex.__all__) | {attr.split(".")[-1] for _, attr in _perfbench_spans().TRACED}
+    unnamed = [(module, fn) for module, fn in defined
+               if fn not in named and not (fn.startswith("__") and fn.endswith("__"))]
+    assert unnamed == []
 
 
 def test_snf_replay_runs():

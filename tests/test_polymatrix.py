@@ -9,7 +9,7 @@ from endex.laurent import poly
 from endex.linalg import mat_mul, numeric_rank
 from endex.polymatrix import _certify
 
-from conftest import _det_bareiss, _det_laplace, _random_unimodular, determinant, mat, random_laurent, random_matrix, rank_ff, to_lists
+from conftest import _det_bareiss, _det_laplace, _random_unimodular, determinant, mat, random_laurent, random_matrix, rank_ff, shift, to_lists
 
 
 def test_snf_unit_entry_absorbed():
@@ -69,22 +69,34 @@ def test_evaluate_examples():
         mat([["t"]]).evaluate(Fraction(0))
 
 
+def _t_power_scaled(rng, m: LaurentMatrix) -> LaurentMatrix:
+    """m with row i times t^a_i and column j times t^b_j, for random a, b."""
+    a = [rng.randint(-3, 3) for _ in range(m.rows)]
+    b = [rng.randint(-3, 3) for _ in range(m.cols)]
+    return LaurentMatrix(m.rows, m.cols, [shift(m[i, j], a[i] + b[j]) for i in range(m.rows) for j in range(m.cols)])
+
+
 def test_snf_property_suite_with_reconstruction():
-    rng = random.Random(1234)
+    rng, powers = random.Random(1234), random.Random(4321)
     for _ in range(50):
-        m = random_matrix(rng, max_size=5, max_span=3)
-        s = smith_normal_form(m)
-        d = s.diagonal_matrix(m.rows, m.cols)
-        # Reconstruction is recomputed here rather than trusting the library
-        # certificate.
-        assert s.left * m * s.right == d
-        for i in range(len(s.diag) - 1):
-            assert s.diag[i].divides(s.diag[i + 1])
-        if m.rows:
-            assert determinant(s.left).is_unit()
-        if m.cols:
-            assert determinant(s.right).is_unit()
-        assert rank_ff(m) == s.rank
+        base = random_matrix(rng, max_size=5, max_span=3)
+        # Unit t-powers on rows and columns change no invariant factor.
+        diags = []
+        for m in (base, _t_power_scaled(powers, base)):
+            s = smith_normal_form(m)
+            d = s.diagonal_matrix(m.rows, m.cols)
+            # Reconstruction is recomputed here rather than trusting the
+            # library certificate.
+            assert s.left * m * s.right == d
+            for i in range(len(s.diag) - 1):
+                assert s.diag[i].divides(s.diag[i + 1])
+            if m.rows:
+                assert determinant(s.left).is_unit()
+            if m.cols:
+                assert determinant(s.right).is_unit()
+            assert rank_ff(m) == s.rank
+            diags.append(s.diag)
+        assert diags[0] == diags[1]
 
 
 def _nonvanishing(diag, z) -> int:

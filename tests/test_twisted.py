@@ -27,7 +27,7 @@ from endex import (
 from endex import UnsupportedInputError
 from endex.inputs import load_input
 from endex.laurent import poly
-from endex.twisted import KERNEL_RTOL
+from endex.twisted import KERNEL_RTOL, MAX_WINDOW
 
 from conftest import (mat, off_wall_delta, planted_complex, planted_roots, random_torus_subcomplex,
                       reference_cup_product_check)
@@ -288,6 +288,9 @@ def test_window_validation():
         WeightedWindow(2, 0, 1.0, 0.5, 100)
     with pytest.raises(ValueError):
         WeightedWindow(2, 1, 1.0, 0.5, 0)
+    with pytest.raises(ValueError):
+        WeightedWindow(2, 1, 1.0, 0.5, MAX_WINDOW + 1)
+    assert WeightedWindow(2, 1, 1.0, 0.5, MAX_WINDOW).n_window == MAX_WINDOW
     with pytest.raises(ValueError):
         WeightedWindow(0, 1, 1.0, 0.5, 100)
 
