@@ -224,8 +224,5 @@ def lift_simplicial(x: SimplicialInput) -> ChainComplexOverLambda:
                 sign = -1 if i % 2 else 1
                 shift = x.edge_value(s[0], face[0])
                 entries[index[face]][j] = entries[index[face]][j] + LaurentPoly.t_power(shift, sign)
-        if rows:
-            boundaries.append(LaurentMatrix.from_rows(entries))
-        else:
-            boundaries.append(LaurentMatrix.zero(0, cols))
+        boundaries.append(LaurentMatrix.from_rows(entries))
     return ChainComplexOverLambda(ranks, boundaries)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AmbiguousWallError, CertificationError
-from .laurent import (LaurentPoly, _exact_quo, _horner, _int_coeffs, _primitive, canonicalize, poly,
+from .laurent import (LaurentPoly, _exact_quo, _horner, _int_coeffs, _primitive, canonicalize,
                       squarefree_decomposition)
 
 RESIDUAL_RTOL = 1e-12
@@ -155,7 +155,7 @@ def find_roots(a: LaurentPoly, degree_k: int) -> list[RootDatum]:
     Returns one datum per distinct root; the sum of multiplicities equals
     the degree span.  Constant polynomials give [].
     """
-    a = canonicalize(poly(a))
+    a = canonicalize(a)
     out: list[RootDatum] = []
     for factor, mult in squarefree_decomposition(a):
         rational, rest = _rational_roots(factor)

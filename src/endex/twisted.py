@@ -110,9 +110,14 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float, samples: int = 16):
     """Is the weighted complex Fredholm at this weight?
 
     Two verdicts: the symbolic one (no root of any invariant factor has
-    modulus e^delta; authoritative) and a numeric one (the evaluated
-    complex is exact at sample points of the circle of radius e^delta).
-    Refuses a sample count outside 1..MAX_SAMPLES with ValueError.
+    modulus e^delta), which is the one reported as ``fredholm``, and a
+    numeric one (the evaluated complex is exact at sample points of the
+    circle of radius e^delta).  The numeric verdict proves nothing in
+    either direction: the samples can miss a rank drop that happens only
+    at the roots, so it can say true on a wall, and float ranks at the
+    1e-9 cutoff can see a drop that is not there, so it can say false off
+    every wall.  Refuses a sample count outside 1..MAX_SAMPLES with
+    ValueError.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"the sample count must be between 1 and {MAX_SAMPLES}, got {samples}")
@@ -230,19 +235,21 @@ def l2_kernel_truncated(w: WeightedWindow) -> int:
     size = 2 * n + 1
     rows = size - m
     # Stencil of (shift - |lam|)^m: coefficient of x_{k-i} is C(m,i)(-|lam|)^(m-i).
-    stencil = [math.comb(m, i) * (-mod) ** (m - i) for i in range(m + 1)]
-    a = np.zeros((rows, size), dtype=np.float64)
-    for r in range(rows):
-        k = -n + m + r
-        for i in range(m + 1):
-            a[r, (k - i) + n] = stencil[i]
-    # Column scaling by the inverse weight maps weighted-norm kernel
-    # vectors to plain-norm ones; row balancing then keeps the singular
-    # spectrum readable without touching the kernel.
+    stencil = np.array([math.comb(m, i) * (-mod) ** (m - i) for i in range(m + 1)])
+    # Column scaling by the inverse weight e^(-delta k) maps weighted-norm
+    # kernel vectors to plain-norm ones; row balancing then keeps the
+    # singular spectrum readable without touching the kernel.  Both act on
+    # log-magnitudes, so no weight overflows however wide the window: row r
+    # holds output index k = -n + m + r, whose entry in column (k - i) + n
+    # is stencil[i].
     idx = np.arange(-n, n + 1, dtype=float)
     delta_of = np.where(idx < 0, w.delta1, np.where(idx > 0, w.delta2, 0.0))
-    a *= np.exp(-delta_of * idx)[None, :]
-    a /= np.max(np.abs(a), axis=1)[:, None]
+    r = np.arange(rows)[:, None]
+    cols = r + m - np.arange(m + 1)[None, :]
+    band = np.log(np.abs(stencil))[None, :] - (delta_of * idx)[cols]
+    band -= band.max(axis=1, keepdims=True)
+    a = np.zeros((rows, size), dtype=np.float64)
+    a[r, cols] = np.sign(stencil) * np.exp(band)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     kernel_rows = [vh[i] for i in range(len(s), size)]
     kernel_rows += [vh[i] for i in range(len(s)) if s[i] < KERNEL_RTOL * s[0]]

@@ -281,6 +281,15 @@ def test_l2_oracle_single(capsys):
     assert report["analytic"] == 1 and report["truncated"] == 1 and report["agree"]
 
 
+def test_l2_oracle_grid_at_a_wide_window(capsys):
+    # The grid's weight pair (-1, -2) puts |delta| * N at 800 here, past
+    # where a plain e^(-delta k) column weight overflows a float.
+    code, out, err = run_cli(["l2-oracle", "--window", "400"], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert len(report["grid"]) == 32 and report["all_agree"]
+
+
 def test_cup_check_command(capsys):
     code, out, _ = run_cli(["cup-check", "--input", path("circle.json")], capsys)
     assert code == 0

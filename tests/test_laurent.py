@@ -76,6 +76,18 @@ def test_poly_rejects_what_is_not_text_or_rational():
     assert poly(Fraction(1, 2)) == LaurentPoly.constant(Fraction(1, 2))
 
 
+def test_arithmetic_takes_laurent_operands_only():
+    t = poly("t")
+    for op in (lambda: t + 1, lambda: 1 + t, lambda: t - Fraction(1, 2), lambda: 1 - t,
+               lambda: 2 * t, lambda: t * 2, lambda: divmod(t, 2), lambda: t % 2):
+        with pytest.raises(TypeError):
+            op()
+    assert not poly("0") == 0
+    assert not poly("1") == 1
+    assert t + poly("1") == poly("t + 1")
+    assert poly("2") * t == LaurentPoly.constant(2) * t == poly("2*t")
+
+
 def test_inexact_integer_division_is_certification_error():
     # t^2 + 1 leaves remainder 2 on division by t + 1; 3t + 1 stops at the
     # leading coefficient, 3 not being a multiple of 2.
