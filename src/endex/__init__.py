@@ -45,7 +45,6 @@ from .rationals import GaussianRational
 from .spectral import RootDatum, Wall, exceptional_weights, find_roots
 from .twisted import (
     TwistedFiber,
-    WeightedWindow,
     fredholm_check,
     l2_hom_dim_analytic,
     l2_kernel_truncated,
@@ -75,7 +74,6 @@ __all__ = [
     "TwistedFiber",
     "UnsupportedInputError",
     "Wall",
-    "WeightedWindow",
     "WindowTooSmallError",
     "alexander_polynomials",
     "canonicalize",

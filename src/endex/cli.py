@@ -21,8 +21,7 @@ from .laurent import LaurentPoly
 from .pipeline import Analysis, analyze
 from .rationals import GaussianRational
 from .svgplot import plot_data, plot_text, render_svg
-from .twisted import (MAX_SAMPLES, MAX_WINDOW, WeightedWindow, fredholm_check, l2_hom_dim_analytic,
-                      l2_kernel_truncated, twisted_dims, uct_dims)
+from .twisted import fredholm_check, l2_hom_dim_analytic, l2_kernel_truncated, twisted_dims, uct_dims
 
 _L2_GRID_POINTS = (Fraction(1, 2), Fraction(1), Fraction(2), 1 + 1j)
 _L2_GRID_WEIGHTS = ((1.0, 0.5), (0.5, 1.0), (1.0, -1.0), (-1.0, -2.0))
@@ -145,23 +144,21 @@ def _cmd_fredholm(args):
     parsed = load_input(args.input)
     if parsed.complex is None:
         raise UnsupportedInputError("the Fredholm check needs a chain complex input")
-    _emit(args, fredholm_check(parsed.complex, args.delta, args.samples))
+    _emit(args, fredholm_check(parsed.complex, args.delta))
 
 
-def _l2_row(label, lam, m, d1, d2, args):
-    lamc = complex(lam)
-    window = WeightedWindow(lamc, m, d1, d2, args.window)
-    analytic = l2_hom_dim_analytic(lamc, m, d1, d2)
-    truncated = l2_kernel_truncated(window)
+def _l2_row(label, lam, m, d1, d2):
+    analytic = l2_hom_dim_analytic(lam, m, d1, d2)
+    truncated = l2_kernel_truncated(lam, m, d1, d2)
     return {"lambda": label, "m": m, "delta1": d1, "delta2": d2,
             "analytic": analytic, "truncated": truncated, "agree": analytic == truncated}
 
 
 def _cmd_l2_oracle(args):
     if args.lam is not None:
-        payload = _l2_row(args.lam, parse_point(args.lam), args.mult, args.delta1, args.delta2, args)
+        payload = _l2_row(args.lam, parse_point(args.lam), args.mult, args.delta1, args.delta2)
     else:
-        rows = [_l2_row(str(lam), lam, m, d1, d2, args)
+        rows = [_l2_row(str(lam), lam, m, d1, d2)
                 for lam in _L2_GRID_POINTS for m in (1, 2) for d1, d2 in _L2_GRID_WEIGHTS]
         payload = {"grid": rows, "all_agree": all(r["agree"] for r in rows)}
     _emit(args, payload)
@@ -230,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fredholm", help="Fredholm verdict at a weight")
     common(p)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--samples", type=int, default=16, help=f"circle sample count, 1 to {MAX_SAMPLES}")
     p.set_defaults(func=_cmd_fredholm)
 
     p = sub.add_parser("l2-oracle", help="weighted shift kernel oracle vs analytic count")
@@ -239,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mult", type=int, default=1)
     p.add_argument("--delta1", type=float, default=1.0)
     p.add_argument("--delta2", type=float, default=0.5)
-    p.add_argument("--window", type=int, default=200, help=f"truncation half-width, 1 to {MAX_WINDOW}")
     p.set_defaults(func=_cmd_l2_oracle)
 
     p = sub.add_parser("cup-check", help="cup multiplication exactness on cohomology")

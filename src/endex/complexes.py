@@ -9,6 +9,8 @@ consecutive boundaries must multiply to zero.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import ComplexValidationError
 from .laurent import LaurentPoly
 from .polymatrix import LaurentMatrix
@@ -99,10 +101,11 @@ class SimplicialInput:
     """A finite simplicial complex with an integer 1-cocycle on its edges.
 
     Vertices are 0..n_vertices-1.  simplices maps dimension d >= 1 to the
-    list of (d+1)-tuples with strictly increasing vertices; the complex
-    must be closed under faces.  The cocycle assigns an integer to every
-    edge (u, v) with u < v and must satisfy the cocycle identity
-    c(a,b) + c(b,c) = c(a,c) on every 2-simplex.
+    sorted tuple of (d+1)-tuples with strictly increasing vertices; the
+    complex must be closed under faces.  The cocycle assigns an integer to
+    every edge (u, v) with u < v and must satisfy the cocycle identity
+    c(a,b) + c(b,c) = c(a,c) on every 2-simplex.  Both mappings are
+    read-only, so what was validated stays valid.
     """
 
     __slots__ = ("n_vertices", "simplices", "cocycle")
@@ -110,7 +113,7 @@ class SimplicialInput:
     def __init__(self, n_vertices: int, simplices, cocycle):
         if n_vertices < 0:
             raise ComplexValidationError("negative vertex count")
-        simps: dict[int, list[tuple]] = {}
+        simps: dict[int, tuple] = {}
         for d, lst in simplices.items():
             d = parse_int(d)
             if d < 1:
@@ -130,7 +133,7 @@ class SimplicialInput:
                 seen.add(s)
                 out.append(s)
             if out:
-                simps[d] = sorted(out)
+                simps[d] = tuple(sorted(out))
         cmap = {}
         for key, w in cocycle.items():
             if isinstance(key, str):
@@ -141,8 +144,8 @@ class SimplicialInput:
                 raise ComplexValidationError(f"cocycle edge ({u},{v}) must have u < v")
             cmap[(u, v)] = parse_int(w)
         object.__setattr__(self, "n_vertices", parse_int(n_vertices))
-        object.__setattr__(self, "simplices", simps)
-        object.__setattr__(self, "cocycle", cmap)
+        object.__setattr__(self, "simplices", MappingProxyType(simps))
+        object.__setattr__(self, "cocycle", MappingProxyType(cmap))
         self._validate()
 
     def __setattr__(self, name, value):

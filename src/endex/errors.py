@@ -36,8 +36,9 @@ class AmbiguousWallError(EndexError):
 
 
 class WindowTooSmallError(EndexError):
-    """The truncation window cannot resolve the kernel at the requested
-    tolerance; carries the estimated sufficient half-width."""
+    """The weights lie so close to ln|lambda| that the shift-kernel oracle
+    would need a window wider than its largest, MAX_WINDOW; carries the
+    half-width the kernel tolerance needs (required_n)."""
 
     def __init__(self, required_n: int, message: str):
         self.required_n = required_n

@@ -27,7 +27,7 @@ from .laurent import LaurentPoly
 from .rationals import GaussianRational, parse_int, parse_rational
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParsedInput:
     """One classified input document, with the manifold dimension and Euler
     characteristic the index formula reads (chi may be None)."""

@@ -141,7 +141,7 @@ class LaurentMatrix:
         return numeric_rank(val)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SnfResult:
     """Certified Smith normal form: left*matrix*right is diagonal.
 
@@ -151,7 +151,7 @@ class SnfResult:
     """
 
     left: LaurentMatrix
-    diag: list
+    diag: tuple
     right: LaurentMatrix
     rank: int
     left_inv: LaurentMatrix = field(repr=False, default=None)
@@ -302,8 +302,9 @@ def smith_normal_form(m: LaurentMatrix, certify: bool = True) -> SnfResult:
             w.row_op("scale", i, unit)
         diag.append(w.a[i][i])
 
-    res = SnfResult(left=LaurentMatrix.from_rows(w.left), diag=diag, right=LaurentMatrix.from_rows(w.right),
-                    rank=len(diag), left_inv=LaurentMatrix.from_rows(w.left_inv),
+    res = SnfResult(left=LaurentMatrix.from_rows(w.left), diag=tuple(diag),
+                    right=LaurentMatrix.from_rows(w.right), rank=len(diag),
+                    left_inv=LaurentMatrix.from_rows(w.left_inv),
                     right_inv=LaurentMatrix.from_rows(w.right_inv))
     if certify:
         _certify(m, res)

@@ -31,6 +31,10 @@ from .laurent import (LaurentPoly, _exact_quo, _horner, _int_coeffs, _primitive,
                       squarefree_decomposition)
 
 RESIDUAL_RTOL = 1e-12
+# Largest degree span find_roots accepts.  Each Aberth sweep costs O(d^2),
+# and the span can grow like cells x max|cocycle|; the README states what
+# a polynomial at the cap costs.
+MAX_DEGREE = 256
 ABERTH_MAX_SWEEPS = 500
 # Constant c of the Horner rounding bound c * d * eps * sum |c_i| |z|^i.
 HORNER_SLACK = 4
@@ -153,9 +157,13 @@ def find_roots(a: LaurentPoly, degree_k: int) -> list[RootDatum]:
     """All roots of a characteristic polynomial, with exact multiplicities.
 
     Returns one datum per distinct root; the sum of multiplicities equals
-    the degree span.  Constant polynomials give [].
+    the degree span.  Constant polynomials give [].  A span above
+    MAX_DEGREE raises ValueError before any work is done.
     """
     a = canonicalize(a)
+    if a.span > MAX_DEGREE:
+        raise ValueError(f"the degree-{degree_k} characteristic polynomial has degree {a.span}, "
+                         f"above the cap of {MAX_DEGREE}")
     out: list[RootDatum] = []
     for factor, mult in squarefree_decomposition(a):
         rational, rest = _rational_roots(factor)

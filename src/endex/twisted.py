@@ -30,15 +30,16 @@ _CIRCLE_PAD = 1e-9
 # Kernel vectors must hold all but this fraction of their mass away from
 # the outer tenth of the window to count as decaying.
 _BOUNDARY_MASS = 1e-3
-# Relative singular-value cutoff of the shift-kernel oracle; it also sets
-# how wide a window must be (WindowTooSmallError).
+# Relative singular-value cutoff of the shift-kernel oracle.  A kernel
+# vector decays like e^(-gap k), gap being the distance from ln|lambda| to
+# the nearer weight, so the window needs ceil(ln(1/KERNEL_RTOL) / gap) + 1.
 KERNEL_RTOL = 1e-6
-# Upper bounds on the two size parameters of the oracles: the circle
-# samples of the numeric Fredholm verdict (one float evaluation of the
-# complex each) and the half-width N of the shift-kernel window (a dense
-# (2N+1-m) x (2N+1) SVD).  See the README for the time each one costs.
-MAX_SAMPLES = 1000
+# The window is never narrower than MIN_WINDOW; a weight that needs more
+# than MAX_WINDOW is refused (WindowTooSmallError).  See the README for costs.
+MIN_WINDOW = 200
 MAX_WINDOW = 500
+# Circle points of the numeric Fredholm verdict.
+FREDHOLM_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -106,21 +107,18 @@ def uct_dims(h: HomologyModule, z) -> list:
     return dims
 
 
-def fredholm_check(cc: ChainComplexOverLambda, delta: float, samples: int = 16):
+def fredholm_check(cc: ChainComplexOverLambda, delta: float):
     """Is the weighted complex Fredholm at this weight?
 
     Two verdicts: the symbolic one (no root of any invariant factor has
     modulus e^delta), which is the one reported as ``fredholm``, and a
-    numeric one (the evaluated complex is exact at sample points of the
-    circle of radius e^delta).  The numeric verdict proves nothing in
-    either direction: the samples can miss a rank drop that happens only
-    at the roots, so it can say true on a wall, and float ranks at the
-    1e-9 cutoff can see a drop that is not there, so it can say false off
-    every wall.  Refuses a sample count outside 1..MAX_SAMPLES with
-    ValueError.
+    numeric one (the evaluated complex is exact at FREDHOLM_SAMPLES evenly
+    spaced points of the circle of radius e^delta).  The numeric verdict
+    proves nothing in either direction, at this or any other sample count:
+    the samples can miss a rank drop that happens only at the roots, so it
+    can say true on a wall, and float ranks at the 1e-9 cutoff can see a
+    drop that is not there, so it can say false off every wall.
     """
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"the sample count must be between 1 and {MAX_SAMPLES}, got {samples}")
     analysis = Analysis.of_complex(cc)
     infinite = analysis.homology.infinite_degrees
     if infinite:
@@ -135,8 +133,8 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float, samples: int = 16):
                   else f"root of the degree-{hit} polynomial has modulus e^delta")
     radius = math.exp(delta)
     numeric = True
-    for j in range(samples):
-        z = radius * cmath.exp(2j * math.pi * j / samples)
+    for j in range(FREDHOLM_SAMPLES):
+        z = radius * cmath.exp(2j * math.pi * j / FREDHOLM_SAMPLES)
         fiber = twisted_dims(cc, z)
         if any(d != 0 for d in fiber.dims):
             numeric = False
@@ -147,30 +145,24 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float, samples: int = 16):
         "symbolic_fredholm": symbolic,
         "numeric_fredholm": numeric,
         "agree": symbolic == numeric,
-        "samples": samples,
+        "samples": FREDHOLM_SAMPLES,
         "reason": reason,
     }
 
 
-@dataclass(frozen=True)
-class WeightedWindow:
-    """Truncation window for the weighted shift-kernel oracle."""
-
-    lam: complex
-    m: int
-    delta1: float
-    delta2: float
-    n_window: int
-
-    def __post_init__(self):
-        if self.n_window < 1:
-            raise ValueError("window half-width must be at least 1")
-        if self.n_window > MAX_WINDOW:
-            raise ValueError(f"window half-width must be at most {MAX_WINDOW}")
-        if self.m < 1:
-            raise ValueError("multiplicity must be at least 1")
-        if complex(self.lam) == 0:
-            raise ValueError("lambda must be nonzero")
+def _ln_modulus(lam, m: int, delta1: float, delta2: float) -> float:
+    """ln|lambda| of a Jordan block the two l2 functions accept: lambda
+    nonzero, m at least 1, and the modulus on neither weight circle."""
+    if m < 1:
+        raise ValueError("multiplicity must be at least 1")
+    lam = complex(lam)
+    if lam == 0:
+        raise ValueError("lambda must be nonzero")
+    ln_mod = math.log(abs(lam))
+    for d in (delta1, delta2):
+        if abs(ln_mod - d) <= _CIRCLE_PAD:
+            raise OnWallError(ln_mod, d)
+    return ln_mod
 
 
 def l2_hom_dim_analytic(lam, m: int, delta1: float, delta2: float) -> int:
@@ -181,26 +173,23 @@ def l2_hom_dim_analytic(lam, m: int, delta1: float, delta2: float) -> int:
     delta2 >= delta1 the annulus is empty, so the answer is zero).
     A modulus on either weight circle is rejected.
     """
-    lam = complex(lam)
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
-    ln_mod = math.log(abs(lam))
-    for d in (delta1, delta2):
-        if abs(ln_mod - d) <= _CIRCLE_PAD:
-            raise OnWallError(ln_mod, d)
+    ln_mod = _ln_modulus(lam, m, delta1, delta2)
     if delta2 < delta1 and delta2 < ln_mod < delta1:
         return int(m)
     return 0
 
 
-def l2_kernel_truncated(w: WeightedWindow) -> int:
+def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     """Brute-force kernel count of the truncated weighted shift operator.
 
     Builds the band matrix of (shift - |lambda|)^m on window indices
     -N..N (the shift moves a sequence one step to the right), conjugates by
     the two-sided exponential weight, and counts the kernel directions
-    whose mass decays at the window boundary.  Converges to the analytic
-    dimension as N grows.
+    whose mass decays at the window boundary.  Takes the arguments of
+    l2_hom_dim_analytic and picks the half-width N itself: the one
+    KERNEL_RTOL needs at this gap, and at least MIN_WINDOW.  A weight that
+    needs more than MAX_WINDOW raises WindowTooSmallError before anything
+    is allocated.
 
     The operator for |lambda| gives the same count as the one for lambda,
     so the matrix is real for every lambda.  Write lambda = |lambda| e^(i theta)
@@ -218,20 +207,18 @@ def l2_kernel_truncated(w: WeightedWindow) -> int:
     only the squared moduli of those entries, so it counts the same
     vectors.
     """
-    import numpy as np
-
-    mod = abs(complex(w.lam))
-    n, m = w.n_window, w.m
-    ln_mod = math.log(mod)
-    gap = min(abs(ln_mod - w.delta1), abs(ln_mod - w.delta2))
-    if gap <= _CIRCLE_PAD:
-        raise OnWallError(ln_mod, w.delta1 if abs(ln_mod - w.delta1) < abs(ln_mod - w.delta2) else w.delta2)
-    if math.exp(-n * gap) >= KERNEL_RTOL:
-        needed = math.ceil(math.log(1.0 / KERNEL_RTOL) / gap) + 1
+    ln_mod = _ln_modulus(lam, m, delta1, delta2)
+    gap = min(abs(ln_mod - delta1), abs(ln_mod - delta2))
+    needed = math.ceil(math.log(1.0 / KERNEL_RTOL) / gap) + 1
+    if needed > MAX_WINDOW:
         raise WindowTooSmallError(
             needed,
-            f"window {n} too small for gap {gap:.3g}; need about {needed}",
+            f"weight within {gap:.3g} of ln|lambda| needs a window of about {needed}, above {MAX_WINDOW}",
         )
+    import numpy as np
+
+    mod = abs(complex(lam))
+    n = max(MIN_WINDOW, needed)
     size = 2 * n + 1
     rows = size - m
     # Stencil of (shift - |lam|)^m: coefficient of x_{k-i} is C(m,i)(-|lam|)^(m-i).
@@ -243,7 +230,7 @@ def l2_kernel_truncated(w: WeightedWindow) -> int:
     # holds output index k = -n + m + r, whose entry in column (k - i) + n
     # is stencil[i].
     idx = np.arange(-n, n + 1, dtype=float)
-    delta_of = np.where(idx < 0, w.delta1, np.where(idx > 0, w.delta2, 0.0))
+    delta_of = np.where(idx < 0, delta1, np.where(idx > 0, delta2, 0.0))
     r = np.arange(rows)[:, None]
     cols = r + m - np.arange(m + 1)[None, :]
     band = np.log(np.abs(stencil))[None, :] - (delta_of * idx)[cols]

@@ -43,12 +43,13 @@ for slug, argv in (("analyze", ["analyze"]), ("index", ["index"]), ("duality", [
                    ("plotdata-text", ["plotdata", "--format", "text"])):
     cases[f"two_quadratics-{slug}"] = {"argv": argv + ["--input", "{data}/two_quadratics.json"]}
     cases[f"two_quadratics-chi0-{slug}"] = {"argv": argv + ["--input", "{data}/two_quadratics.json", "--chi", "0"]}
-# The shift-kernel oracle: one point, an on-wall refusal, a bad window, the grid.
+# The shift-kernel oracle: one point, an on-wall refusal, lambda = 0, a weight
+# too close for the widest window, the grid.
 cases["l2-oracle-2"] = {"argv": ["l2-oracle", "--lam", "2"]}
 cases["l2-oracle-1+i-m2"] = {"argv": ["l2-oracle", "--lam", "1+i", "--mult", "2", "--delta1", "0.5", "--delta2", "-1"]}
 cases["l2-oracle-on-wall"] = {"argv": ["l2-oracle", "--lam", "1", "--delta1", "0", "--delta2", "-1"]}
-cases["l2-oracle-window0"] = {"argv": ["l2-oracle", "--lam", "0", "--window", "0"]}
-cases["l2-oracle-grid-window60"] = {"argv": ["l2-oracle", "--window", "60"]}
+cases["l2-oracle-lam0"] = {"argv": ["l2-oracle", "--lam", "0"]}
+cases["l2-oracle-too-close"] = {"argv": ["l2-oracle", "--lam", "2", "--delta1", "0.7", "--delta2", "0.5"]}
 cases["l2-oracle-grid"] = {"argv": ["l2-oracle"]}
 # Fredholm on a wall: the symbolic verdict names the degree.
 for doc in ("circle", "s1s2"):

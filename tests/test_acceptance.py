@@ -19,7 +19,6 @@ from endex import (
     LaurentMatrix,
     OnWallError,
     SimplicialInput,
-    WeightedWindow,
     alexander_polynomials,
     duality_check,
     exceptional_weights,
@@ -175,7 +174,7 @@ def test_criterion_6_l2_lemma_oracle():
         for m in (1, 2):
             for d1, d2 in ((1.0, 0.5), (0.5, 1.0), (1.0, -1.0), (-1.0, -2.0)):
                 analytic = l2_hom_dim_analytic(lamc, m, d1, d2)
-                truncated = l2_kernel_truncated(WeightedWindow(lamc, m, d1, d2, 200))
+                truncated = l2_kernel_truncated(lamc, m, d1, d2)
                 ok = ok and analytic == truncated
                 cases += 1
     elapsed = time.perf_counter() - t0

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -14,7 +15,7 @@ import endex
 from endex.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+PINNED = os.path.join(os.path.dirname(__file__), "golden", "cli")
 # Child interpreters import endex from the tree under test, whether the
 # path came from PYTHONPATH or from pytest's own pythonpath setting.
 CHILD_ENV = dict(
@@ -238,7 +239,7 @@ def test_twisted_command_float_point(capsys):
 
 def test_fredholm_command(capsys):
     code, out, _ = run_cli(
-        ["fredholm", "--input", path("s1s2.json"), "--delta", str(math.log(2)), "--samples", "8"],
+        ["fredholm", "--input", path("s1s2.json"), "--delta", str(math.log(2))],
         capsys,
     )
     assert code == 0
@@ -246,29 +247,30 @@ def test_fredholm_command(capsys):
     assert report["fredholm"] is True and report["agree"]
 
 
-def test_fredholm_needs_a_sample(capsys):
-    # With no samples the numeric verdict would rest on no evaluation at all.
-    for samples in ("0", "-3"):
-        code, out, err = run_cli(
-            ["fredholm", "--input", path("s1s2.json"), "--delta", "0", "--samples", samples], capsys)
-        assert code == 1 and out == "" and err.startswith("endex: error:")
+@pytest.mark.parametrize("argv", [
+    ["fredholm", "--input", path("s1s2.json"), "--delta", "0.5", "--samples", "8"],
+    ["l2-oracle", "--window", "200"],
+], ids=["samples", "window"])
+def test_removed_size_flags_are_unknown(argv, capsys):
+    # The oracles size themselves: 16 circle samples, and the window the
+    # kernel tolerance needs.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_oracle_sizes_are_bounded(capsys, monkeypatch):
-    # One past each bound is refused before any evaluation or allocation.
-    import endex.cli
-    import endex.twisted
+    # A weight whose window would pass MAX_WINDOW is refused before the SVD.
+    import numpy as np
 
-    def unreachable(*args):
+    def unreachable(*args, **kwargs):
         raise AssertionError("the oracle ran past its size bound")
 
-    monkeypatch.setattr(endex.twisted, "twisted_dims", unreachable)
-    monkeypatch.setattr(endex.cli, "l2_kernel_truncated", unreachable)
-    for argv in (["fredholm", "--input", path("s1s2.json"), "--delta", "0.5",
-                  "--samples", str(endex.twisted.MAX_SAMPLES + 1)],
-                 ["l2-oracle", "--lam", "2", "--window", str(endex.twisted.MAX_WINDOW + 1)]):
-        code, out, err = run_cli(argv, capsys)
-        assert code == 1 and out == "" and err.startswith("endex: error:")
+    monkeypatch.setattr(np.linalg, "svd", unreachable)
+    code, out, err = run_cli(["l2-oracle", "--lam", "2", "--delta1", "0.7", "--delta2", "0.5"], capsys)
+    assert (code, out, err) == (
+        1, "", "endex: error: weight within 0.00685 of ln|lambda| needs a window of about 2018, above 500\n")
 
 
 def test_l2_oracle_single(capsys):
@@ -281,13 +283,14 @@ def test_l2_oracle_single(capsys):
     assert report["analytic"] == 1 and report["truncated"] == 1 and report["agree"]
 
 
-def test_l2_oracle_grid_at_a_wide_window(capsys):
-    # The grid's weight pair (-1, -2) puts |delta| * N at 800 here, past
-    # where a plain e^(-delta k) column weight overflows a float.
-    code, out, err = run_cli(["l2-oracle", "--window", "400"], capsys)
+def test_l2_oracle_at_a_wide_derived_window(capsys):
+    # These weights need a half-width of 458, where |delta| * N passes the
+    # 709 at which a plain e^(-delta k) column weight overflows a float.
+    code, out, err = run_cli(["l2-oracle", "--lam", "0.1313", "--mult", "2",
+                              "--delta1", "-1", "--delta2", "-2"], capsys)
     assert code == 0 and err == ""
-    report = json.loads(out)
-    assert len(report["grid"]) == 32 and report["all_agree"]
+    assert json.loads(out) == {"lambda": "0.1313", "m": 2, "delta1": -1.0, "delta2": -2.0,
+                               "analytic": 0, "truncated": 0, "agree": True}
 
 
 def test_cup_check_command(capsys):
@@ -365,29 +368,70 @@ def _edited(name, edit):
     return doc
 
 
-# Valid JSON of the wrong shape, and integer fields with fractional values
-# that int() would truncate.
+# Valid JSON of the wrong shape, integer fields with fractional values that
+# int() would truncate, and one document (or --z value) for each refusal of
+# a value the schema allows.  A message ending in ": " is the prefix of one
+# that quotes a built-in error.
 MALFORMED = {
-    "simplices-list": ("circle.json", lambda d: d.update(simplices=[[0, 1]])),
-    "manifold-number": ("s1s2.json", lambda d: d.update(manifold=5)),
-    "boundary-list": ("s1s2.json", lambda d: d.update(boundaries=[[1]])),
-    "coeffs-number": ("fox.json", lambda d: d["alexander"][0].update(coeffs=5)),
-    "alexander-number": ("fox.json", lambda d: d.update(alexander=5)),
-    "boundary-without-rows": ("s1s2.json", lambda d: d["boundaries"][0].pop("rows")),
-    "fractional-dim": ("circle.json", lambda d: d.update(manifold={"dim": 1.9})),
-    "fractional-chi": ("circle.json", lambda d: d.update(manifold={"dim": 1, "chi": 0.5})),
-    "fractional-cocycle": ("circle.json", lambda d: d["cocycle"].update({"0,2": 1.7})),
+    "simplices-list": (_edited("circle.json", lambda d: d.update(simplices=[[0, 1]])),
+                       "malformed input document: "),
+    "manifold-number": (_edited("s1s2.json", lambda d: d.update(manifold=5)), "malformed input document: "),
+    "boundary-list": (_edited("s1s2.json", lambda d: d.update(boundaries=[[1]])), "malformed input document: "),
+    "coeffs-number": (_edited("fox.json", lambda d: d["alexander"][0].update(coeffs=5)),
+                      "malformed input document: "),
+    "alexander-number": (_edited("fox.json", lambda d: d.update(alexander=5)), "malformed input document: "),
+    "boundary-without-rows": (_edited("s1s2.json", lambda d: d["boundaries"][0].pop("rows")),
+                              "malformed input document: "),
+    "fractional-dim": (_edited("circle.json", lambda d: d.update(manifold={"dim": 1.9})),
+                       "malformed input document: not an integer: 1.9"),
+    "fractional-chi": (_edited("circle.json", lambda d: d.update(manifold={"dim": 1, "chi": 0.5})),
+                       "malformed input document: not an integer: 0.5"),
+    "fractional-cocycle": (_edited("circle.json", lambda d: d["cocycle"].update({"0,2": 1.7})),
+                           "malformed input document: not an integer: 1.7"),
+    "not-an-object": ([], "input document must be a JSON object"),
+    "no-schema": ({"manifold": {"dim": 1}},
+                  "unrecognized input: expected 'alexander', 'vertices'/'simplices', or 'ranks'/'boundaries'"),
+    "negative-rank": (_edited("s1s2.json", lambda d: d.update(ranks=[1, 1, 1, -1])), "negative rank"),
+    "ranks-without-boundaries": (_edited("s1s2.json", lambda d: d.pop("boundaries")),
+                                 "complex object needs 'ranks' and 'boundaries'"),
+    "wrong-top-degree": (_edited("s1s2.json", lambda d: d.update(n=2)), "declared top degree 2 but ranks give 3"),
+    "matrix-shape": (_edited("s1s2.json", lambda d: d["boundaries"][0].update(rows=2)),
+                     "malformed input document: entry grid does not match declared shape"),
+    "negative-vertices": (_edited("circle.json", lambda d: d.update(vertices=-1)), "negative vertex count"),
+    "simplex-dimension-0": (_edited("circle.json", lambda d: d["simplices"].update({"0": [[0]]})),
+                            "explicit simplices start at dimension 1"),
+    "simplex-too-long": (_edited("circle.json", lambda d: d["simplices"]["1"].append([0, 1, 2])),
+                         "(0, 1, 2) is not a 1-simplex"),
+    "vertex-out-of-range": (_edited("circle.json", lambda d: d["simplices"]["1"].append([0, 3])),
+                            "simplex (0, 3) has a vertex out of range"),
+    "simplex-decreasing": (_edited("circle.json", lambda d: d["simplices"]["1"].append([2, 1])),
+                           "simplex (2, 1) is not strictly increasing"),
+    "simplex-duplicate": (_edited("circle.json", lambda d: d["simplices"]["1"].append([0, 1])),
+                          "duplicate simplex (0, 1)"),
+    "cocycle-edge-order": (_edited("circle.json", lambda d: d["cocycle"].update({"2,0": 1})),
+                           "cocycle edge (2,0) must have u < v"),
+    "alexander-count": (_edited("fox.json", lambda d: d.update(manifold={"dim": 1})),
+                        "malformed input document: need polynomials for degrees 0..1 (or 0..0), got 4"),
+    "poly-string": (_edited("fox.json", lambda d: d["alexander"].append("t - 1")),
+                    "malformed input document: not a Laurent polynomial object: 't - 1'"),
+    "float-coefficient": (_edited("fox.json", lambda d: d["alexander"][0].update(coeffs=[0.5, 1])),
+                          "malformed input document: not an exact rational: 0.5"),
+    "unparsable-point": (_edited("s1s2.json", lambda d: None), "cannot parse evaluation point '1/2+x'",
+                         "twisted", "--z", "1/2+x"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_document_is_refused(case, capsys, tmp_path):
-    name, edit = MALFORMED[case]
-    doc = tmp_path / name
-    doc.write_text(json.dumps(_edited(name, edit)))
-    code, out, err = run_cli(["analyze", "--input", str(doc)], capsys)
-    assert (code, out) == (1, "")
-    assert err.startswith("endex: error: malformed input document: ") and "Traceback" not in err
+    doc, message, *command = MALFORMED[case]
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli([*(command[:1] or ["analyze"]), "--input", str(p), *command[1:]], capsys)
+    assert (code, out) == (1, "") and "Traceback" not in err
+    if message.endswith(": "):
+        assert err.startswith(f"endex: error: {message}")
+    else:
+        assert err == f"endex: error: {message}\n"
 
 
 @pytest.mark.parametrize("z", ["0", "0.0", "0+0i"])
@@ -435,7 +479,7 @@ def test_roundtrip_reingest_complex(capsys, tmp_path):
 
 
 def test_golden_byte_stability(tmp_path):
-    for name, golden in (("fox.json", "fox_analyze.json"), ("s1s2.json", "s1s2_analyze.json")):
+    for name, golden in (("fox.json", "fox-analyze.out"), ("s1s2.json", "s1s2-analyze.out")):
         outs = []
         for run in range(2):
             out_path = tmp_path / f"{golden}.{run}"
@@ -448,7 +492,7 @@ def test_golden_byte_stability(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outs.append(out_path.read_bytes())
         assert outs[0] == outs[1]
-        with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        with open(os.path.join(PINNED, golden), "rb") as fh:
             assert outs[0] == fh.read()
 
 
@@ -461,7 +505,7 @@ def test_golden_plotdata_text(tmp_path):
         env=CHILD_ENV,
     )
     assert proc.returncode == 0
-    with open(os.path.join(GOLDEN, "fox_plotdata.txt"), "rb") as fh:
+    with open(os.path.join(PINNED, "fox-plotdata-text.out"), "rb") as fh:
         assert out_path.read_bytes() == fh.read()
 
 
@@ -478,6 +522,37 @@ def test_report_is_plain_json():
 def test_every_export_resolves():
     missing = [name for name in endex.__all__ if not hasattr(endex, name)]
     assert missing == []
+
+
+def test_public_values_are_immutable():
+    # One instance of every exported value type (and of ParsedInput): no
+    # attribute can be rebound, and no attribute holds a mutable container.
+    from fractions import Fraction
+
+    from endex.inputs import ParsedInput, load_input
+    from endex.pipeline import Analysis
+
+    fox, s1s2 = Analysis(load_input(path("fox.json"))), Analysis(load_input(path("s1s2.json")))
+    simplicial = load_input(path("circle.json")).simplicial
+    cc = s1s2.parsed.complex
+    values = [endex.poly("t - 1"), cc.boundary(1), endex.GaussianRational(1, 2),
+              endex.smith_normal_form(cc.boundary(1)), cc, simplicial, s1s2.homology, fox.alexander,
+              fox.walls[0].contributions[0], fox.walls[0], fox.index,
+              endex.twisted_dims(cc, Fraction(2)), s1s2.parsed]
+    exported = {getattr(endex, name) for name in endex.__all__}
+    exported = {t for t in exported if isinstance(t, type) and not issubclass(t, Exception)}
+    assert exported | {ParsedInput} == {type(v) for v in values}
+    for value in values:
+        names = ([f.name for f in dataclasses.fields(value)] if dataclasses.is_dataclass(value)
+                 else type(value).__slots__)
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            assert not isinstance(getattr(value, name), (list, dict, set)), (type(value), name)
+    with pytest.raises(TypeError):
+        simplicial.simplices[1] = ()
+    with pytest.raises(TypeError):
+        simplicial.cocycle[(0, 1)] = 5
 
 
 def _perfbench_spans():

@@ -1,5 +1,6 @@
-"""The README's library example runs against the current API, and each
-line marked ``# -> value`` evaluates to that value."""
+"""The README's library example runs against the current API, each line
+marked ``# -> value`` evaluates to that value, and its command block names
+only subcommands and options the parser has."""
 
 import os
 import re
@@ -22,3 +23,20 @@ def test_readme_library_example():
             lines.append(line)
     assert checked >= 2
     exec(compile("\n".join(lines), README, "exec"), {})
+
+
+def test_readme_command_block_matches_the_parser():
+    import argparse
+
+    from endex.cli import build_parser
+
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = [line.split("#")[0].split()[1:] for line in block.splitlines() if line.startswith("endex ")]
+    assert sorted(c[0] for c in commands) == sorted(subparsers.choices)
+    for command, *rest in commands:
+        options = {s for a in subparsers.choices[command]._actions for s in a.option_strings}
+        flags = set(re.findall(r"--[a-z][a-z0-9-]*", " ".join(rest)))
+        assert flags <= options, (command, flags - options)

@@ -208,3 +208,24 @@ def test_aberth_stops_on_high_degree_circle(tmp_path, monkeypatch, capsys):
     assert [(w["delta"], w["jump"], len(w["contributions"])) for w in walls] == [(0.0, -200, 200)]
     sweeps = calls[0] // (2 * 198)
     assert sweeps < 100
+
+
+def test_degree_above_the_cap_is_refused(tmp_path, monkeypatch, capsys):
+    # The circle with cocycle MAX_DEGREE + 1 on one edge: its homology and
+    # polynomials are cheap, its roots are refused before any work.
+    def unreachable(p):
+        raise AssertionError("square-free decomposition ran past the degree cap")
+
+    monkeypatch.setattr(spectral, "squarefree_decomposition", unreachable)
+    w = spectral.MAX_DEGREE + 1
+    with pytest.raises(ValueError, match=f"has degree {w}, above the cap of {spectral.MAX_DEGREE}"):
+        find_roots(LaurentPoly.t_power(w) - LaurentPoly.one(), 0)
+    doc = tmp_path / "circle.json"
+    doc.write_text('{"vertices": 3, "simplices": {"1": [[0, 1], [1, 2], [0, 2]]},'
+                   f' "cocycle": {{"0,1": 0, "1,2": 0, "0,2": {w}}}}}')
+    assert main(["alexander", "--input", str(doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["alexander"]["polys"][0]["lowest"] == 0
+    assert main(["analyze", "--input", str(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"endex: error: the degree-0 characteristic polynomial has degree {w}, "
+                              f"above the cap of {spectral.MAX_DEGREE}\n")

@@ -13,7 +13,6 @@ from endex import (
     NotFiniteError,
     OnWallError,
     SimplicialInput,
-    WeightedWindow,
     WindowTooSmallError,
     cup_product_check,
     fredholm_check,
@@ -27,7 +26,7 @@ from endex import (
 from endex import UnsupportedInputError
 from endex.inputs import load_input
 from endex.laurent import poly
-from endex.twisted import KERNEL_RTOL, MAX_WINDOW
+from endex.twisted import KERNEL_RTOL, MAX_WINDOW, MIN_WINDOW
 
 from conftest import (mat, off_wall_delta, planted_complex, planted_roots, random_torus_subcomplex,
                       reference_cup_product_check)
@@ -133,20 +132,20 @@ def test_alternating_sum_constant_in_z(s1s2_complex):
 
 
 def test_fredholm_circle_on_and_off_wall(circle_complex):
-    on = fredholm_check(circle_complex, 0.0, samples=12)
+    on = fredholm_check(circle_complex, 0.0)
     assert on["fredholm"] is False and on["agree"]
-    off = fredholm_check(circle_complex, 0.5, samples=12)
+    off = fredholm_check(circle_complex, 0.5)
     assert off["fredholm"] is True and off["agree"]
 
 
 def test_fredholm_s1s2_at_log2(s1s2_complex):
-    rep = fredholm_check(s1s2_complex, math.log(2), samples=16)
+    rep = fredholm_check(s1s2_complex, math.log(2))
     assert rep["fredholm"] is True and rep["agree"]
 
 
 def test_fredholm_never_for_free_homology():
     cc = ChainComplexOverLambda([1, 1], [mat([["0"]])])
-    rep = fredholm_check(cc, 1.2345, samples=8)
+    rep = fredholm_check(cc, 1.2345)
     assert rep["fredholm"] is False and rep["numeric_fredholm"] is False and rep["agree"]
 
 
@@ -162,7 +161,7 @@ def test_fredholm_random_weights_agree():
         ws = exceptional_weights(roots, h.n + 1)
         for _ in range(4):
             d = off_wall_delta(rng, ws, lo=-1.5, hi=1.5, margin=0.05)
-            rep = fredholm_check(cc, d, samples=8)
+            rep = fredholm_check(cc, d)
             assert rep["agree"], rep
             assert rep["fredholm"] is True
 
@@ -179,29 +178,21 @@ def test_l2_analytic_lemma_values():
 
 
 def test_l2_truncated_examples():
-    assert l2_kernel_truncated(WeightedWindow(2, 1, 1.0, 0.5, 200)) == 1
-    assert l2_kernel_truncated(WeightedWindow(2, 1, 0.5, 1.0, 200)) == 0
-    assert l2_kernel_truncated(WeightedWindow(1, 1, 0.5, -0.5, 200)) == 1
+    assert l2_kernel_truncated(2, 1, 1.0, 0.5) == 1
+    assert l2_kernel_truncated(2, 1, 0.5, 1.0) == 0
+    assert l2_kernel_truncated(1, 1, 0.5, -0.5) == 1
 
 
 def test_l2_truncated_jordan_block():
-    assert l2_kernel_truncated(WeightedWindow(2, 2, 1.0, 0.5, 200)) == 2
-    assert l2_kernel_truncated(WeightedWindow(1 + 1j, 2, 1.0, 0.0, 200)) == 2
+    assert l2_kernel_truncated(2, 2, 1.0, 0.5) == 2
+    assert l2_kernel_truncated(1 + 1j, 2, 1.0, 0.0) == 2
 
 
-def _l2_kernel_complex_reference(w):
-    """The shift-kernel count on the complex operator (shift - lambda)^m:
-    an independent reference for the phase argument in the docstring of
-    `l2_kernel_truncated`, which runs on the real operator for |lambda|."""
-    lam = complex(w.lam)
-    n, m = w.n_window, w.m
-    ln_mod = math.log(abs(lam))
-    gap = min(abs(ln_mod - w.delta1), abs(ln_mod - w.delta2))
-    if gap <= 1e-9:
-        raise OnWallError(ln_mod, w.delta1 if abs(ln_mod - w.delta1) < abs(ln_mod - w.delta2) else w.delta2)
-    if math.exp(-n * gap) >= KERNEL_RTOL:
-        needed = math.ceil(math.log(1.0 / KERNEL_RTOL) / gap) + 1
-        raise WindowTooSmallError(needed, f"window {n} too small")
+def _l2_kernel_complex_reference(lam, m, d1, d2, n):
+    """The shift-kernel count on the complex operator (shift - lambda)^m at
+    half-width n: an independent reference for the phase argument in the
+    docstring of `l2_kernel_truncated`, which runs on the real operator for
+    |lambda|."""
     size = 2 * n + 1
     stencil = [math.comb(m, i) * (-lam) ** (m - i) for i in range(m + 1)]
     a = np.zeros((size - m, size), dtype=complex)
@@ -210,7 +201,7 @@ def _l2_kernel_complex_reference(w):
         for i in range(m + 1):
             a[r, (k - i) + n] = stencil[i]
     idx = np.arange(-n, n + 1, dtype=float)
-    delta_of = np.where(idx < 0, w.delta1, np.where(idx > 0, w.delta2, 0.0))
+    delta_of = np.where(idx < 0, d1, np.where(idx > 0, d2, 0.0))
     a *= np.exp(-delta_of * idx)[None, :]
     a /= np.max(np.abs(a), axis=1)[:, None]
     _, s, vh = np.linalg.svd(a, full_matrices=True)
@@ -225,74 +216,102 @@ def _l2_kernel_complex_reference(w):
     return count
 
 
-def _outcome(fn, w):
-    try:
-        return fn(w)
-    except WindowTooSmallError as exc:
-        return ("WindowTooSmallError", exc.required_n)
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shape and dtype of every matrix the shift-kernel oracle decomposes."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append((a.shape, a.dtype))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+def _needed(lam, d1, d2):
+    ln_mod = math.log(abs(complex(lam)))
+    return math.ceil(math.log(1 / KERNEL_RTOL) / min(abs(ln_mod - d1), abs(ln_mod - d2))) + 1
 
 
 def test_l2_truncated_phase_invariant():
     phases = (math.pi / 7, math.pi / 2, 2.0, math.pi, 4.0, 5.5)
-    for mod, m, d1, d2, n in ((2.0, 2, 1.0, 0.5, 100), (0.5, 1, 1.0, -1.0, 80),
-                              (1.5, 3, -0.5, -1.0, 120), (2.0, 1, 0.5, 1.0, 100)):
-        at_mod = l2_kernel_truncated(WeightedWindow(mod, m, d1, d2, n))
+    for mod, m, d1, d2 in ((2.0, 2, 1.0, 0.5), (0.5, 1, 1.0, -1.0),
+                           (1.5, 3, -0.5, -1.0), (2.0, 1, 0.5, 1.0)):
+        at_mod = l2_kernel_truncated(mod, m, d1, d2)
         assert at_mod == l2_hom_dim_analytic(mod, m, d1, d2)
         for theta in phases:
             lam = mod * complex(math.cos(theta), math.sin(theta))
-            assert l2_kernel_truncated(WeightedWindow(lam, m, d1, d2, n)) == at_mod
+            assert l2_kernel_truncated(lam, m, d1, d2) == at_mod
 
 
-def test_l2_truncated_matches_complex_operator():
+def test_l2_truncated_matches_complex_operator(svd_shapes):
+    # Each draw is compared with the complex reference at the half-width the
+    # oracle picked, read off the matrix it decomposed.
     rng = random.Random(4)
-    outcomes = set()
+    outcomes, windows = set(), []
     for _ in range(20):
         mod = math.exp(rng.uniform(math.log(1 / 3), math.log(3)))
         theta = rng.uniform(0, 2 * math.pi)
         d1, d2 = sorted((rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
                         reverse=rng.random() < 0.75)
-        w = WeightedWindow(mod * complex(math.cos(theta), math.sin(theta)), rng.randint(1, 3),
-                           d1, d2, rng.choice((60, 90, 120)))
-        got = _outcome(l2_kernel_truncated, w)
-        assert got == _outcome(_l2_kernel_complex_reference, w), w
-        outcomes.add(got if isinstance(got, int) else got[0])
-    assert outcomes == {0, 1, 2, 3, "WindowTooSmallError"}
+        lam, m = mod * complex(math.cos(theta), math.sin(theta)), rng.randint(1, 3)
+        rng.choice((60, 90, 120))  # unused; keeps the twenty seeded cases
+        got = l2_kernel_truncated(lam, m, d1, d2)
+        (rows, cols), _ = svd_shapes[-1]
+        n = (cols - 1) // 2
+        assert rows == cols - m and n == max(MIN_WINDOW, _needed(lam, d1, d2))
+        assert got == _l2_kernel_complex_reference(lam, m, d1, d2, n), (lam, m, d1, d2)
+        outcomes.add(got)
+        windows.append(n)
+    assert outcomes == {0, 1, 2, 3} and max(windows) > MIN_WINDOW
 
 
-def test_l2_truncated_runs_real_svd(monkeypatch):
-    seen = []
-    svd = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        seen.append(a.dtype)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    assert l2_kernel_truncated(WeightedWindow(1 + 1j, 1, 1.0, 0.0, 60)) == 1
-    assert seen == [np.float64]
+def test_l2_truncated_runs_real_svd(svd_shapes):
+    assert l2_kernel_truncated(1 + 1j, 1, 1.0, 0.0) == 1
+    assert svd_shapes == [((2 * MIN_WINDOW, 2 * MIN_WINDOW + 1), np.float64)]
 
 
-def test_l2_window_too_small():
+def test_l2_window_is_derived_from_the_gap(svd_shapes):
+    # Every point of the standard grid needs at most 92, so it runs at
+    # MIN_WINDOW.  With weights (-1, -2), lambda = 0.1313 needs 458 and
+    # e^(-1.97) needs 462, where a plain e^(-delta k) column weight
+    # (|delta| N > 900) overflows a float.
+    inside = math.exp(-1.97)
+    assert l2_kernel_truncated(2, 1, 1.0, 0.5) == l2_hom_dim_analytic(2, 1, 1.0, 0.5) == 1
+    assert l2_kernel_truncated(0.1313, 2, -1.0, -2.0) == l2_hom_dim_analytic(0.1313, 2, -1.0, -2.0) == 0
+    assert l2_kernel_truncated(inside, 2, -1.0, -2.0) == l2_hom_dim_analytic(inside, 2, -1.0, -2.0) == 2
+    assert [cols for (_, cols), _ in svd_shapes] == [2 * MIN_WINDOW + 1, 2 * 458 + 1, 2 * 462 + 1]
+
+
+def test_l2_window_too_small(svd_shapes):
+    # ln 2 is within 1e-3 of the first weight: the window would need ~13800.
     with pytest.raises(WindowTooSmallError) as exc:
-        l2_kernel_truncated(WeightedWindow(2, 1, math.log(2) + 1e-3, 0.0, 100))
-    assert exc.value.required_n > 100
+        l2_kernel_truncated(2, 1, math.log(2) + 1e-3, 0.0)
+    assert exc.value.required_n == _needed(2, math.log(2) + 1e-3, 0.0) > MAX_WINDOW
+    # The widest window still answers.
+    lam = math.exp(-1 - math.log(1 / KERNEL_RTOL) / (MAX_WINDOW - 1.5))
+    assert _needed(lam, -1.0, -2.0) == MAX_WINDOW
+    assert l2_kernel_truncated(lam, 1, -1.0, -2.0) == l2_hom_dim_analytic(lam, 1, -1.0, -2.0) == 1
+    assert [cols for (_, cols), _ in svd_shapes] == [2 * MAX_WINDOW + 1]
 
 
 def test_l2_weight_circle_rejected():
     with pytest.raises(OnWallError):
-        l2_kernel_truncated(WeightedWindow(1.0, 1, 0.0, -1.0, 50))
+        l2_kernel_truncated(1.0, 1, 0.0, -1.0)
 
 
-def test_window_validation():
-    with pytest.raises(ValueError):
-        WeightedWindow(2, 0, 1.0, 0.5, 100)
-    with pytest.raises(ValueError):
-        WeightedWindow(2, 1, 1.0, 0.5, 0)
-    with pytest.raises(ValueError):
-        WeightedWindow(2, 1, 1.0, 0.5, MAX_WINDOW + 1)
-    assert WeightedWindow(2, 1, 1.0, 0.5, MAX_WINDOW).n_window == MAX_WINDOW
-    with pytest.raises(ValueError):
-        WeightedWindow(0, 1, 1.0, 0.5, 100)
+def test_window_validation(svd_shapes):
+    # Both l2 functions refuse the same points, the oracle before any SVD.
+    for fn in (l2_hom_dim_analytic, l2_kernel_truncated):
+        with pytest.raises(ValueError, match="multiplicity"):
+            fn(2, 0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="lambda must be nonzero"):
+            fn(0, 1, 1.0, 0.5)
+        with pytest.raises(OnWallError):
+            fn(math.e, 1, 1.0, 0.5)
+    assert svd_shapes == []
 
 
 def winding_triangle():
