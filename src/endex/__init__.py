@@ -21,6 +21,7 @@ from .errors import (
     CertificationError,
     ComplexValidationError,
     EndexError,
+    FloatRangeError,
     NotFiniteError,
     OnWallError,
     UnsupportedInputError,
@@ -61,6 +62,7 @@ __all__ = [
     "ChainComplexOverLambda",
     "ComplexValidationError",
     "EndexError",
+    "FloatRangeError",
     "GaussianRational",
     "HomologyModule",
     "IndexFunction",

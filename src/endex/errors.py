@@ -45,6 +45,13 @@ class WindowTooSmallError(EndexError):
         super().__init__(message)
 
 
+class FloatRangeError(EndexError, ValueError):
+    """A float the numeric routes cannot use: a weight that is not finite
+    or whose e^delta is not a positive finite float, an evaluation point
+    that is not finite, or an evaluated matrix with an entry that is not.
+    Stays a ValueError, like the other refused argument values."""
+
+
 class UnsupportedInputError(EndexError):
     """The operation needs an input form this datum does not provide."""
 

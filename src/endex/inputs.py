@@ -12,6 +12,7 @@ line flags override it.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .complexes import (
     from_boundary_matrices,
     lift_simplicial,
 )
-from .errors import ComplexValidationError
+from .errors import ComplexValidationError, FloatRangeError
 from .homology import AlexanderData
 from .laurent import LaurentPoly
 from .rationals import GaussianRational, parse_int, parse_rational
@@ -98,7 +99,8 @@ def load_input(path: str, dim_override: int | None = None, chi_override: int | N
 def parse_point(text: str):
     """An evaluation point: exact rational, exact a+bi, or complex float.
 
-    Examples: "1/2", "-3", "1/2+1/3i", "2-i", "0.7", "0.5+0.25j".
+    Examples: "1/2", "-3", "1/2+1/3i", "2-i", "0.7", "0.5+0.25j".  A float
+    point that is not finite ("nan", "(1e400+0.5j)") raises FloatRangeError.
     """
     s = text.strip().replace(" ", "")
     try:
@@ -119,6 +121,9 @@ def parse_point(text: str):
         except (ValueError, ZeroDivisionError):
             pass
     try:
-        return complex(s.replace("i", "j"))
+        z = complex(s.replace("i", "j"))
     except ValueError:
         raise ComplexValidationError(f"cannot parse evaluation point {text!r}")
+    if not cmath.isfinite(z):
+        raise FloatRangeError(f"evaluation point {text!r} is not a finite complex number")
+    return z

@@ -59,7 +59,9 @@ class LaurentPoly:
     __slots__ = ("low", "coeffs")
 
     def __init__(self, low: int = 0, coeffs=()):
-        coeffs = [_norm_coeff(c) for c in coeffs]
+        # A Fraction is already in lowest terms, so one is kept as given;
+        # the exact-type test lets subclasses through _norm_coeff.
+        coeffs = [c if type(c) is Fraction else _norm_coeff(c) for c in coeffs]
         start, end = 0, len(coeffs)
         while start < end and coeffs[start] == 0:
             start += 1

@@ -10,15 +10,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import FloatRangeError
+
 # Relative singular-value cutoff for every numeric rank decision.
 NUMERIC_RANK_RTOL = 1e-9
 
 
-def numeric_rank(a) -> int:
-    """Numeric rank by SVD of a matrix of floats (nested lists or array)."""
+def numeric_rank(a, z) -> int:
+    """Numeric rank by SVD of a matrix of floats (nested lists or array),
+    the value of some matrix at the point z.  An entry that is not finite
+    raises FloatRangeError naming z."""
     import numpy as np
 
     a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise FloatRangeError(f"the matrix evaluated at z = {z} has an entry that is not a finite float")
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)

@@ -138,7 +138,7 @@ class LaurentMatrix:
             return exact_rank(val, 2 * self.cols) // 2
         if isinstance(z, _RationalABC):
             return exact_rank(val, self.cols)
-        return numeric_rank(val)
+        return numeric_rank(val, z)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from numbers import Rational as _RationalABC
 
 from .complexes import ChainComplexOverLambda
-from .errors import NotFiniteError, OnWallError, WindowTooSmallError
+from .errors import FloatRangeError, NotFiniteError, OnWallError, WindowTooSmallError
 from .homology import HomologyModule
 from .pipeline import Analysis
 from .rationals import GaussianRational
@@ -38,6 +38,11 @@ KERNEL_RTOL = 1e-6
 # than MAX_WINDOW is refused (WindowTooSmallError).  See the README for costs.
 MIN_WINDOW = 200
 MAX_WINDOW = 500
+# The largest Jordan block the shift-kernel oracle takes.  Past it the
+# truncated count stops matching the analytic one on the standard grid
+# (first at m = 8: lambda = 1/2, weights (-1, -2)); a larger m is refused
+# before anything is allocated.
+MAX_MULT = 7
 # Circle points of the numeric Fredholm verdict.
 FREDHOLM_SAMPLES = 16
 
@@ -119,6 +124,7 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float):
     can say true on a wall, and float ranks at the 1e-9 cutoff can see a
     drop that is not there, so it can say false off every wall.
     """
+    radius = _weight_radius(delta)
     analysis = Analysis.of_complex(cc)
     infinite = analysis.homology.infinite_degrees
     if infinite:
@@ -131,7 +137,6 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float):
         symbolic = hit is None
         reason = ("no exceptional weight at delta" if symbolic
                   else f"root of the degree-{hit} polynomial has modulus e^delta")
-    radius = math.exp(delta)
     numeric = True
     for j in range(FREDHOLM_SAMPLES):
         z = radius * cmath.exp(2j * math.pi * j / FREDHOLM_SAMPLES)
@@ -150,16 +155,35 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float):
     }
 
 
+def _weight_radius(delta: float) -> float:
+    """e^delta of a weight; FloatRangeError unless it is a positive finite
+    float, which also refuses a weight that is not finite."""
+    try:
+        radius = math.exp(delta)
+    except OverflowError:
+        radius = math.inf
+    if not 0.0 < radius < math.inf:
+        raise FloatRangeError(f"weight {delta}: e^delta is not a positive finite float")
+    return radius
+
+
 def _ln_modulus(lam, m: int, delta1: float, delta2: float) -> float:
     """ln|lambda| of a Jordan block the two l2 functions accept: lambda
-    nonzero, m at least 1, and the modulus on neither weight circle."""
+    nonzero with a finite float modulus, m at least 1, both weights usable
+    (``_weight_radius``), and the modulus on neither weight circle."""
     if m < 1:
         raise ValueError("multiplicity must be at least 1")
-    lam = complex(lam)
-    if lam == 0:
+    try:
+        mod = abs(complex(lam))
+    except OverflowError:
+        mod = math.inf
+    if mod == 0:
         raise ValueError("lambda must be nonzero")
-    ln_mod = math.log(abs(lam))
+    if not math.isfinite(mod):
+        raise FloatRangeError("|lambda| is not a finite float")
+    ln_mod = math.log(mod)
     for d in (delta1, delta2):
+        _weight_radius(d)
         if abs(ln_mod - d) <= _CIRCLE_PAD:
             raise OnWallError(ln_mod, d)
     return ln_mod
@@ -188,8 +212,8 @@ def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     whose mass decays at the window boundary.  Takes the arguments of
     l2_hom_dim_analytic and picks the half-width N itself: the one
     KERNEL_RTOL needs at this gap, and at least MIN_WINDOW.  A weight that
-    needs more than MAX_WINDOW raises WindowTooSmallError before anything
-    is allocated.
+    needs more than MAX_WINDOW raises WindowTooSmallError, and m above
+    MAX_MULT raises ValueError, before anything is allocated.
 
     The operator for |lambda| gives the same count as the one for lambda,
     so the matrix is real for every lambda.  Write lambda = |lambda| e^(i theta)
@@ -208,6 +232,8 @@ def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     vectors.
     """
     ln_mod = _ln_modulus(lam, m, delta1, delta2)
+    if m > MAX_MULT:
+        raise ValueError(f"multiplicity {m} is above the cap of {MAX_MULT}")
     gap = min(abs(ln_mod - delta1), abs(ln_mod - delta2))
     needed = math.ceil(math.log(1.0 / KERNEL_RTOL) / gap) + 1
     if needed > MAX_WINDOW:
@@ -217,26 +243,27 @@ def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
         )
     import numpy as np
 
-    mod = abs(complex(lam))
     n = max(MIN_WINDOW, needed)
     size = 2 * n + 1
     rows = size - m
-    # Stencil of (shift - |lam|)^m: coefficient of x_{k-i} is C(m,i)(-|lam|)^(m-i).
-    stencil = np.array([math.comb(m, i) * (-mod) ** (m - i) for i in range(m + 1)])
+    # Stencil of (shift - |lam|)^m: coefficient of x_{k-i} is C(m,i)(-|lam|)^(m-i),
+    # held as a sign and a log-magnitude, so no power of |lam| overflows.
+    sign = np.array([(-1.0) ** (m - i) for i in range(m + 1)])
+    ln_stencil = np.array([math.log(math.comb(m, i)) + (m - i) * ln_mod for i in range(m + 1)])
     # Column scaling by the inverse weight e^(-delta k) maps weighted-norm
     # kernel vectors to plain-norm ones; row balancing then keeps the
     # singular spectrum readable without touching the kernel.  Both act on
     # log-magnitudes, so no weight overflows however wide the window: row r
     # holds output index k = -n + m + r, whose entry in column (k - i) + n
-    # is stencil[i].
+    # is sign[i] * e^ln_stencil[i].
     idx = np.arange(-n, n + 1, dtype=float)
     delta_of = np.where(idx < 0, delta1, np.where(idx > 0, delta2, 0.0))
     r = np.arange(rows)[:, None]
     cols = r + m - np.arange(m + 1)[None, :]
-    band = np.log(np.abs(stencil))[None, :] - (delta_of * idx)[cols]
+    band = ln_stencil[None, :] - (delta_of * idx)[cols]
     band -= band.max(axis=1, keepdims=True)
     a = np.zeros((rows, size), dtype=np.float64)
-    a[r, cols] = np.sign(stencil) * np.exp(band)
+    a[r, cols] = sign * np.exp(band)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     kernel_rows = [vh[i] for i in range(len(s), size)]
     kernel_rows += [vh[i] for i in range(len(s)) if s[i] < KERNEL_RTOL * s[0]]

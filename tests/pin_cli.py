@@ -54,6 +54,19 @@ cases["l2-oracle-grid"] = {"argv": ["l2-oracle"]}
 # Fredholm on a wall: the symbolic verdict names the degree.
 for doc in ("circle", "s1s2"):
     cases[f"{doc}-fredholm-0"] = {"argv": ["fredholm", "--delta", "0", "--input", "{data}/%s.json" % doc]}
+# Floats the numeric routes cannot use, and a Jordan block above MAX_MULT:
+# each is refused with one error line.
+for slug, delta in (("800", "800"), ("1e308", "1e308"), ("minus800", "-800"),
+                    ("minus-inf", "-inf"), ("nan", "nan")):
+    cases[f"s1s2-fredholm-{slug}"] = {"argv": ["fredholm", f"--delta={delta}", "--input", "{data}/s1s2.json"]}
+cases["sextic-fredholm-150"] = {"argv": ["fredholm", "--delta=150", "--input", "{data}/sextic.json"]}
+cases["s1s2-twisted-nan"] = {"argv": ["twisted", "--z=nan", "--input", "{data}/s1s2.json"]}
+cases["l2-oracle-lam1e400"] = {"argv": ["l2-oracle", "--lam", "1e400"]}
+cases["l2-oracle-lam-nan"] = {"argv": ["l2-oracle", "--lam", "nan"]}
+cases["l2-oracle-delta1-nan"] = {"argv": ["l2-oracle", "--lam", "2", "--delta1=nan"]}
+cases["l2-oracle-delta1-inf"] = {"argv": ["l2-oracle", "--lam", "2", "--delta1=inf"]}
+cases["l2-oracle-m8"] = {"argv": ["l2-oracle", "--lam", "1/2", "--mult", "8", "--delta1", "-1", "--delta2", "-2"]}
+cases["l2-oracle-m1000"] = {"argv": ["l2-oracle", "--lam", "1/2", "--mult", "1000"]}
 # SVG renderings.
 for doc in ("fox", "s1s2"):
     cases[f"{doc}-plotdata-svg"] = {"argv": ["plotdata", "--input", "{data}/%s.json" % doc, "--svg", "{svg}"]}

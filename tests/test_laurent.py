@@ -62,11 +62,37 @@ def test_gcd_with_zero_is_canonical_associate():
         assert laurent_gcd(LaurentPoly.zero(), p) == canonicalize(p)
 
 
+class _Half(Fraction):
+    """A Fraction subclass, which the constructor must not store as given."""
+
+
+def test_constructor_stores_exact_fractions():
+    half = _Half(1, 2)
+    built = [
+        LaurentPoly(0, [1, True, Fraction(2, 4), half, False]),
+        LaurentPoly.constant(half),
+        LaurentPoly.t_power(-3, 7),
+        poly("3/6*t^2 - t + 4"),
+        poly("t - 1/2") * poly("t + 1/3") + poly("1/2"),
+        divmod(poly("t^3 + 1/3"), poly("2*t - 1"))[0],
+        divmod(poly("t^3 + 1/3"), poly("2*t - 1"))[1],
+    ]
+    for p in built:
+        assert p.coeffs and all(type(c) is Fraction for c in p.coeffs), p.coeffs
+    assert built[0].coeffs == (1, 1, Fraction(1, 2), Fraction(1, 2))
+    assert built[1] == poly("1/2")
+    # A stored Fraction is the very object passed in; a subclass instance is not.
+    third = Fraction(1, 3)
+    assert LaurentPoly(0, [third]).coeffs[0] is third
+    assert LaurentPoly(0, [half]).coeffs[0] is not half
+
+
 def test_gaussian_input_rejected():
-    with pytest.raises(TypeError):
-        LaurentPoly(0, [GaussianRational(0, 1), 1])
-    with pytest.raises(TypeError):
-        LaurentPoly(0, [0.5])
+    # Refused wherever it stands, also after a Fraction that is kept as given.
+    for bad in (GaussianRational(0, 1), GaussianRational(1, 0), 0.5, 1.0, 1 + 0j, "1", None):
+        for coeffs in ([bad, 1], [Fraction(1), bad], [bad]):
+            with pytest.raises(TypeError):
+                LaurentPoly(0, coeffs)
 
 
 def test_poly_rejects_what_is_not_text_or_rational():

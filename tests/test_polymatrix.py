@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from endex import GaussianRational, LaurentMatrix, LaurentPoly, SnfResult, smith_normal_form
+from endex import FloatRangeError, GaussianRational, LaurentMatrix, LaurentPoly, SnfResult, smith_normal_form
 from endex.laurent import poly
 from endex.linalg import mat_mul, numeric_rank
 from endex.polymatrix import _certify
@@ -234,9 +235,15 @@ def test_matrix_product_matches_naive_triple_loop():
 
 def test_numeric_rank_tolerance():
     a = np.diag([1.0, 1e-5, 1e-12])
-    assert numeric_rank(a) == 2
-    assert numeric_rank(np.zeros((3, 3))) == 0
-    assert numeric_rank(np.zeros((0, 4))) == 0
+    assert numeric_rank(a, 0.5) == 2
+    assert numeric_rank(np.zeros((3, 3)), 0.5) == 0
+    assert numeric_rank(np.zeros((0, 4)), 0.5) == 0
+
+
+def test_numeric_rank_refuses_non_finite_entries():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(FloatRangeError, match=r"evaluated at z = \(2\+1j\)"):
+            numeric_rank(np.array([[1.0, bad], [0.0, 1.0]]), 2 + 1j)
 
 
 def test_matrix_serialization_roundtrip():

@@ -8,6 +8,7 @@ import pytest
 
 from endex import (
     ChainComplexOverLambda,
+    FloatRangeError,
     GaussianRational,
     HomologyModule,
     NotFiniteError,
@@ -24,9 +25,10 @@ from endex import (
     uct_dims,
 )
 from endex import UnsupportedInputError
-from endex.inputs import load_input
+from endex.cli import _L2_GRID_POINTS, _L2_GRID_WEIGHTS
+from endex.inputs import load_input, parse_point
 from endex.laurent import poly
-from endex.twisted import KERNEL_RTOL, MAX_WINDOW, MIN_WINDOW
+from endex.twisted import KERNEL_RTOL, MAX_MULT, MAX_WINDOW, MIN_WINDOW
 
 from conftest import (mat, off_wall_delta, planted_complex, planted_roots, random_torus_subcomplex,
                       reference_cup_product_check)
@@ -297,6 +299,10 @@ def test_l2_window_too_small(svd_shapes):
     assert [cols for (_, cols), _ in svd_shapes] == [2 * MAX_WINDOW + 1]
 
 
+# Weights whose e^delta is not a positive finite float.
+OUT_OF_RANGE_WEIGHTS = (800.0, 1e308, -800.0, math.inf, -math.inf, math.nan)
+
+
 def test_l2_weight_circle_rejected():
     with pytest.raises(OnWallError):
         l2_kernel_truncated(1.0, 1, 0.0, -1.0)
@@ -311,7 +317,62 @@ def test_window_validation(svd_shapes):
             fn(0, 1, 1.0, 0.5)
         with pytest.raises(OnWallError):
             fn(math.e, 1, 1.0, 0.5)
+        for lam in (Fraction(10**400), complex(1.0, math.inf), math.inf, complex(math.nan, 0.0)):
+            with pytest.raises(FloatRangeError, match="lambda. is not a finite float"):
+                fn(lam, 1, 1.0, 0.5)
+        for delta in OUT_OF_RANGE_WEIGHTS:
+            for d1, d2 in ((delta, 0.5), (1.0, delta)):
+                with pytest.raises(FloatRangeError, match="e\\^delta is not a positive finite float"):
+                    fn(2, 1, d1, d2)
     assert svd_shapes == []
+
+
+def test_l2_grid_agrees_up_to_max_mult(svd_shapes):
+    # All 16 grid pairs agree at MAX_MULT; the first pair to disagree does
+    # so at MAX_MULT + 1, which is refused before any SVD.
+    for lam in _L2_GRID_POINTS:
+        for d1, d2 in _L2_GRID_WEIGHTS:
+            analytic = l2_hom_dim_analytic(lam, MAX_MULT, d1, d2)
+            assert l2_kernel_truncated(lam, MAX_MULT, d1, d2) == analytic, (lam, d1, d2)
+    assert len(svd_shapes) == 16
+    with pytest.raises(ValueError, match=f"multiplicity {MAX_MULT + 1} is above the cap of {MAX_MULT}"):
+        l2_kernel_truncated(Fraction(1, 2), MAX_MULT + 1, -1.0, -2.0)
+    with pytest.raises(ValueError, match="above the cap"):
+        l2_kernel_truncated(Fraction(1, 2), 1000, 1.0, 0.5)
+    assert len(svd_shapes) == 16
+    # The analytic count has no cap.
+    assert l2_hom_dim_analytic(Fraction(1, 2), MAX_MULT + 1, -0.5, -1.0) == MAX_MULT + 1
+
+
+def test_fredholm_refuses_weight_without_finite_radius(s1s2_complex, svd_shapes):
+    for delta in OUT_OF_RANGE_WEIGHTS:
+        with pytest.raises(FloatRangeError, match="e\\^delta is not a positive finite float"):
+            fredholm_check(s1s2_complex, delta)
+    assert svd_shapes == []
+
+
+def test_l2_stencil_takes_a_modulus_whose_powers_overflow():
+    assert l2_kernel_truncated(1e300, 2, 1.0, 0.5) == l2_hom_dim_analytic(1e300, 2, 1.0, 0.5) == 0
+    assert l2_kernel_truncated(1e44, MAX_MULT, 102.0, 100.0) == MAX_MULT
+
+
+def test_float_point_must_be_finite():
+    for text in ("nan", "nan+1j", "(1e400+0.5j)", "(0.5+1e400j)"):
+        with pytest.raises(FloatRangeError, match="not a finite complex number"):
+            parse_point(text)
+    # Exact points have no float range.
+    assert parse_point("1e400") == Fraction(10**400)
+    assert parse_point("1e400j") == GaussianRational(0, 10**400)
+
+
+def test_non_finite_evaluation_refused_naming_the_point():
+    # t^6 - 1 at e^150 overflows a float, though e^150 itself does not.
+    cc = load_input(os.path.join(os.path.dirname(__file__), "data", "sextic.json")).complex
+    with pytest.raises(FloatRangeError, match=r"evaluated at z = \(1\.39\d*e\+65\+0j\)"):
+        fredholm_check(cc, 150.0)
+    with pytest.raises(FloatRangeError, match="not a finite float"):
+        twisted_dims(cc, complex(math.exp(150.0)))
+    assert twisted_dims(cc, complex(math.exp(100.0))).dims == (0, 0)
 
 
 def winding_triangle():
