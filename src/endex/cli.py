@@ -147,16 +147,20 @@ def _cmd_fredholm(args):
     _emit(args, fredholm_check(parsed.complex, args.delta))
 
 
-def _l2_row(label, lam, m, d1, d2):
-    analytic = l2_hom_dim_analytic(lam, m, d1, d2)
-    truncated = l2_kernel_truncated(lam, m, d1, d2)
-    return {"lambda": label, "m": m, "delta1": d1, "delta2": d2,
+def _l2_row(label, lam, mult=1, delta1=1.0, delta2=0.5):
+    analytic = l2_hom_dim_analytic(lam, mult, delta1, delta2)
+    truncated = l2_kernel_truncated(lam, mult, delta1, delta2)
+    return {"lambda": label, "m": mult, "delta1": delta1, "delta2": delta2,
             "analytic": analytic, "truncated": truncated, "agree": analytic == truncated}
 
 
 def _cmd_l2_oracle(args):
+    # The Jordan block flags are set only when given (argparse.SUPPRESS).
+    block = {k: v for k, v in vars(args).items() if k in ("mult", "delta1", "delta2")}
     if args.lam is not None:
-        payload = _l2_row(args.lam, parse_point(args.lam), args.mult, args.delta1, args.delta2)
+        payload = _l2_row(args.lam, parse_point(args.lam), **block)
+    elif block:
+        args.usage_error(f"{', '.join('--' + k for k in block)}: only allowed with --lam")
     else:
         rows = [_l2_row(str(lam), lam, m, d1, d2)
                 for lam in _L2_GRID_POINTS for m in (1, 2) for d1, d2 in _L2_GRID_WEIGHTS]
@@ -168,7 +172,7 @@ def _cmd_cup_check(args):
     parsed = load_input(args.input)
     if parsed.simplicial is None:
         raise UnsupportedInputError("the cup check needs a simplicial input")
-    _emit(args, cup_product_check(parsed.simplicial))
+    _emit(args, cup_product_check(parsed.complex))
 
 
 def _cmd_duality(args):
@@ -232,10 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("l2-oracle", help="weighted shift kernel oracle vs analytic count")
     common(p, needs_input=False)
     p.add_argument("--lam", help="eigenvalue; omit to run the standard grid")
-    p.add_argument("--mult", type=int, default=1)
-    p.add_argument("--delta1", type=float, default=1.0)
-    p.add_argument("--delta2", type=float, default=0.5)
-    p.set_defaults(func=_cmd_l2_oracle)
+    p.add_argument("--mult", type=int, default=argparse.SUPPRESS, help="Jordan block size (with --lam; default 1)")
+    p.add_argument("--delta1", type=float, default=argparse.SUPPRESS, help="weight (with --lam; default 1)")
+    p.add_argument("--delta2", type=float, default=argparse.SUPPRESS, help="weight (with --lam; default 0.5)")
+    p.set_defaults(func=_cmd_l2_oracle, usage_error=p.error)
 
     p = sub.add_parser("cup-check", help="cup multiplication exactness on cohomology")
     common(p)

@@ -1,13 +1,16 @@
 """Field linear algebra shared by the matrix, twisted-fiber and cup modules.
 
-Exact routines operate on list-of-list matrices of Fractions; a rank over
-Q(i) is taken on the realified rational matrix (``LaurentMatrix.rank_at``).
-The numeric rank uses SVD with one fixed relative tolerance, so every
-floating rank decision in the package is calibrated at one point.
+Exact ranks over Q come from one column-sparse eliminator: a matrix is a
+sequence of columns, each a dict from row index to a nonzero Fraction, so
+only the nonzero entries are ever stored or visited.  A rank over Q(i) is
+taken on the realified rational matrix (``LaurentMatrix.rank_at``).  The
+numeric rank uses SVD with one fixed relative tolerance, so every floating
+rank decision in the package is calibrated at one point.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .errors import FloatRangeError
@@ -49,57 +52,63 @@ def mat_mul(a, b, ncols: int, zero):
     return out
 
 
-def exact_rref(rows, ncols: int):
-    """Reduced row echelon form over Q.
+def sparse_columns(entries, ncols: int) -> list:
+    """The columns of an ncols-column matrix from (row, column, value)
+    triples; a zero value is left out."""
+    columns = [{} for _ in range(ncols)]
+    for i, j, v in entries:
+        if v:
+            columns[j][i] = v
+    return columns
 
-    Returns (rref rows, pivot column list).  The input rows are not
-    mutated.
+
+def eliminate(columns) -> dict:
+    """Gaussian elimination over Q on sparse columns, left to right.
+
+    Each column is reduced against the pivots of the columns before it,
+    earliest pivot first; what is left, if anything, pivots at its smallest
+    row.  A reduced column is zero at the pivot rows of the columns before
+    it, so a subtraction only fills rows of later pivots, and each pivot
+    row is cleared at most once.  Returns {pivot row: reduced column} in
+    column order: as many pivots as the rank, and no column is mutated.
     """
-    a = [list(r) for r in rows]
-    nrows = len(a)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        # Only the pivot row's nonzero entries change the other rows.
-        support = [(j, y) for j, y in enumerate(a[r]) if y != 0]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                ai = a[i]
-                for j, y in support:
-                    ai[j] = ai[j] - f * y
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
+    reduced, position, rows = {}, {}, []
+    for col in columns:
+        col = dict(col)
+        pending = [position[r] for r in col if r in position]
+        heapq.heapify(pending)
+        while pending:
+            r = rows[heapq.heappop(pending)]
+            if not col.get(r):
+                continue
+            v = reduced[r]
+            f = col[r] / v[r]
+            for i, x in v.items():
+                y = col.get(i, 0) - f * x
+                if y:
+                    if i not in col and i in position:
+                        heapq.heappush(pending, position[i])
+                    col[i] = y
+                else:
+                    col.pop(i, None)
+        if col:
+            p = min(col)
+            position[p] = len(rows)
+            rows.append(p)
+            reduced[p] = col
+    return reduced
 
 
-def exact_rank(rows, ncols: int) -> int:
-    return len(exact_rref(rows, ncols)[1])
+def exact_rank(columns) -> int:
+    """Rank over Q of the matrix with these sparse columns."""
+    return len(eliminate(columns))
 
 
-def exact_kernel(rows, ncols: int):
-    """Basis of the right kernel, as a list of length-ncols vectors."""
-    rref, pivots = exact_rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][f]
-        basis.append(v)
-    return basis
-
+def exact_kernel(columns):
+    """Basis of the right kernel, as vectors of length len(columns).  Column
+    j gets a 1 on a tag row of its own below the matrix, so a column that
+    pivots on a tag row has cancelled its matrix part, and its tag entries
+    are a kernel vector."""
+    tag = 1 + max((i for c in columns for i in c), default=-1)
+    pivots = eliminate([{**c, tag + j: Fraction(1)} for j, c in enumerate(columns)])
+    return [[v.get(tag + j, Fraction(0)) for j in range(len(columns))] for p, v in pivots.items() if p >= tag]

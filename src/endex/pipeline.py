@@ -123,7 +123,7 @@ def analyze(a: Analysis):
                 "and index are omitted"
             )
     if parsed.simplicial is not None:
-        report["cup_check"] = cup_product_check(parsed.simplicial)
+        report["cup_check"] = cup_product_check(parsed.complex)
     if not a.finite:
         return report
 

@@ -31,7 +31,7 @@ from numbers import Rational as _RationalABC
 
 from .errors import CertificationError
 from .laurent import LaurentPoly, poly
-from .linalg import exact_rank, mat_mul, numeric_rank
+from .linalg import exact_rank, mat_mul, numeric_rank, sparse_columns
 from .rationals import GaussianRational, parse_int
 
 
@@ -121,24 +121,31 @@ class LaurentMatrix:
         """Evaluate entrywise at z in C*, as nested lists: exact values at an
         exact point (Fractions at a rational one, GaussianRationals at a
         Gaussian one), complex floats otherwise."""
-        if z in (0, GaussianRational(0, 0)):
-            raise ZeroDivisionError("evaluation point must be nonzero")
+        _check_point(z)
         return [[e.evaluate(z) for e in self.row(i)] for i in range(self.rows)]
 
     def rank_at(self, z) -> int:
         """Rank of the evaluated matrix: exact for exact z, SVD otherwise.
 
-        At a Gaussian point the value A + iB has rank r over Q(i) exactly
-        when the rational matrix [[A, -B], [B, A]] has rank 2r.
+        At an exact point only the nonzero entries are evaluated, and their
+        values go to the sparse eliminator.  At a Gaussian point A + iB has
+        rank r over Q(i) exactly when [[A, -B], [B, A]] has rank 2r over Q.
         """
-        val = self.evaluate(z)
+        if not isinstance(z, (GaussianRational, _RationalABC)):
+            return numeric_rank(self.evaluate(z), z)
+        _check_point(z)
+        r, c = self.rows, self.cols
+        values = [(*divmod(idx, c), e.evaluate(z)) for idx, e in enumerate(self.entries) if e.coeffs]
         if isinstance(z, GaussianRational):
-            val = ([[v.re for v in row] + [-v.im for v in row] for row in val]
-                   + [[v.im for v in row] + [v.re for v in row] for row in val])
-            return exact_rank(val, 2 * self.cols) // 2
-        if isinstance(z, _RationalABC):
-            return exact_rank(val, self.cols)
-        return numeric_rank(val, z)
+            values = [x for i, j, v in values for x in (
+                (i, j, v.re), (i, j + c, -v.im), (i + r, j, v.im), (i + r, j + c, v.re))]
+            return exact_rank(sparse_columns(values, 2 * c)) // 2
+        return exact_rank(sparse_columns(values, c))
+
+
+def _check_point(z):
+    if z in (0, GaussianRational(0, 0)):
+        raise ZeroDivisionError("evaluation point must be nonzero")
 
 
 @dataclass(frozen=True)

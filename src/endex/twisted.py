@@ -75,13 +75,9 @@ def twisted_dims(cc: ChainComplexOverLambda, z) -> TwistedFiber:
     construction.
     """
     exact = isinstance(z, (GaussianRational, _RationalABC))
-    ranks = [cc.boundary(k).rank_at(z) for k in range(1, cc.n + 2)]
-    dims = []
-    for k in range(cc.n + 1):
-        into = ranks[k - 1] if k >= 1 else 0
-        out = ranks[k] if k <= cc.n else 0
-        dims.append(cc.ranks[k] - into - out)
-    return TwistedFiber(z=z, dims=tuple(dims), exact=exact)
+    ranks = [0] + [cc.boundary(k).rank_at(z) for k in range(1, cc.n + 2)]
+    dims = tuple(cc.ranks[k] - ranks[k] - ranks[k + 1] for k in range(cc.n + 1))
+    return TwistedFiber(z=z, dims=dims, exact=exact)
 
 
 def uct_dims(h: HomologyModule, z) -> list:
@@ -125,6 +121,15 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float):
     drop that is not there, so it can say false off every wall.
     """
     radius = _weight_radius(delta)
+    # The float samples come first, so a complex that overflows at this
+    # radius is refused before any exact work.
+    numeric = True
+    for j in range(FREDHOLM_SAMPLES):
+        z = radius * cmath.exp(2j * math.pi * j / FREDHOLM_SAMPLES)
+        fiber = twisted_dims(cc, z)
+        if any(d != 0 for d in fiber.dims):
+            numeric = False
+            break
     analysis = Analysis.of_complex(cc)
     infinite = analysis.homology.infinite_degrees
     if infinite:
@@ -137,13 +142,6 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float):
         symbolic = hit is None
         reason = ("no exceptional weight at delta" if symbolic
                   else f"root of the degree-{hit} polynomial has modulus e^delta")
-    numeric = True
-    for j in range(FREDHOLM_SAMPLES):
-        z = radius * cmath.exp(2j * math.pi * j / FREDHOLM_SAMPLES)
-        fiber = twisted_dims(cc, z)
-        if any(d != 0 for d in fiber.dims):
-            numeric = False
-            break
     return {
         "delta": delta,
         "fredholm": symbolic,
@@ -169,16 +167,19 @@ def _weight_radius(delta: float) -> float:
 
 def _ln_modulus(lam, m: int, delta1: float, delta2: float) -> float:
     """ln|lambda| of a Jordan block the two l2 functions accept: lambda
-    nonzero with a finite float modulus, m at least 1, both weights usable
-    (``_weight_radius``), and the modulus on neither weight circle."""
+    nonzero with a modulus that is a positive finite float, m at least 1,
+    both weights usable (``_weight_radius``), and the modulus on neither
+    weight circle."""
     if m < 1:
         raise ValueError("multiplicity must be at least 1")
+    if lam in (0, GaussianRational(0, 0)):
+        raise ValueError("lambda must be nonzero")
     try:
         mod = abs(complex(lam))
     except OverflowError:
         mod = math.inf
     if mod == 0:
-        raise ValueError("lambda must be nonzero")
+        raise FloatRangeError("|lambda| is nonzero but underflows to 0 as a float")
     if not math.isfinite(mod):
         raise FloatRangeError("|lambda| is not a finite float")
     ln_mod = math.log(mod)

@@ -2,14 +2,15 @@
 random chain complexes with known (planted) homology, a fraction-field
 rank and an exact determinant that cross-check the Smith normal form, a
 Euclid chain over Q that cross-checks the integer gcd and square-free
-decomposition, grid tori and random torus subcomplexes with a cup check
-that takes every rank from its own elimination, the wall-jump and annulus
-counts that cross-check the index, and Milnor's torsion at rational
-points that cross-checks the characteristic polynomials."""
+decomposition, a dense reduced-row-echelon eliminator that cross-checks
+the sparse one in ``endex.linalg``, grid tori and random torus
+subcomplexes with a front-face cup check that takes every rank from its
+own dense elimination, the wall-jump and annulus counts that cross-check
+the index, and Milnor's torsion at rational points that cross-checks the
+characteristic polynomials."""
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from fractions import Fraction
@@ -18,9 +19,8 @@ from math import gcd
 import pytest
 
 from endex import AlexanderData, ChainComplexOverLambda, LaurentMatrix, LaurentPoly, SimplicialInput
-from endex.cup import _matrices
 from endex.laurent import canonicalize, poly
-from endex.linalg import exact_kernel, exact_rank
+from endex.linalg import eliminate
 from endex.polymatrix import _pivot_key
 
 
@@ -483,24 +483,85 @@ def random_torus_subcomplex(rng: random.Random) -> SimplicialInput:
         lambda: rng.random() < keep)
 
 
+def exact_rref(rows, ncols: int):
+    """Reduced row echelon form over Q of dense rows, by pivoting on the
+    first nonzero entry of each column in turn.  Returns (rref rows, pivot
+    column list); the input rows are not mutated.  The tests' reference
+    for the sparse eliminator in ``endex.linalg``."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        support = [(j, y) for j, y in enumerate(a[r]) if y != 0]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                for j, y in support:
+                    a[i][j] -= f * y
+        pivots.append(c)
+    return a, pivots
+
+
+def dense_rank(rows, ncols: int) -> int:
+    return len(exact_rref(rows, ncols)[1])
+
+
+def dense_kernel(rows, ncols: int):
+    """Basis of the right kernel of dense rows, one vector per free column."""
+    rref, pivots = exact_rref(rows, ncols)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][f]
+        basis.append(v)
+    return basis
+
+
+def front_face_matrices(x: SimplicialInput, k: int):
+    """The degree-k coboundary of X, and the matrix of cupping a k-cochain
+    with the edge cocycle by the front-face/back-edge rule on ordered
+    simplices; both have a row per (k+1)-simplex."""
+    lower = x.simplex_list(k)
+    index = {s: i for i, s in enumerate(lower)}
+    cob, cup = [], []
+    for s in x.simplex_list(k + 1):
+        row = [Fraction(0)] * len(lower)
+        for i in range(k + 2):
+            row[index[s[:i] + s[i + 1 :]]] += Fraction(-1 if i % 2 else 1)
+        cob.append(row)
+        row = [Fraction(0)] * len(lower)
+        row[index[s[:-1]]] = Fraction(x.edge_value(s[-2], s[-1]))
+        cup.append(row)
+    return cob, cup
+
+
 def reference_cup_product_check(x: SimplicialInput):
-    """cup_product_check's numbers with every rank from its own elimination:
-    per degree, the kernel of the coboundary, the rank of the previous
-    coboundary, and the ranks of the coboundary's columns with and without
-    the cup images of the cocycles."""
+    """cup_product_check's numbers from the simplicial datum itself, by the
+    front-face rule and the dense eliminator, with every rank from its own
+    elimination: per degree, the kernel of the coboundary, the rank of the
+    previous coboundary, and the ranks of the coboundary's columns with and
+    without the cup images of the cocycles."""
     top = x.dimension
     counts = [len(x.simplex_list(d)) for d in range(top + 2)]
-    cob, cup = zip(*(_matrices(x, k) for k in range(top + 1)))
+    cob, cup = zip(*(front_face_matrices(x, k) for k in range(top + 1)))
     coh, induced = [], []
     for k in range(top + 1):
-        kernel = exact_kernel(cob[k], counts[k])
-        coh.append(len(kernel) - (exact_rank(cob[k - 1], counts[k - 1]) if k else 0))
+        kernel = dense_kernel(cob[k], counts[k])
+        coh.append(len(kernel) - (dense_rank(cob[k - 1], counts[k - 1]) if k else 0))
         if k == top:
             induced.append(0)
             continue
         images = [[sum((c * v[i] for i, c in enumerate(row)), Fraction(0)) for row in cup[k]] for v in kernel]
         cob_cols = [[cob[k][r][j] for r in range(counts[k + 1])] for j in range(counts[k])]
-        induced.append(exact_rank(images + cob_cols, counts[k + 1]) - exact_rank(cob_cols, counts[k + 1]))
+        induced.append(dense_rank(images + cob_cols, counts[k + 1]) - dense_rank(cob_cols, counts[k + 1]))
     defects = [coh[k] - induced[k] - (induced[k - 1] if k else 0) for k in range(top + 1)]
     return {"exact": all(d == 0 for d in defects), "cohomology_dims": coh,
             "induced_ranks": induced, "defects": defects}
@@ -535,37 +596,16 @@ def _permutation_sign(perm) -> int:
 
 
 def _pivot_rows(cols):
-    """Eliminate the columns left to right over Q, each against the pivots
-    of those before it; returns each column's pivot row and the product of
-    the pivots, or None when the columns are dependent."""
-    reduced, position, rows = {}, {}, []
+    """Eliminate the columns left to right over Q (``linalg.eliminate``);
+    returns each column's pivot row and the product of the pivots, or None
+    when the columns are dependent."""
+    reduced = eliminate(cols)
+    if len(reduced) < len(cols):
+        return None
     product = Fraction(1)
-    for col in cols:
-        col = dict(col)
-        pending = [position[r] for r in col if r in position]
-        heapq.heapify(pending)
-        while pending:
-            r = rows[heapq.heappop(pending)]
-            if not col.get(r):
-                continue
-            v = reduced[r]
-            f = col[r] / v[r]
-            for i, x in v.items():
-                y = col.get(i, 0) - f * x
-                if y:
-                    if i not in col and i in position:
-                        heapq.heappush(pending, position[i])
-                    col[i] = y
-                else:
-                    col.pop(i, None)
-        if not col:
-            return None
-        p = min(col)
-        position[p] = len(rows)
-        rows.append(p)
-        reduced[p] = col
+    for p, col in reduced.items():
         product *= col[p]
-    return rows, product
+    return list(reduced), product
 
 
 def milnor_torsion(cc: ChainComplexOverLambda, points=TORSION_POINTS) -> list:

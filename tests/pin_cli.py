@@ -67,12 +67,16 @@ cases["l2-oracle-delta1-nan"] = {"argv": ["l2-oracle", "--lam", "2", "--delta1=n
 cases["l2-oracle-delta1-inf"] = {"argv": ["l2-oracle", "--lam", "2", "--delta1=inf"]}
 cases["l2-oracle-m8"] = {"argv": ["l2-oracle", "--lam", "1/2", "--mult", "8", "--delta1", "-1", "--delta2", "-2"]}
 cases["l2-oracle-m1000"] = {"argv": ["l2-oracle", "--lam", "1/2", "--mult", "1000"]}
+cases["l2-oracle-lam1e-400"] = {"argv": ["l2-oracle", "--lam", "1e-400"]}
+# A Jordan block flag without --lam is a usage error (exit code 2).
+cases["l2-oracle-block-without-lam"] = {"argv": ["l2-oracle", "--mult", "1000", "--delta1=nan"]}
 # SVG renderings.
 for doc in ("fox", "s1s2"):
     cases[f"{doc}-plotdata-svg"] = {"argv": ["plotdata", "--input", "{data}/%s.json" % doc, "--svg", "{svg}"]}
 cases["fox-analyze-svg"] = {"argv": ["analyze", "--input", "{data}/fox.json", "--svg", "{svg}"]}
 
 data = os.path.join(HERE, "data")
+os.environ["COLUMNS"] = "80"  # argparse wraps a usage line to the terminal width
 os.makedirs(OUT, exist_ok=True)
 with tempfile.TemporaryDirectory() as tmp:
     for name, case in cases.items():
@@ -80,7 +84,10 @@ with tempfile.TemporaryDirectory() as tmp:
         argv = [a.format(data=data, svg=svg) for a in case["argv"]]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as e:  # a usage error
+                code = e.code
         case["exit"] = code
         case["stderr"] = err.getvalue()
         with open(os.path.join(OUT, name + ".out"), "w", encoding="utf-8", newline="") as fh:

@@ -17,9 +17,9 @@ import re
 import pytest
 
 import endex
-import endex.cup
+import endex.polymatrix
 import endex.spectral
-from endex import CertificationError, LaurentMatrix, LaurentPoly, SnfResult, cup_product_check, find_roots
+from endex import CertificationError, LaurentMatrix, LaurentPoly, SnfResult, find_roots
 from endex.cli import main
 from endex.laurent import _exact_quo
 from endex.polymatrix import _certify, smith_normal_form
@@ -56,24 +56,6 @@ def _fire_inverse(monkeypatch):
     _certify(SNF_INPUT, dataclasses.replace(res, right_inv=_with_entry_changed(res.right_inv, 1, 0)))
 
 
-def _break_cup_row(monkeypatch):
-    """Make cup._matrices return one wrong entry in the degree-0 cup matrix."""
-    matrices = endex.cup._matrices
-
-    def tampered(x, k):
-        cob, cup = matrices(x, k)
-        if k == 0:
-            cup[0][0] += 1
-        return cob, cup
-
-    monkeypatch.setattr(endex.cup, "_matrices", tampered)
-
-
-def _fire_cup(monkeypatch):
-    _break_cup_row(monkeypatch)
-    cup_product_check(grid_torus(3))
-
-
 def _fire_roots(monkeypatch):
     decompose = endex.spectral.squarefree_decomposition
     monkeypatch.setattr(endex.spectral, "squarefree_decomposition", lambda p: decompose(p)[:-1])
@@ -89,7 +71,6 @@ FIRING = {
     ("polymatrix", "_certify", "snf", "left * M * right does not reconstruct the diagonal"): _fire_reconstruction,
     ("polymatrix", "_certify", "snf", "diagonal divisibility chain is broken"): _fire_divisibility,
     ("polymatrix", "_certify", "snf", "a transform times its inverse is not the identity"): _fire_inverse,
-    ("cup", "cup_product_check", "cup", "cup map does not commute with the coboundary at degree {}"): _fire_cup,
     ("spectral", "find_roots", "roots", "root multiplicities do not sum to the degree span {}"): _fire_roots,
     ("laurent", "_exact_quo", "squarefree", "inexact integer division"): _fire_squarefree,
 }
@@ -173,10 +154,13 @@ def test_raise_site_finder_sees_through_the_forms_of_raise():
 def test_a_failed_check_is_reported_on_the_command_line(capsys, monkeypatch, tmp_path):
     doc = tmp_path / "torus.json"
     doc.write_text(json.dumps(simplicial_json(grid_torus(3))))
-    assert main(["cup-check", "--input", str(doc)]) == 0
+    assert main(["alexander", "--input", str(doc)]) == 0
     capsys.readouterr()
-    _break_cup_row(monkeypatch)
-    code = main(["cup-check", "--input", str(doc)])
+    # An addition now "undoes" itself by acting again on the inverse
+    # transform, which only the SNF certificate's inverse check can see.
+    inverse = endex.polymatrix._inverse
+    monkeypatch.setattr(endex.polymatrix, "_inverse", lambda op: op if op[0] == "add" else inverse(op))
+    code = main(["alexander", "--input", str(doc)])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
-    assert err == "endex: error: internal check failed in cup: cup map does not commute with the coboundary at degree 0\n"
+    assert err == "endex: error: internal check failed in snf: a transform times its inverse is not the identity\n"

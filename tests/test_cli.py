@@ -283,6 +283,22 @@ def test_l2_oracle_single(capsys):
     assert report["analytic"] == 1 and report["truncated"] == 1 and report["agree"]
 
 
+def test_l2_oracle_block_flags_need_lam(capsys):
+    # Without --lam the grid runs its own blocks, so a block flag is a
+    # usage error rather than ignored; with --lam, a left-out flag takes
+    # its default (m = 1, weights 1 and 0.5).
+    for argv, given in ((["--mult", "1000", "--delta1=nan"], "--mult, --delta1"),
+                        (["--delta2", "0.5"], "--delta2"), (["--mult", "1"], "--mult")):
+        with pytest.raises(SystemExit) as info:
+            main(["l2-oracle"] + argv)
+        assert info.value.code == 2, argv
+        assert capsys.readouterr().err.endswith(f"endex l2-oracle: error: {given}: only allowed with --lam\n")
+    code, out, err = run_cli(["l2-oracle", "--lam", "2", "--delta2", "0.25"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"lambda": "2", "m": 1, "delta1": 1.0, "delta2": 0.25,
+                               "analytic": 1, "truncated": 1, "agree": True}
+
+
 def test_l2_oracle_at_a_wide_derived_window(capsys):
     # These weights need a half-width of 458, where |delta| * N passes the
     # 709 at which a plain e^(-delta k) column weight overflows a float.

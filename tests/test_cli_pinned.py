@@ -29,10 +29,14 @@ def pinned_bytes(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_pinned_output(name, capsys, tmp_path):
+def test_pinned_output(name, capsys, tmp_path, monkeypatch):
     case = CASES[name]
+    monkeypatch.setenv("COLUMNS", "80")  # as tests/pin_cli.py pins a usage line
     svg = tmp_path / "plot.svg"
-    code = main([a.format(data=DATA, svg=svg) for a in case["argv"]])
+    try:
+        code = main([a.format(data=DATA, svg=svg) for a in case["argv"]])
+    except SystemExit as e:  # a usage error
+        code = e.code
     out, err = capsys.readouterr()
     assert (code, err) == (case["exit"], case["stderr"])
     assert out.encode("utf-8") == pinned_bytes(name + ".out")

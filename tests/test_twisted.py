@@ -1,6 +1,9 @@
+import importlib.util
+import itertools
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -24,13 +27,13 @@ from endex import (
     twisted_dims,
     uct_dims,
 )
-from endex import UnsupportedInputError
 from endex.cli import _L2_GRID_POINTS, _L2_GRID_WEIGHTS
 from endex.inputs import load_input, parse_point
 from endex.laurent import poly
+from endex.pipeline import Analysis
 from endex.twisted import KERNEL_RTOL, MAX_MULT, MAX_WINDOW, MIN_WINDOW
 
-from conftest import (mat, off_wall_delta, planted_complex, planted_roots, random_torus_subcomplex,
+from conftest import (grid_torus, mat, off_wall_delta, planted_complex, planted_roots, random_torus_subcomplex,
                       reference_cup_product_check)
 
 
@@ -327,6 +330,18 @@ def test_window_validation(svd_shapes):
     assert svd_shapes == []
 
 
+def test_l2_lambda_whose_float_modulus_underflows_is_refused(svd_shapes):
+    # An exact nonzero lambda below the float range is not mistaken for zero.
+    for fn in (l2_hom_dim_analytic, l2_kernel_truncated):
+        for lam in (Fraction(1, 10**400), GaussianRational(Fraction(1, 10**400), Fraction(-1, 10**401))):
+            with pytest.raises(FloatRangeError, match="nonzero but underflows to 0"):
+                fn(lam, 1, 1.0, 0.5)
+        for lam in (Fraction(0), 0.0, GaussianRational(0, 0)):
+            with pytest.raises(ValueError, match="lambda must be nonzero"):
+                fn(lam, 1, 1.0, 0.5)
+    assert svd_shapes == []
+
+
 def test_l2_grid_agrees_up_to_max_mult(svd_shapes):
     # All 16 grid pairs agree at MAX_MULT; the first pair to disagree does
     # so at MAX_MULT + 1, which is refused before any SVD.
@@ -375,18 +390,77 @@ def test_non_finite_evaluation_refused_naming_the_point():
     assert twisted_dims(cc, complex(math.exp(100.0))).dims == (0, 0)
 
 
+def test_fredholm_refuses_an_overflowing_complex_before_its_homology(monkeypatch):
+    import endex.pipeline
+
+    def unreachable(cc):
+        raise AssertionError("homology computed before the float samples")
+
+    monkeypatch.setattr(endex.pipeline, "compute_homology", unreachable)
+    cc = load_input(os.path.join(os.path.dirname(__file__), "data", "sextic.json")).complex
+    with pytest.raises(FloatRangeError, match="not a finite float"):
+        fredholm_check(cc, 150.0)
+    with pytest.raises(AssertionError, match="before the float samples"):
+        fredholm_check(cc, 0.5)
+
+
+def _twisted_matches_uct(cc, h, z):
+    """twisted_dims at z against the coefficient splitting, degree by degree."""
+    predicted = uct_dims(h, z)
+    assert twisted_dims(cc, z).dims == tuple(predicted[: cc.n + 1]), z
+    assert predicted[cc.n + 1] == 0
+
+
+def _rational_roots(cc):
+    analysis = Analysis.of_complex(cc)
+    return sorted({r.exact for k in range(cc.n) for r in analysis.roots(k) if r.exact is not None})
+
+
+@pytest.mark.parametrize("name", ["circle.json", "s1s2.json", "sextic.json"])
+def test_twisted_matches_uct_at_the_rational_roots_of_shipped_examples(name):
+    cc = load_input(os.path.join(os.path.dirname(__file__), "data", name)).complex
+    roots = _rational_roots(cc)
+    assert roots == ([-1, 1] if name == "sextic.json" else [1])
+    for z in roots:
+        _twisted_matches_uct(cc, homology(cc), z)
+
+
+def test_twisted_matches_uct_at_the_rational_roots_of_planted_complexes():
+    rng = random.Random(1403)
+    checked = 0
+    for _ in range(12):
+        cc, expected = planted_complex(rng)
+        roots = _rational_roots(cc)
+        assert set(roots) == planted_roots(expected)
+        for z in roots:
+            _twisted_matches_uct(cc, homology(cc), z)
+            checked += 1
+    assert checked >= 12
+
+
+def test_twisted_at_one_on_the_20x20_grid_torus():
+    # H0 = H1 = Λ/(t - 1) and H2 = 0 (conftest.grid_torus), which the
+    # Smith normal form cannot reach at this size; the sparse eliminator
+    # takes the 400 x 1200 and 1200 x 800 boundaries at z = 1.
+    cc = lift_simplicial(grid_torus(20))
+    t_minus_1 = poly("t - 1")
+    known = HomologyModule(2, [0, 0, 0], [[t_minus_1], [t_minus_1], []])
+    assert twisted_dims(cc, Fraction(1)).dims == (1, 2, 1)
+    _twisted_matches_uct(cc, known, Fraction(1))
+
+
 def winding_triangle():
     return SimplicialInput(3, {1: [(0, 1), (1, 2), (0, 2)]}, {(0, 1): 0, (1, 2): 0, (0, 2): 1})
 
 
 def test_cup_exact_on_winding_circle():
-    rep = cup_product_check(winding_triangle())
+    rep = cup_product_check(lift_simplicial(winding_triangle()))
     assert rep["exact"] and rep["cohomology_dims"] == [1, 1] and rep["defects"] == [0, 0]
 
 
 def test_cup_zero_cocycle_defect():
     tri = SimplicialInput(3, {1: [(0, 1), (1, 2), (0, 2)]}, {(0, 1): 0, (1, 2): 0, (0, 2): 0})
-    rep = cup_product_check(tri)
+    rep = cup_product_check(lift_simplicial(tri))
     assert not rep["exact"] and rep["defects"][0] == 1
 
 
@@ -396,13 +470,8 @@ def test_cup_disjoint_circles_partial_winding():
         {1: [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]},
         {(0, 1): 0, (1, 2): 0, (0, 2): 1, (3, 4): 0, (4, 5): 0, (3, 5): 0},
     )
-    rep = cup_product_check(two)
+    rep = cup_product_check(lift_simplicial(two))
     assert not rep["exact"] and rep["defects"] == [1, 1]
-
-
-def test_cup_rejects_non_simplicial(circle_complex):
-    with pytest.raises(UnsupportedInputError):
-        cup_product_check(circle_complex)
 
 
 def test_cup_exactness_implies_finiteness():
@@ -415,11 +484,11 @@ def test_cup_exactness_implies_finiteness():
         ),
     ]
     for si in cases:
-        rep = cup_product_check(si)
+        rep = cup_product_check(lift_simplicial(si))
         if rep["exact"]:
             h = homology(lift_simplicial(si))
             assert not h.infinite_degrees
-    assert cup_product_check(cases[1])["exact"]
+    assert cup_product_check(lift_simplicial(cases[1]))["exact"]
 
 
 def test_cup_check_matches_separate_eliminations():
@@ -429,7 +498,34 @@ def test_cup_check_matches_separate_eliminations():
     verdicts = set()
     for _ in range(12):
         si = random_torus_subcomplex(rng)
-        report = cup_product_check(si)
+        report = cup_product_check(lift_simplicial(si))
         assert report == reference_cup_product_check(si)
         verdicts.add(report["exact"])
     assert verdicts == {True, False}
+
+
+def _perfbench_gen(monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("perfbench_gen", os.path.join(root, "perfbench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look their module up
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_cup_check_matches_the_reference_on_known_spaces(monkeypatch):
+    """The rank route against the front-face reference on the shipped
+    circles, grid tori and staircase products S^1 x K, whose cup report
+    the benchmark generator derives from the Kunneth formula."""
+    data = os.path.join(os.path.dirname(__file__), "data")
+    spaces = [load_input(os.path.join(data, name)).simplicial for name in ("circle.json", "circle_trivial.json")]
+    spaces += [grid_torus(k) for k in (3, 4)]
+    for si in spaces:
+        assert cup_product_check(lift_simplicial(si)) == reference_cup_product_check(si)
+    gen = _perfbench_gen(monkeypatch)
+    sphere = list(itertools.combinations(range(4), 3))
+    products = [gen.circle_product(gen.CIRCLE, 3, [1, 1], edge, sign) for edge in range(3) for sign in (1, -1)]
+    products += [gen.circle_product(sphere, 4, [1, 0, 1], 1, -1), gen.grid_torus(3, 4, 1, 1)]
+    for doc, answer in products:
+        si = SimplicialInput.from_json(doc)
+        assert cup_product_check(lift_simplicial(si)) == reference_cup_product_check(si) == answer.cup
