@@ -103,7 +103,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_alexander(args):
-    analysis = Analysis(load_input(args.input, args.dim))
+    analysis = _analysis(args)
     payload = {}
     if analysis.parsed.complex is not None:
         payload["homology"] = analysis.homology.to_json()
@@ -123,7 +123,7 @@ def _cmd_index(args):
 
 
 def _cmd_twisted(args):
-    analysis = Analysis(load_input(args.input))
+    analysis = _analysis(args)
     if analysis.parsed.complex is None:
         raise UnsupportedInputError("twisted dimensions need a chain complex input")
     z = parse_point(args.z)
@@ -141,10 +141,10 @@ def _cmd_twisted(args):
 
 
 def _cmd_fredholm(args):
-    parsed = load_input(args.input)
-    if parsed.complex is None:
+    analysis = _analysis(args)
+    if analysis.parsed.complex is None:
         raise UnsupportedInputError("the Fredholm check needs a chain complex input")
-    _emit(args, fredholm_check(parsed.complex, args.delta))
+    _emit(args, fredholm_check(analysis, args.delta))
 
 
 def _l2_row(label, lam, mult=1, delta1=1.0, delta2=0.5):
@@ -169,7 +169,7 @@ def _cmd_l2_oracle(args):
 
 
 def _cmd_cup_check(args):
-    parsed = load_input(args.input)
+    parsed = _analysis(args).parsed
     if parsed.simplicial is None:
         raise UnsupportedInputError("the cup check needs a simplicial input")
     _emit(args, cup_product_check(parsed.complex))
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *flags, needs_input=True):
         """--input and --output, then each of the optional flags named:
         "format" for the commands with a text renderer, "chi" and "dim"
-        for the commands that read the manifold block."""
+        for the commands that override the manifold block (None if not)."""
         if needs_input:
             p.add_argument("--input", required=True, help="path to a JSON input document")
         if "format" in flags:
@@ -209,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--chi", type=int, default=None, help="euler characteristic override")
         if "dim" in flags:
             p.add_argument("--dim", type=int, default=None, help="manifold dimension override")
+        p.set_defaults(**{f: None for f in ("chi", "dim") if f not in flags})
 
     p = sub.add_parser("analyze", help="full pipeline report")
     common(p, "format", "chi", "dim")

@@ -5,7 +5,9 @@ divisibility chain of invariant factors.  A kernel basis in degree k is
 read off the Smith normal form of the boundary (the columns of the right
 transform past the rank), the incoming boundary is rewritten in that basis
 through the exact inverse transform, and a second Smith normal form gives
-the invariant factors.
+the invariant factors.  The top degree n needs neither: nothing comes in,
+and H_n = ker d_n is a submodule of a free module over the PID Q[t, 1/t],
+so it is free, of rank c_n - rank d_n, with no invariant factors.
 
 These steps need no checks of their own.  Each Smith normal form is
 certified, and every complex has d_k d_(k+1) = 0 from construction;
@@ -88,25 +90,24 @@ class HomologyModule:
 def homology(cc: ChainComplexOverLambda) -> HomologyModule:
     """Compute every homology module of the complex."""
     n = cc.n
-    snfs = {k: smith_normal_form(cc.boundary(k)) for k in range(1, n + 2)}
-    free_ranks = []
+    snfs = {k: smith_normal_form(cc.boundary(k)) for k in range(1, n + 1)}
+    rank = [0] + [snfs[k].rank for k in range(1, n + 1)] + [0]
+    free_ranks = [cc.ranks[k] - rank[k] - rank[k + 1] for k in range(n + 1)]
     factors = []
-    for k in range(n + 1):
-        rank_in = snfs[k + 1].rank
+    for k in range(n):
         if k == 0:
-            nullity = cc.ranks[0]
             incoming_in_kernel = cc.boundary(1)
         else:
             s = snfs[k]
-            nullity = cc.ranks[k] - s.rank
             rewritten = s.right_inv * cc.boundary(k + 1)
             # The rows up to the rank vanish, since the composite is zero.
             rows = [rewritten.row(i) for i in range(s.rank, cc.ranks[k])]
             incoming_in_kernel = (
                 LaurentMatrix.from_rows(rows) if rows else LaurentMatrix.zero(0, rewritten.cols)
             )
-        free_ranks.append(nullity - rank_in)
         factors.append(smith_normal_form(incoming_in_kernel).invariant_factors())
+    # H_n = ker d_n is free (see the module docstring).
+    factors.append([])
     return HomologyModule(n, free_ranks, factors)
 
 

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from .errors import OnWallError
 from .homology import AlexanderData
 from .laurent import canonicalize
-from .spectral import Wall
+from .spectral import Wall, wall_at
 
-_WALL_PAD = 1e-12
 # How many mirrored weights the parity check of duality_check samples.
 MIRRORED_SAMPLES = 10
 
@@ -40,15 +39,11 @@ class IndexFunction:
 
     def interval_of(self, delta: float) -> int:
         """Index of the open interval containing delta; OnWallError if the
-        weight sits within certified radius of a wall."""
-        for w in self.walls:
-            if abs(delta - w.delta) <= w.delta_radius + _WALL_PAD:
-                raise OnWallError(delta, w.delta)
-        count = 0
-        for w in self.walls:
-            if w.delta < delta:
-                count += 1
-        return count
+        weight lies on a wall (`spectral.wall_at`)."""
+        wall = wall_at(self.walls, delta)
+        if wall is not None:
+            raise OnWallError(delta, wall.delta)
+        return sum(1 for w in self.walls if w.delta < delta)
 
     def sample_points(self):
         """One representative weight per interval: midpoints inside, one

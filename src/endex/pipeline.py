@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .complexes import ChainComplexOverLambda
 from .cup import cup_product_check
 from .homology import AlexanderData, HomologyModule, alexander_polynomials
 from .homology import homology as compute_homology
@@ -35,11 +34,6 @@ class Analysis:
 
     parsed: ParsedInput
     _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @classmethod
-    def of_complex(cls, cc: ChainComplexOverLambda) -> "Analysis":
-        """A complex on its own, in its own dimension and without chi."""
-        return cls(ParsedInput("complex", cc, None, None, cc.n, None))
 
     @property
     def n(self) -> int:

@@ -15,7 +15,8 @@ are roots of one and the same square-free factor.  That second rule does
 not prove the moduli equal: it merges the moduli 1 and sqrt(1 + 1e-13) of
 (t^2 + 1)(t^2 + t + 1 + 1e-13) (ROADMAP item 3).  Overlapping moduli that
 pass neither rule raise AmbiguousWallError instead of being merged
-silently.
+silently.  `wall_at` tests a weight against the walls, for the index and
+the Fredholm verdict alike.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ MAX_DEGREE = 256
 ABERTH_MAX_SWEEPS = 500
 # Constant c of the Horner rounding bound c * d * eps * sum |c_i| |z|^i.
 HORNER_SLACK = 4
+_WALL_PAD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -272,6 +274,11 @@ def _certified_equal(a: RootDatum, b: RootDatum) -> bool:
     return a.squarefree_factor == b.squarefree_factor
 
 
+def wall_at(walls, delta: float) -> Wall | None:
+    """The first wall within its certified radius plus _WALL_PAD of delta, or None."""
+    return next((w for w in walls if abs(delta - w.delta) <= w.delta_radius + _WALL_PAD), None)
+
+
 def exceptional_weights(roots, n: int) -> tuple[Wall, ...]:
     """Group roots of the degree 0..n-1 polynomials into walls, sorted by
     weight.
@@ -306,17 +313,18 @@ def exceptional_weights(roots, n: int) -> tuple[Wall, ...]:
             exact_modulus = _sqrt_fraction(exact_sqs[0])
         if exact_modulus is not None:
             delta = math.log(float(exact_modulus))
-            delta_radius = 0.0
         elif exact_sqs:
             delta = 0.5 * math.log(float(exact_sqs[0]))
-            delta_radius = 0.0
         else:
             deltas = [math.log(abs(m.approx)) for m in members]
             delta = sum(deltas) / len(deltas)
-            delta_radius = max(
-                max(delta - math.log(max(lo, 1e-300)), math.log(hi) - delta)
-                for lo, hi in (_modulus_interval(m) for m in members)
-            )
+        # A root merged with an exact modulus on its square-free factor alone
+        # keeps its own certified radius (ROADMAP item 3).
+        delta_radius = max(
+            (max(delta - math.log(max(lo, 1e-300)), math.log(hi) - delta)
+             for lo, hi in (_modulus_interval(m) for m in members if m.exact_modulus_sq is None)),
+            default=0.0,
+        )
         contribs = tuple(sorted(members, key=lambda m: (m.degree_k, m.approx.real, m.approx.imag)))
         jump = sum((-1) ** (r.degree_k + 1) * r.multiplicity for r in contribs)
         walls.append(Wall(delta, delta_radius, exact_modulus, contribs, jump))

@@ -15,6 +15,7 @@ its own fixed cutoff, ``KERNEL_RTOL``.  Neither is a parameter.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,23 +26,28 @@ from .errors import FloatRangeError, NotFiniteError, OnWallError, WindowTooSmall
 from .homology import HomologyModule
 from .pipeline import Analysis
 from .rationals import GaussianRational
+from .spectral import wall_at
 
 _CIRCLE_PAD = 1e-9
 # Kernel vectors must hold all but this fraction of their mass away from
-# the outer tenth of the window to count as decaying.
-_BOUNDARY_MASS = 1e-3
+# the outer tenth of the window to count as decaying.  The window is sized
+# so that every true kernel vector passes (_decay_reach).  Off the annulus
+# a block of m >= 6 can have spurious singular vectors under KERNEL_RTOL
+# that hold as little as 6e-5 of their mass there, which 1e-3 counted.
+_BOUNDARY_MASS = 1e-5
 # Relative singular-value cutoff of the shift-kernel oracle.  A kernel
-# vector decays like e^(-gap k), gap being the distance from ln|lambda| to
-# the nearer weight, so the window needs ceil(ln(1/KERNEL_RTOL) / gap) + 1.
+# vector decays like k^j e^(-gap k), gap being the distance from ln|lambda|
+# to the nearer weight, so the window needs ceil(reach / gap) + 1, reach
+# being the larger of ln(1/KERNEL_RTOL) and the block's _decay_reach.
 KERNEL_RTOL = 1e-6
 # The window is never narrower than MIN_WINDOW; a weight that needs more
 # than MAX_WINDOW is refused (WindowTooSmallError).  See the README for costs.
 MIN_WINDOW = 200
 MAX_WINDOW = 500
-# The largest Jordan block the shift-kernel oracle takes.  Past it the
-# truncated count stops matching the analytic one on the standard grid
-# (first at m = 8: lambda = 1/2, weights (-1, -2)); a larger m is refused
-# before anything is allocated.
+# The largest Jordan block the shift-kernel oracle takes; a larger m is
+# refused before anything is allocated.  Seeded draws of every m up to it
+# agree with the analytic count or are refused (tests/test_twisted.py);
+# past it they need not: one draw at m = 9 counts 3 of 9.
 MAX_MULT = 7
 # Circle points of the numeric Fredholm verdict.
 FREDHOLM_SAMPLES = 16
@@ -108,17 +114,16 @@ def uct_dims(h: HomologyModule, z) -> list:
     return dims
 
 
-def fredholm_check(cc: ChainComplexOverLambda, delta: float):
-    """Is the weighted complex Fredholm at this weight?
+def fredholm_check(analysis: Analysis, delta: float):
+    """Is the weighted complex of a chain complex input Fredholm at this weight?
 
-    Two verdicts: the symbolic one (no root of any invariant factor has
-    modulus e^delta), which is the one reported as ``fredholm``, and a
-    numeric one (the evaluated complex is exact at FREDHOLM_SAMPLES evenly
-    spaced points of the circle of radius e^delta).  The numeric verdict
-    proves nothing in either direction, at this or any other sample count:
-    the samples can miss a rank drop that happens only at the roots, so it
-    can say true on a wall, and float ranks at the 1e-9 cutoff can see a
-    drop that is not there, so it can say false off every wall.
+    Two verdicts: the symbolic one (finite homology, and delta on no wall
+    by the test the index applies, `spectral.wall_at`), which is the one
+    reported as ``fredholm``, and a numeric one (the evaluated complex is
+    exact at FREDHOLM_SAMPLES evenly spaced points of the circle of radius
+    e^delta).  The numeric verdict proves nothing in either direction:
+    the samples can miss a rank drop that happens only at the roots, and
+    float ranks at the 1e-9 cutoff can see a drop that is not there.
     """
     radius = _weight_radius(delta)
     # The float samples come first, so a complex that overflows at this
@@ -126,22 +131,19 @@ def fredholm_check(cc: ChainComplexOverLambda, delta: float):
     numeric = True
     for j in range(FREDHOLM_SAMPLES):
         z = radius * cmath.exp(2j * math.pi * j / FREDHOLM_SAMPLES)
-        fiber = twisted_dims(cc, z)
+        fiber = twisted_dims(analysis.parsed.complex, z)
         if any(d != 0 for d in fiber.dims):
             numeric = False
             break
-    analysis = Analysis.of_complex(cc)
     infinite = analysis.homology.infinite_degrees
     if infinite:
         symbolic = False
         reason = f"homology has free summands in degrees {list(infinite)}"
     else:
-        # Degrees are searched in order, up to the first root on the circle.
-        hit = next((k for k in range(cc.n + 1) for r in analysis.roots(k)
-                    if abs(r.delta - delta) <= r.radius / max(r.modulus, 1e-300) + 1e-12), None)
-        symbolic = hit is None
+        wall = wall_at(analysis.walls, delta)
+        symbolic = wall is None
         reason = ("no exceptional weight at delta" if symbolic
-                  else f"root of the degree-{hit} polynomial has modulus e^delta")
+                  else f"root of the degree-{wall.contributions[0].degree_k} polynomial has modulus e^delta")
     return {
         "delta": delta,
         "fredholm": symbolic,
@@ -204,6 +206,34 @@ def l2_hom_dim_analytic(lam, m: int, delta1: float, delta2: float) -> int:
     return 0
 
 
+@functools.cache
+def _decay_reach(m: int) -> float:
+    """The least gap * N at which every kernel vector of an m-block passes
+    the boundary-mass test at half-width N.
+
+    On the side of the nearer weight that kernel is spanned by
+    k^j e^(-gap k), j < m, and the SVD may return any orthonormal basis of
+    it, so the test must hold for the worst unit vector of the span: the
+    squared norm of the outer rows of an orthonormal basis.  The span
+    depends on gap * N alone, so it is sampled once at N = MAX_WINDOW, and
+    the reach is bisected to within 1e-3.
+    """
+    import numpy as np
+
+    x = np.arange(MAX_WINDOW + 1) / MAX_WINDOW
+    outer = x > 0.9
+
+    def worst(reach):
+        q, _ = np.linalg.qr(np.vander(x, m, increasing=True) * np.exp(-reach * x)[:, None])
+        return np.linalg.norm(q[outer], 2) ** 2
+
+    lo, hi = 0.0, 64.0
+    while hi - lo > 1e-3:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if worst(mid) < _BOUNDARY_MASS else (mid, hi)
+    return hi
+
+
 def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     """Brute-force kernel count of the truncated weighted shift operator.
 
@@ -211,8 +241,9 @@ def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     -N..N (the shift moves a sequence one step to the right), conjugates by
     the two-sided exponential weight, and counts the kernel directions
     whose mass decays at the window boundary.  Takes the arguments of
-    l2_hom_dim_analytic and picks the half-width N itself: the one
-    KERNEL_RTOL needs at this gap, and at least MIN_WINDOW.  A weight that
+    l2_hom_dim_analytic and picks the half-width N itself: the one that
+    KERNEL_RTOL and the block's kernel vectors (_decay_reach) need at this
+    gap, and at least MIN_WINDOW.  A weight that
     needs more than MAX_WINDOW raises WindowTooSmallError, and m above
     MAX_MULT raises ValueError, before anything is allocated.
 
@@ -236,7 +267,7 @@ def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     if m > MAX_MULT:
         raise ValueError(f"multiplicity {m} is above the cap of {MAX_MULT}")
     gap = min(abs(ln_mod - delta1), abs(ln_mod - delta2))
-    needed = math.ceil(math.log(1.0 / KERNEL_RTOL) / gap) + 1
+    needed = math.ceil(max(math.log(1.0 / KERNEL_RTOL), _decay_reach(m)) / gap) + 1
     if needed > MAX_WINDOW:
         raise WindowTooSmallError(
             needed,

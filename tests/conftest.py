@@ -19,13 +19,20 @@ from math import gcd
 import pytest
 
 from endex import AlexanderData, ChainComplexOverLambda, LaurentMatrix, LaurentPoly, SimplicialInput
+from endex.inputs import ParsedInput
 from endex.laurent import canonicalize, poly
 from endex.linalg import eliminate
+from endex.pipeline import Analysis
 from endex.polymatrix import _pivot_key
 
 
 def mat(rows):
     return LaurentMatrix.from_rows([[poly(e) for e in r] for r in rows])
+
+
+def analysis_of(cc: ChainComplexOverLambda, chi: int | None = None) -> Analysis:
+    """The Analysis of a complex on its own, in its own dimension."""
+    return Analysis(ParsedInput("complex", cc, None, None, cc.n, chi))
 
 
 def scale(p: LaurentPoly, c) -> LaurentPoly:

@@ -66,6 +66,8 @@ cases["l2-oracle-lam-nan"] = {"argv": ["l2-oracle", "--lam", "nan"]}
 cases["l2-oracle-delta1-nan"] = {"argv": ["l2-oracle", "--lam", "2", "--delta1=nan"]}
 cases["l2-oracle-delta1-inf"] = {"argv": ["l2-oracle", "--lam", "2", "--delta1=inf"]}
 cases["l2-oracle-m8"] = {"argv": ["l2-oracle", "--lam", "1/2", "--mult", "8", "--delta1", "-1", "--delta2", "-2"]}
+# A Jordan block whose kernel vectors need a window wider than the m = 1 decay.
+cases["l2-oracle-lam0.35-m6"] = {"argv": ["l2-oracle", "--lam", "0.35", "--mult", "6", "--delta1", "-1", "--delta2", "-2"]}
 cases["l2-oracle-m1000"] = {"argv": ["l2-oracle", "--lam", "1/2", "--mult", "1000"]}
 cases["l2-oracle-lam1e-400"] = {"argv": ["l2-oracle", "--lam", "1e-400"]}
 # A Jordan block flag without --lam is a usage error (exit code 2).

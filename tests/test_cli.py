@@ -68,12 +68,12 @@ def test_analyze_simplicial_circle_without_chi(capsys):
 
 
 def test_isolated_vertices_stay_small(tmp_path, capsys):
-    # The SNF's transforms are dense, so 200 isolated vertices still cost
-    # 200 x 200 identities; their entries share one zero and one one.
-    # Traced peak: 12.9 MB when each entry was its own polynomial, 3.3 MB
-    # with shared constants.
+    # Without edges only the top degree is left, and homology runs no
+    # Smith normal form there, so nothing is quadratic in the vertices.
+    # Traced peak at 4000 vertices: 0.5 MB; at 200 it was 3.3 MB while
+    # the zero map still got dense 200 x 200 identity transforms.
     doc = tmp_path / "vertices.json"
-    doc.write_text('{"vertices": 200}')
+    doc.write_text('{"vertices": 4000}')
     tracemalloc.start()
     try:
         code, out, err = run_cli(["analyze", "--input", str(doc)], capsys)
@@ -81,8 +81,26 @@ def test_isolated_vertices_stay_small(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert json.loads(out)["homology"]["degrees"][0]["free_rank"] == 200
-    assert peak < 6_000_000
+    assert json.loads(out)["homology"]["degrees"][0]["free_rank"] == 4000
+    assert peak < 2_000_000
+
+
+def test_fredholm_and_index_refuse_an_ambiguous_wall(tmp_path, capsys):
+    # test_spectral's ambiguous pair in one 1 x 1 complex: the quartic has
+    # four roots of modulus sqrt(2), t^2 - 2 the double roots +-sqrt(2), and
+    # the two square-free factors differ, so neither route can decide the
+    # wall, at any weight.
+    from endex.laurent import poly
+
+    entry = poly("t^4 - 2*t^2 + 4") * poly("t^2 - 2") * poly("t^2 - 2")
+    doc = tmp_path / "ambiguous.json"
+    doc.write_text(json.dumps({"ranks": [1, 1], "boundaries": [
+        {"rows": 1, "cols": 1, "entries": [[entry.to_json()]]}]}))
+    refusal = "overlap but cannot be certified equal\n"
+    for argv in (["fredholm", "--delta", "0"], ["fredholm", "--delta", "0.34657"],
+                 ["index", "--chi", "0"]):
+        code, out, err = run_cli(argv + ["--input", str(doc)], capsys)
+        assert (code, out) == (1, "") and err.endswith(refusal), argv
 
 
 def test_analyze_trivial_cocycle_reports_infinite(capsys):

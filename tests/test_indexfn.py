@@ -15,12 +15,12 @@ from endex import (
     index_function,
 )
 from endex.indexfn import _closed_values, mirrored_sample_points
-from endex.inputs import ParsedInput, load_input
+from endex.inputs import load_input
 from endex.laurent import poly
 from endex.pipeline import Analysis
 
-from conftest import (accumulated_values, annulus_count, jump_at, off_wall_delta, planted_complex,
-                      random_alexander)
+from conftest import (accumulated_values, analysis_of, annulus_count, jump_at, off_wall_delta,
+                      planted_complex, random_alexander)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -154,7 +154,7 @@ def test_excision_is_the_annulus_count_on_planted_complexes():
     walls = 0
     for _ in range(10):
         cc, _ = planted_complex(rng)
-        f = Analysis(ParsedInput("complex", cc, None, None, cc.n, cc.euler_characteristic())).index
+        f = analysis_of(cc, cc.euler_characteristic()).index
         walls += len(f.walls)
         for d1, d2 in _weight_pairs(f):
             assert excision_index(d1, d2, f) == annulus_count(f, d1, d2)

@@ -9,7 +9,7 @@ from endex import AmbiguousWallError, exceptional_weights, find_roots
 from endex.laurent import LaurentPoly, poly
 from endex import spectral
 from endex.cli import main
-from endex.spectral import RESIDUAL_RTOL
+from endex.spectral import RESIDUAL_RTOL, RootDatum
 
 from conftest import alex_dim, random_alexander, total_multiplicity
 
@@ -155,6 +155,20 @@ def test_same_factor_cluster_merges_without_error():
     ws = exceptional_weights(roots, 1)
     assert len(ws) == 1
     assert ws[0].jump == -2
+
+
+def test_root_merged_with_an_exact_modulus_keeps_its_radius():
+    factor = poly("t^5 - 32")
+    exact = RootDatum(approx=2 + 0j, multiplicity=1, degree_k=0, squarefree_factor=factor,
+                      exact=Fraction(2), exact_modulus_sq=Fraction(4))
+    loose = RootDatum(approx=2j * (1 + 1e-7), multiplicity=1, degree_k=0,
+                      squarefree_factor=factor, radius=1e-6)
+    (w,) = exceptional_weights([exact, loose], 1)
+    assert w.exact_modulus == 2
+    assert w.delta == math.log(2)
+    assert 1e-7 < w.delta_radius < 1e-6
+    assert spectral.wall_at([w], math.log(2) + 4e-7) is w
+    assert spectral.wall_at([w], math.log(2) + 1e-5) is None
 
 
 def test_wall_json_shape(fox_alexander):

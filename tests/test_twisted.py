@@ -30,11 +30,11 @@ from endex import (
 from endex.cli import _L2_GRID_POINTS, _L2_GRID_WEIGHTS
 from endex.inputs import load_input, parse_point
 from endex.laurent import poly
-from endex.pipeline import Analysis
-from endex.twisted import KERNEL_RTOL, MAX_MULT, MAX_WINDOW, MIN_WINDOW
+from endex.spectral import _WALL_PAD
+from endex.twisted import _BOUNDARY_MASS, KERNEL_RTOL, MAX_MULT, MAX_WINDOW, MIN_WINDOW
 
-from conftest import (grid_torus, mat, off_wall_delta, planted_complex, planted_roots, random_torus_subcomplex,
-                      reference_cup_product_check)
+from conftest import (analysis_of, grid_torus, mat, off_wall_delta, planted_complex, planted_roots,
+                      random_torus_subcomplex, reference_cup_product_check)
 
 
 def test_twisted_dims_circle(circle_complex):
@@ -137,20 +137,20 @@ def test_alternating_sum_constant_in_z(s1s2_complex):
 
 
 def test_fredholm_circle_on_and_off_wall(circle_complex):
-    on = fredholm_check(circle_complex, 0.0)
+    on = fredholm_check(analysis_of(circle_complex), 0.0)
     assert on["fredholm"] is False and on["agree"]
-    off = fredholm_check(circle_complex, 0.5)
+    off = fredholm_check(analysis_of(circle_complex), 0.5)
     assert off["fredholm"] is True and off["agree"]
 
 
 def test_fredholm_s1s2_at_log2(s1s2_complex):
-    rep = fredholm_check(s1s2_complex, math.log(2))
+    rep = fredholm_check(analysis_of(s1s2_complex), math.log(2))
     assert rep["fredholm"] is True and rep["agree"]
 
 
 def test_fredholm_never_for_free_homology():
     cc = ChainComplexOverLambda([1, 1], [mat([["0"]])])
-    rep = fredholm_check(cc, 1.2345)
+    rep = fredholm_check(analysis_of(cc), 1.2345)
     assert rep["fredholm"] is False and rep["numeric_fredholm"] is False and rep["agree"]
 
 
@@ -166,9 +166,45 @@ def test_fredholm_random_weights_agree():
         ws = exceptional_weights(roots, h.n + 1)
         for _ in range(4):
             d = off_wall_delta(rng, ws, lo=-1.5, hi=1.5, margin=0.05)
-            rep = fredholm_check(cc, d)
+            rep = fredholm_check(analysis_of(cc), d)
             assert rep["agree"], rep
             assert rep["fredholm"] is True
+
+
+def _fredholm_matches_interval_of(cc):
+    """fredholm_check says Fredholm exactly where interval_of answers: at
+    every interval sample, on each wall, and on either side of it, inside
+    and outside its padded radius."""
+    analysis = analysis_of(cc, 0)
+    f = analysis.index
+    deltas = list(f.sample_points())
+    for w in f.walls:
+        reach = w.delta_radius + _WALL_PAD
+        deltas += [w.delta, w.delta - reach / 2, w.delta + reach / 2, w.delta - 2 * reach, w.delta + 2 * reach]
+    on_wall = 0
+    for d in deltas:
+        try:
+            f.interval_of(d)
+            off_wall = True
+        except OnWallError:
+            off_wall, on_wall = False, on_wall + 1
+        assert fredholm_check(analysis, d)["fredholm"] is off_wall, (cc, d)
+    return on_wall
+
+
+@pytest.mark.parametrize("name", ["circle.json", "s1s2.json", "sextic.json"])
+def test_fredholm_and_index_share_one_wall_rule_on_shipped_examples(name):
+    cc = load_input(os.path.join(os.path.dirname(__file__), "data", name)).complex
+    assert _fredholm_matches_interval_of(cc) >= 3
+
+
+def test_fredholm_and_index_share_one_wall_rule_on_planted_complexes():
+    rng = random.Random(1804)
+    on_wall = 0
+    for _ in range(5):
+        cc, _ = planted_complex(rng)
+        on_wall += _fredholm_matches_interval_of(cc)
+    assert on_wall >= 15
 
 
 def test_l2_analytic_lemma_values():
@@ -216,7 +252,7 @@ def _l2_kernel_complex_reference(lam, m, d1, d2, n):
     count = 0
     for v in kernel_rows:
         mass = np.abs(v) ** 2
-        if mass[boundary].sum() / mass.sum() < 1e-3:
+        if mass[boundary].sum() / mass.sum() < _BOUNDARY_MASS:
             count += 1
     return count
 
@@ -359,10 +395,41 @@ def test_l2_grid_agrees_up_to_max_mult(svd_shapes):
     assert l2_hom_dim_analytic(Fraction(1, 2), MAX_MULT + 1, -0.5, -1.0) == MAX_MULT + 1
 
 
+def test_l2_every_block_up_to_max_mult_agrees_or_is_refused():
+    # Moduli and weights drawn as in test_l2_truncated_matches_complex_operator,
+    # ten blocks of each size.  The agreement holds off the standard grid
+    # only because the window grows with m and the boundary-mass test is
+    # tight enough to drop the spurious vectors of large blocks.
+    rng = random.Random(18)
+    agreed = refused = 0
+    for m in range(1, MAX_MULT + 1):
+        for _ in range(10):
+            mod = math.exp(rng.uniform(math.log(1 / 3), math.log(3)))
+            d1, d2 = sorted((rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)), reverse=rng.random() < 0.75)
+            try:
+                got = l2_kernel_truncated(mod, m, d1, d2)
+            except WindowTooSmallError:
+                refused += 1
+                continue
+            assert got == l2_hom_dim_analytic(mod, m, d1, d2), (mod, m, d1, d2)
+            agreed += 1
+    assert agreed >= 50 and refused >= 1
+
+
+def test_l2_window_grows_with_the_block(svd_shapes):
+    # ln 0.35 lies 0.0498 from the first weight.  The m = 1 decay asks for
+    # N = 279, where the kernel of a 6-block still holds too much mass in
+    # the outer tenth (2 of 6 counted); the 6-block needs 410, a 7-block 462.
+    assert l2_kernel_truncated(0.35, 1, -1.0, -2.0) == 1
+    assert l2_kernel_truncated(0.35, 6, -1.0, -2.0) == l2_hom_dim_analytic(0.35, 6, -1.0, -2.0) == 6
+    assert l2_kernel_truncated(0.35, 7, -1.0, -2.0) == 7
+    assert [(cols - 1) // 2 for (_, cols), _ in svd_shapes] == [279, 410, 462]
+
+
 def test_fredholm_refuses_weight_without_finite_radius(s1s2_complex, svd_shapes):
     for delta in OUT_OF_RANGE_WEIGHTS:
         with pytest.raises(FloatRangeError, match="e\\^delta is not a positive finite float"):
-            fredholm_check(s1s2_complex, delta)
+            fredholm_check(analysis_of(s1s2_complex), delta)
     assert svd_shapes == []
 
 
@@ -384,7 +451,7 @@ def test_non_finite_evaluation_refused_naming_the_point():
     # t^6 - 1 at e^150 overflows a float, though e^150 itself does not.
     cc = load_input(os.path.join(os.path.dirname(__file__), "data", "sextic.json")).complex
     with pytest.raises(FloatRangeError, match=r"evaluated at z = \(1\.39\d*e\+65\+0j\)"):
-        fredholm_check(cc, 150.0)
+        fredholm_check(analysis_of(cc), 150.0)
     with pytest.raises(FloatRangeError, match="not a finite float"):
         twisted_dims(cc, complex(math.exp(150.0)))
     assert twisted_dims(cc, complex(math.exp(100.0))).dims == (0, 0)
@@ -399,9 +466,9 @@ def test_fredholm_refuses_an_overflowing_complex_before_its_homology(monkeypatch
     monkeypatch.setattr(endex.pipeline, "compute_homology", unreachable)
     cc = load_input(os.path.join(os.path.dirname(__file__), "data", "sextic.json")).complex
     with pytest.raises(FloatRangeError, match="not a finite float"):
-        fredholm_check(cc, 150.0)
+        fredholm_check(analysis_of(cc), 150.0)
     with pytest.raises(AssertionError, match="before the float samples"):
-        fredholm_check(cc, 0.5)
+        fredholm_check(analysis_of(cc), 0.5)
 
 
 def _twisted_matches_uct(cc, h, z):
@@ -412,7 +479,7 @@ def _twisted_matches_uct(cc, h, z):
 
 
 def _rational_roots(cc):
-    analysis = Analysis.of_complex(cc)
+    analysis = analysis_of(cc)
     return sorted({r.exact for k in range(cc.n) for r in analysis.roots(k) if r.exact is not None})
 
 
