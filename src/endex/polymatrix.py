@@ -8,10 +8,11 @@ than the pivot, so picking again lowers the least span in the block.  When
 some trailing entry is not divisible by the pivot, its row is added to row
 k, where clearing then leaves a remainder.  Spans are nonnegative, so the
 loop ends.  On a unit pivot (every entry of a lifted simplicial boundary is
-one) the slot is filled at the first pick.  No step looks at t-powers:
-division aligns them and restores them in the quotient, the pivot key and
-the divisibility test see only coefficient runs, and the diagonal is
-canonicalized at the end, which strips each entry's power of t.
+one) the slot is filled at the first pick, and the divisibility scan of the
+trailing block is skipped, since a unit divides every entry.  No step looks
+at t-powers: division aligns them and restores them in the quotient, the
+pivot key and the divisibility test see only coefficient runs, and the
+diagonal is canonicalized at the end, which strips each entry's power of t.
 
 Every step is an elementary operation.  A row operation acts on the rows
 of the working matrix and of the left transform, and its inverse on the
@@ -120,9 +121,11 @@ class LaurentMatrix:
     def evaluate(self, z):
         """Evaluate entrywise at z in C*, as nested lists: exact values at an
         exact point (Fractions at a rational one, GaussianRationals at a
-        Gaussian one), complex floats otherwise."""
+        Gaussian one), complex floats otherwise.  A zero entry is not
+        evaluated: it takes the value the zero polynomial has at z."""
         _check_point(z)
-        return [[e.evaluate(z) for e in self.row(i)] for i in range(self.rows)]
+        zero = LaurentPoly.zero().evaluate(z)
+        return [[e.evaluate(z) if e.coeffs else zero for e in self.row(i)] for i in range(self.rows)]
 
     def rank_at(self, z) -> int:
         """Rank of the evaluated matrix: exact for exact z, SVD otherwise.
@@ -290,8 +293,10 @@ def smith_normal_form(m: LaurentMatrix, certify: bool = True) -> SnfResult:
         if remainder:
             # A remainder has smaller span than p: pick again.
             continue
-        offender = next((i for i in range(k + 1, nr)
-                         if any(not e.is_zero() and not (e % p).is_zero() for e in w.a[i][k + 1:])), None)
+        # A unit divides every entry, so only a non-unit pivot is scanned.
+        offender = None if p.is_unit() else next(
+            (i for i in range(k + 1, nr)
+             if any(not e.is_zero() and not (e % p).is_zero() for e in w.a[i][k + 1:])), None)
         if offender is None:
             k += 1
         else:

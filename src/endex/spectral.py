@@ -78,17 +78,36 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
+def _sign_changes(a) -> int:
+    """Sign changes in a coefficient sequence, zeros skipped."""
+    signs = [c > 0 for c in a if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
 def _rational_roots(f: LaurentPoly):
     """Exact rational roots of a square-free canonical factor, with the
     deflated remainder (which then has no rational roots).
 
     Runs on the primitive integer associate g: a root p/q in lowest terms
     has p dividing g's constant term and q its leading one, and q*t - p is
-    a primitive divisor of g, so each deflation is an exact integer one."""
+    a primitive divisor of g, so each deflation is an exact integer one.
+
+    Each round tries the candidates p/q, then -p/q, for p and q ascending,
+    and deflates the first root it meets.  By Descartes' rule of signs, g
+    has no positive root when its coefficients show no sign change, and
+    no negative root when those of g(-t) show none; the round then skips
+    the candidates of that sign, and with neither sign left the search
+    ends.  A skipped candidate is never a root, so
+    every round meets the same first root as the full scan, and the roots
+    come out in the same order."""
     g = _int_coeffs(f)
     roots = []
     while len(g) > 1:
         if abs(g[0]) > 10**12 or abs(g[-1]) > 10**12:
+            break
+        g_neg = [-c if i % 2 else c for i, c in enumerate(g)]
+        signs = [s for s, a in ((1, g), (-1, g_neg)) if _sign_changes(a)]
+        if not signs:
             break
         value_at = LaurentPoly(0, g).evaluate
         found = None
@@ -97,7 +116,8 @@ def _rational_roots(f: LaurentPoly):
             for q in qs:
                 if math.gcd(p, q) != 1:
                     continue
-                for r in (Fraction(p, q), Fraction(-p, q)):
+                for s in signs:
+                    r = Fraction(s * p, q)
                     if value_at(r) == 0:
                         found = r
                         break

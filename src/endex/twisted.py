@@ -42,6 +42,10 @@ _BOUNDARY_MASS = 1e-5
 KERNEL_RTOL = 1e-6
 # The window is never narrower than MIN_WINDOW; a weight that needs more
 # than MAX_WINDOW is refused (WindowTooSmallError).  See the README for costs.
+# The floor is load-bearing: off the annulus, a window of the derived
+# width alone has a few entries in its outer tenth (two at N = 9), and
+# spurious singular vectors pass the mass test there (lambda = 0.1555,
+# m = 4, weights (2.42, 0.037) counts 3 at N = 9, not 0).
 MIN_WINDOW = 200
 MAX_WINDOW = 500
 # The largest Jordan block the shift-kernel oracle takes; a larger m is

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from endex import FloatRangeError, GaussianRational, LaurentMatrix, LaurentPoly, SnfResult, smith_normal_form
+from endex import (FloatRangeError, GaussianRational, LaurentMatrix, LaurentPoly, SnfResult, lift_simplicial,
+                   smith_normal_form)
 from endex.laurent import poly
 from endex.linalg import mat_mul, numeric_rank
 from endex.polymatrix import _certify
 
-from conftest import _det_bareiss, _det_laplace, _random_unimodular, determinant, mat, random_laurent, random_matrix, rank_ff, shift, to_lists
+from conftest import (_det_bareiss, _det_laplace, _random_unimodular, determinant, grid_torus, mat, random_laurent,
+                      random_matrix, rank_ff, shift, to_lists)
 
 
 def test_snf_unit_entry_absorbed():
@@ -68,6 +70,30 @@ def test_evaluate_examples():
     assert mat([["t^-1"]]).evaluate(Fraction(2))[0][0] == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         mat([["t"]]).evaluate(Fraction(0))
+
+
+def test_evaluate_skips_zero_entries(monkeypatch):
+    # d_2 of the 3x3 grid torus: 54 of its 486 entries are nonzero.  Each
+    # zero entry takes the zero polynomial's own value at z, so the
+    # evaluation matches the entrywise one in value and type (0j at a
+    # float point keeps float ranks bit-identical).
+    m = lift_simplicial(grid_torus(3)).boundary(2)
+    nonzero = sum(1 for e in m.entries if not e.is_zero())
+    evaluate = LaurentPoly.evaluate
+    calls = [0]
+
+    def counting(self, z):
+        calls[0] += 1
+        return evaluate(self, z)
+
+    monkeypatch.setattr(LaurentPoly, "evaluate", counting)
+    for z in (Fraction(2, 3), 3, GaussianRational(1, 2), 0.5 + 0.25j, 0.75):
+        expected = [[evaluate(e, z) for e in m.row(i)] for i in range(m.rows)]
+        calls[0] = 0
+        got = m.evaluate(z)
+        assert calls[0] == nonzero + 1
+        assert got == expected
+        assert [type(x) for row in got for x in row] == [type(x) for row in expected for x in row]
 
 
 def _t_power_scaled(rng, m: LaurentMatrix) -> LaurentMatrix:
@@ -259,3 +285,23 @@ def test_matrix_shape_validation():
         LaurentMatrix(2, 2, [poly("1")] * 3)
     with pytest.raises(ValueError):
         mat([["1", "0"], ["1"]])
+
+
+def test_unit_pivots_skip_the_divisibility_scan(monkeypatch):
+    # Every pivot of a lifted simplicial boundary is a unit, which divides
+    # every entry, so the only remainders taken are the certificate's
+    # divisibility chain: rank - 1 of them.
+    calls = [0]
+    mod = LaurentPoly.__mod__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mod(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mod__", counting)
+    cc = lift_simplicial(grid_torus(3))
+    for k in (1, 2):
+        calls[0] = 0
+        s = smith_normal_form(cc.boundary(k))
+        assert s.rank > 1
+        assert calls[0] <= s.rank - 1

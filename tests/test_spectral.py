@@ -199,6 +199,64 @@ def test_rational_roots_lists_divisors_once_per_round(monkeypatch):
     assert len(calls) == 6
 
 
+def test_rational_roots_skip_positive_candidates_of_a_positive_polynomial(monkeypatch):
+    # Every coefficient of 720720 t^5 + t^3 + 720720 is positive, so by
+    # Descartes' rule it has no positive root and no positive candidate is
+    # evaluated; its negative candidates still are.
+    points = []
+    evaluate = LaurentPoly.evaluate
+
+    def recording(self, z):
+        points.append(z)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(LaurentPoly, "evaluate", recording)
+    cliff = LaurentPoly(0, [720720, 0, 0, 1, 0, 720720])
+    assert spectral._rational_roots(cliff) == ([], cliff)
+    assert points and all(z < 0 for z in points)
+
+
+def _unpruned_rational_roots(f: LaurentPoly):
+    """Every candidate p/q, then -p/q, in the order _rational_roots uses,
+    evaluated over Q on the rational coefficients, with no sign pruning."""
+    roots = []
+    while f.span > 0:
+        den = math.lcm(*(c.denominator for c in f.coeffs))
+        a = [int(c * den) for c in f.coeffs]
+        a = [x // math.gcd(*a) for x in a]
+        qs = spectral._divisors(a[-1])
+        found = next((r for p in spectral._divisors(a[0]) for q in qs if math.gcd(p, q) == 1
+                      for r in (Fraction(p, q), Fraction(-p, q)) if f.evaluate(r) == 0), None)
+        if found is None:
+            break
+        roots.append(found)
+        f, rest = divmod(f, LaurentPoly(0, [-found, 1]))
+        assert rest.is_zero()
+    return roots
+
+
+def test_rational_roots_match_an_unpruned_scan():
+    # Products of linear factors q t - p and irreducible quadratics; the
+    # pruned and the unpruned scan find the same roots in the same order.
+    rng = random.Random(19)
+    for _ in range(60):
+        f = LaurentPoly.one()
+        roots = set()
+        for _ in range(rng.randint(1, 5)):
+            p, q = rng.randint(-7, 7) or 1, rng.randint(1, 7)
+            if Fraction(p, q) not in roots:
+                roots.add(Fraction(p, q))
+                f = f * LaurentPoly(0, [-p, q])
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.randint(-5, 5), rng.randint(1, 9)
+            if a * a < 4 * b:
+                f = f * LaurentPoly(0, [b, a, 1])
+        got, rest = spectral._rational_roots(f)
+        assert got == _unpruned_rational_roots(f)
+        assert sorted(got) == sorted(roots)
+        assert all(rest.evaluate(r) != 0 for r in roots)
+
+
 def test_aberth_stops_on_high_degree_circle(tmp_path, monkeypatch, capsys):
     # The circle with cocycle 200 on one edge has Delta_0 = t^200 - 1; after
     # the rational roots +-1, Aberth gets the 198 others on |z| = 1, where

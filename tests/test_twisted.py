@@ -31,6 +31,7 @@ from endex.cli import _L2_GRID_POINTS, _L2_GRID_WEIGHTS
 from endex.inputs import load_input, parse_point
 from endex.laurent import poly
 from endex.spectral import _WALL_PAD
+from endex import twisted
 from endex.twisted import _BOUNDARY_MASS, KERNEL_RTOL, MAX_MULT, MAX_WINDOW, MIN_WINDOW
 
 from conftest import (analysis_of, grid_torus, mat, off_wall_delta, planted_complex, planted_roots,
@@ -414,6 +415,36 @@ def test_l2_every_block_up_to_max_mult_agrees_or_is_refused():
             assert got == l2_hom_dim_analytic(mod, m, d1, d2), (mod, m, d1, d2)
             agreed += 1
     assert agreed >= 50 and refused >= 1
+
+
+def test_l2_min_window_keeps_spurious_vectors_out(monkeypatch, svd_shapes):
+    # Seeded draws off the annulus, where the analytic count is 0, at gaps
+    # whose derived half-width is below MIN_WINDOW.  At that half-width
+    # alone the outer tenth holds one or two entries, and spurious singular
+    # vectors under the cutoff pass the boundary-mass test: lambda = 0.1555,
+    # m = 4, weights (2.42, 0.037) runs at N = 9 and counts 3.  At
+    # MIN_WINDOW every draw agrees.
+    monkeypatch.setattr(twisted, "MIN_WINDOW", 1)
+    rng = random.Random(19)
+    draws, unfloored = [], []
+    candidate = (0.1555, 4, 2.42, 0.037)
+    while len(draws) < 16:
+        try:
+            count = l2_kernel_truncated(*candidate)
+        except WindowTooSmallError:
+            count = None
+        (_, cols), _ = svd_shapes[-1]
+        if count is not None and l2_hom_dim_analytic(*candidate) == 0 and (cols - 1) // 2 < MIN_WINDOW:
+            draws.append(candidate)
+            unfloored.append(count)
+        d1, d2 = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
+        candidate = (math.exp(rng.uniform(math.log(1 / 8), math.log(8))), rng.randint(1, MAX_MULT), d1, d2)
+    assert unfloored[0] == 3 and sum(c > 0 for c in unfloored) >= 2
+    monkeypatch.setattr(twisted, "MIN_WINDOW", MIN_WINDOW)
+    svd_shapes.clear()
+    for d in draws:
+        assert l2_kernel_truncated(*d) == l2_hom_dim_analytic(*d) == 0, d
+    assert {cols for (_, cols), _ in svd_shapes} == {2 * MIN_WINDOW + 1}
 
 
 def test_l2_window_grows_with_the_block(svd_shapes):
