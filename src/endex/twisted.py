@@ -9,7 +9,10 @@ these routes is what the test suite leans on.
 
 Ranks at rational and Gaussian points are exact; at float points they use
 the fixed cutoff of ``linalg.numeric_rank``.  The shift-kernel oracle has
-its own fixed cutoff, ``KERNEL_RTOL``.  Neither is a parameter.
+its own fixed cutoff, ``KERNEL_RTOL``.  Neither is a parameter.  The
+shift-kernel oracle reads the numerical kernel of its band off one
+Householder QR and a values-only SVD of the triangular factor, not off a
+full SVD with its two singular-vector factors.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
@@ -216,8 +220,9 @@ def _decay_reach(m: int) -> float:
     the boundary-mass test at half-width N.
 
     On the side of the nearer weight that kernel is spanned by
-    k^j e^(-gap k), j < m, and the SVD may return any orthonormal basis of
-    it, so the test must hold for the worst unit vector of the span: the
+    k^j e^(-gap k), j < m, and the oracle's basis of it (the last columns
+    of a QR factor) is whichever orthonormal basis the reflectors give, so
+    the test must hold for the worst unit vector of the span: the
     squared norm of the outer rows of an orthonormal basis.  The span
     depends on gap * N alone, so it is sampled once at N = MAX_WINDOW, and
     the reach is bisected to within 1e-3.
@@ -238,13 +243,133 @@ def _decay_reach(m: int) -> float:
     return hi
 
 
+def _shift_band(ln_mod: float, m: int, n: int, delta1: float, delta2: float):
+    """The weighted, row-balanced band matrix of (shift - |lambda|)^m on
+    window indices -n..n, of shape (2n + 1 - m, 2n + 1)."""
+    import numpy as np
+
+    size = 2 * n + 1
+    rows = size - m
+    # Stencil of (shift - |lam|)^m: coefficient of x_{k-i} is C(m,i)(-|lam|)^(m-i),
+    # held as a sign and a log-magnitude, so no power of |lam| overflows.
+    sign = np.array([(-1.0) ** (m - i) for i in range(m + 1)])
+    ln_stencil = np.array([math.log(math.comb(m, i)) + (m - i) * ln_mod for i in range(m + 1)])
+    # Column scaling by the inverse weight e^(-delta k) maps weighted-norm
+    # kernel vectors to plain-norm ones; row balancing then keeps the
+    # singular spectrum readable without touching the kernel.  Both act on
+    # log-magnitudes, so no weight overflows however wide the window: row r
+    # holds output index k = -n + m + r, whose entry in column (k - i) + n
+    # is sign[i] * e^ln_stencil[i].
+    idx = np.arange(-n, n + 1, dtype=float)
+    delta_of = np.where(idx < 0, delta1, np.where(idx > 0, delta2, 0.0))
+    r = np.arange(rows)[:, None]
+    cols = r + m - np.arange(m + 1)[None, :]
+    band = ln_stencil[None, :] - (delta_of * idx)[cols]
+    band -= band.max(axis=1, keepdims=True)
+    a = np.zeros((rows, size), dtype=np.float64)
+    a[r, cols] = sign * np.exp(band)
+    return a
+
+
+def _numerical_kernel(a):
+    """Orthonormal columns spanning the numerical kernel of the wide matrix
+    a: its null space and its right singular vectors whose singular values
+    are under KERNEL_RTOL times the largest.
+
+    One Householder QR of a^T = Q R.  With Q_1 the first `rows` columns of
+    Q and R_1 the top of R, a = R_1^T Q_1^T.  So a has the singular values
+    of R_1^T, which a values-only SVD gives; Q's last columns span the null
+    space; and a right singular vector w of R_1^T becomes the right
+    singular vector Q_1 w of a.  Only when some singular value is under
+    the cutoff are those w computed (`_low_directions`).  The columns come
+    from applying Q's reflectors to a block of the kernel's width, so Q
+    itself is never formed.  Pass a as a temporary, so that it is freed as
+    soon as the factorization returns.
+    """
+    import numpy as np
+
+    rows, size = a.shape
+    h, tau = np.linalg.qr(a.T, mode="raw")
+    del a
+    # Row j of h is column j of the factored a^T: R's column j down to the
+    # diagonal, then the tail of reflector j, whose head is 1.
+    r1t = np.tril(h[:, :rows])
+    s = np.linalg.svd(r1t, compute_uv=False)
+    low = np.empty((rows, 0))
+    if s[-1] < KERNEL_RTOL * s[0]:
+        low = _low_directions(r1t, s, KERNEL_RTOL * s[0])
+    kernel = np.zeros((size, low.shape[1] + size - rows))
+    kernel[:rows, :low.shape[1]] = low
+    kernel[rows:, low.shape[1]:] = np.eye(size - rows)
+    for j in reversed(range(rows)):
+        tail = h[j, j + 1:]
+        proj = tau[j] * (kernel[j] + tail @ kernel[j + 1:])
+        kernel[j] -= proj
+        kernel[j + 1:] -= np.outer(tail, proj)
+    return kernel
+
+
+def _low_directions(l, s, cutoff):
+    """Right singular vectors of the lower-triangular l for its singular
+    values under cutoff, as columns; s holds all of them in descending
+    order.
+
+    Inverse subspace iteration on l^T l, each step two triangular solves,
+    then a Rayleigh-Ritz step (the SVD of the thin matrix l x).  The block
+    spans every direction whose singular value is under 1000 * cutoff, so a
+    step shrinks each direction outside it by at least 1e6 against the
+    wanted ones, and three steps put them below rounding; the Rayleigh-Ritz
+    step separates the wanted vectors from the rest of the block.  Singular
+    vectors of distinct singular values are unique up to sign, so these are
+    the vectors an SVD of l returns.
+
+    A solve amplifies the smallest singular value's direction most, and
+    rounding drowns any wanted direction it amplifies less than that by
+    more than about 1e6.  When the wanted singular values spread further
+    above the rounding level (a cluster at rounding level under others
+    near the cutoff, seen at m >= 4 with delta2 > delta1 and ln|lambda|
+    between them), l's SVD with vectors gives them instead.
+    """
+    import numpy as np
+
+    want = int(np.count_nonzero(s < cutoff))
+    if s[-want] > 1e6 * max(s[-1], np.finfo(float).eps * s[0]):
+        return np.linalg.svd(l)[2][len(s) - want:].T
+    width = int(np.count_nonzero(s < 1e3 * cutoff))
+    # A seeded start block; numpy.random would add about 6 MB to the process.
+    start = random.Random(0).randbytes(8 * len(l) * width)
+    x = np.frombuffer(start, dtype=np.uint64).reshape(len(l), width) / 2.0**64 - 0.5
+    for _ in range(3):
+        x = np.linalg.qr(_solve_triangular(l.T, x, lower=False))[0]
+        x = np.linalg.qr(_solve_triangular(l, x, lower=True))[0]
+    _, _, vh = np.linalg.svd(l @ x, full_matrices=False)
+    return x @ vh[width - want:].T
+
+
+def _solve_triangular(t, b, lower: bool):
+    """t^-1 b for a nonsingular triangular t, in blocks of 64 rows: each
+    diagonal block is solved densely once the rows it depends on are."""
+    import numpy as np
+
+    n = len(t)
+    x = np.empty_like(b)
+    for p in range(0, n, 64) if lower else reversed(range(0, n, 64)):
+        q = min(p + 64, n)
+        solved = slice(0, p) if lower else slice(q, n)
+        x[p:q] = np.linalg.solve(t[p:q, p:q], b[p:q] - t[p:q, solved] @ x[solved])
+    return x
+
+
 def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     """Brute-force kernel count of the truncated weighted shift operator.
 
     Builds the band matrix of (shift - |lambda|)^m on window indices
     -N..N (the shift moves a sequence one step to the right), conjugates by
     the two-sided exponential weight, and counts the kernel directions
-    whose mass decays at the window boundary.  Takes the arguments of
+    whose mass decays at the window boundary.  The directions are an
+    orthonormal basis of the null space and the right singular vectors
+    whose singular values are under KERNEL_RTOL times the largest
+    (_numerical_kernel), and each is tested on its own.  Takes the arguments of
     l2_hom_dim_analytic and picks the half-width N itself: the one that
     KERNEL_RTOL and the block's kernel vectors (_decay_reach) need at this
     gap, and at least MIN_WINDOW.  A weight that
@@ -280,35 +405,8 @@ def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     import numpy as np
 
     n = max(MIN_WINDOW, needed)
-    size = 2 * n + 1
-    rows = size - m
-    # Stencil of (shift - |lam|)^m: coefficient of x_{k-i} is C(m,i)(-|lam|)^(m-i),
-    # held as a sign and a log-magnitude, so no power of |lam| overflows.
-    sign = np.array([(-1.0) ** (m - i) for i in range(m + 1)])
-    ln_stencil = np.array([math.log(math.comb(m, i)) + (m - i) * ln_mod for i in range(m + 1)])
-    # Column scaling by the inverse weight e^(-delta k) maps weighted-norm
-    # kernel vectors to plain-norm ones; row balancing then keeps the
-    # singular spectrum readable without touching the kernel.  Both act on
-    # log-magnitudes, so no weight overflows however wide the window: row r
-    # holds output index k = -n + m + r, whose entry in column (k - i) + n
-    # is sign[i] * e^ln_stencil[i].
-    idx = np.arange(-n, n + 1, dtype=float)
-    delta_of = np.where(idx < 0, delta1, np.where(idx > 0, delta2, 0.0))
-    r = np.arange(rows)[:, None]
-    cols = r + m - np.arange(m + 1)[None, :]
-    band = ln_stencil[None, :] - (delta_of * idx)[cols]
-    band -= band.max(axis=1, keepdims=True)
-    a = np.zeros((rows, size), dtype=np.float64)
-    a[r, cols] = sign * np.exp(band)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    kernel_rows = [vh[i] for i in range(len(s), size)]
-    kernel_rows += [vh[i] for i in range(len(s)) if s[i] < KERNEL_RTOL * s[0]]
-    outer = int(math.floor(0.9 * n))
-    boundary = np.abs(idx) > outer
-    count = 0
-    for v in kernel_rows:
-        mass = np.abs(v) ** 2
-        frac = mass[boundary].sum() / mass.sum()
-        if frac < _BOUNDARY_MASS:
-            count += 1
-    return count
+    kernel = _numerical_kernel(_shift_band(ln_mod, m, n, delta1, delta2))
+    mass = kernel ** 2
+    boundary = np.abs(np.arange(-n, n + 1)) > math.floor(0.9 * n)
+    frac = mass[boundary].sum(axis=0) / mass.sum(axis=0)
+    return int(np.count_nonzero(frac < _BOUNDARY_MASS))

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -259,17 +260,30 @@ def _l2_kernel_complex_reference(lam, m, d1, d2, n):
 
 
 @pytest.fixture
-def svd_shapes(monkeypatch):
-    """Shape and dtype of every matrix the shift-kernel oracle decomposes."""
+def factorizations(monkeypatch):
+    """Every QR and SVD the shift-kernel oracle runs: the routine, its
+    input's shape and dtype, and the QR's mode or whether the SVD computes
+    vectors."""
     seen = []
-    svd = np.linalg.svd
+    qr, svd = np.linalg.qr, np.linalg.svd
 
-    def spy(a, *args, **kwargs):
-        seen.append((a.shape, a.dtype))
-        return svd(a, *args, **kwargs)
+    def qr_spy(a, mode="reduced"):
+        seen.append(("qr", a.shape, a.dtype, mode))
+        return qr(a, mode=mode)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    def svd_spy(a, full_matrices=True, compute_uv=True):
+        seen.append(("svd", a.shape, a.dtype, compute_uv))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
     return seen
+
+
+def _bands(factorizations):
+    """The (2N + 1, 2N + 1 - m) shape of each band the oracle factored, read
+    off the input of its one raw QR (the transposed band)."""
+    return [shape for routine, shape, _, mode in factorizations if routine == "qr" and mode == "raw"]
 
 
 def _needed(lam, d1, d2):
@@ -288,7 +302,7 @@ def test_l2_truncated_phase_invariant():
             assert l2_kernel_truncated(lam, m, d1, d2) == at_mod
 
 
-def test_l2_truncated_matches_complex_operator(svd_shapes):
+def test_l2_truncated_matches_complex_operator(factorizations):
     # Each draw is compared with the complex reference at the half-width the
     # oracle picked, read off the matrix it decomposed.
     rng = random.Random(4)
@@ -301,7 +315,7 @@ def test_l2_truncated_matches_complex_operator(svd_shapes):
         lam, m = mod * complex(math.cos(theta), math.sin(theta)), rng.randint(1, 3)
         rng.choice((60, 90, 120))  # unused; keeps the twenty seeded cases
         got = l2_kernel_truncated(lam, m, d1, d2)
-        (rows, cols), _ = svd_shapes[-1]
+        cols, rows = _bands(factorizations)[-1]
         n = (cols - 1) // 2
         assert rows == cols - m and n == max(MIN_WINDOW, _needed(lam, d1, d2))
         assert got == _l2_kernel_complex_reference(lam, m, d1, d2, n), (lam, m, d1, d2)
@@ -310,12 +324,15 @@ def test_l2_truncated_matches_complex_operator(svd_shapes):
     assert outcomes == {0, 1, 2, 3} and max(windows) > MIN_WINDOW
 
 
-def test_l2_truncated_runs_real_svd(svd_shapes):
+def test_l2_truncated_factors_a_real_band(factorizations):
+    twisted._decay_reach(1)  # cached, so its QRs of a sample basis stay out
+    factorizations.clear()
     assert l2_kernel_truncated(1 + 1j, 1, 1.0, 0.0) == 1
-    assert svd_shapes == [((2 * MIN_WINDOW, 2 * MIN_WINDOW + 1), np.float64)]
+    assert factorizations == [("qr", (2 * MIN_WINDOW + 1, 2 * MIN_WINDOW), np.float64, "raw"),
+                              ("svd", (2 * MIN_WINDOW, 2 * MIN_WINDOW), np.float64, False)]
 
 
-def test_l2_window_is_derived_from_the_gap(svd_shapes):
+def test_l2_window_is_derived_from_the_gap(factorizations):
     # Every point of the standard grid needs at most 92, so it runs at
     # MIN_WINDOW.  With weights (-1, -2), lambda = 0.1313 needs 458 and
     # e^(-1.97) needs 462, where a plain e^(-delta k) column weight
@@ -324,10 +341,10 @@ def test_l2_window_is_derived_from_the_gap(svd_shapes):
     assert l2_kernel_truncated(2, 1, 1.0, 0.5) == l2_hom_dim_analytic(2, 1, 1.0, 0.5) == 1
     assert l2_kernel_truncated(0.1313, 2, -1.0, -2.0) == l2_hom_dim_analytic(0.1313, 2, -1.0, -2.0) == 0
     assert l2_kernel_truncated(inside, 2, -1.0, -2.0) == l2_hom_dim_analytic(inside, 2, -1.0, -2.0) == 2
-    assert [cols for (_, cols), _ in svd_shapes] == [2 * MIN_WINDOW + 1, 2 * 458 + 1, 2 * 462 + 1]
+    assert [cols for cols, _ in _bands(factorizations)] == [2 * MIN_WINDOW + 1, 2 * 458 + 1, 2 * 462 + 1]
 
 
-def test_l2_window_too_small(svd_shapes):
+def test_l2_window_too_small(factorizations):
     # ln 2 is within 1e-3 of the first weight: the window would need ~13800.
     with pytest.raises(WindowTooSmallError) as exc:
         l2_kernel_truncated(2, 1, math.log(2) + 1e-3, 0.0)
@@ -336,7 +353,7 @@ def test_l2_window_too_small(svd_shapes):
     lam = math.exp(-1 - math.log(1 / KERNEL_RTOL) / (MAX_WINDOW - 1.5))
     assert _needed(lam, -1.0, -2.0) == MAX_WINDOW
     assert l2_kernel_truncated(lam, 1, -1.0, -2.0) == l2_hom_dim_analytic(lam, 1, -1.0, -2.0) == 1
-    assert [cols for (_, cols), _ in svd_shapes] == [2 * MAX_WINDOW + 1]
+    assert [cols for cols, _ in _bands(factorizations)] == [2 * MAX_WINDOW + 1]
 
 
 # Weights whose e^delta is not a positive finite float.
@@ -348,7 +365,7 @@ def test_l2_weight_circle_rejected():
         l2_kernel_truncated(1.0, 1, 0.0, -1.0)
 
 
-def test_window_validation(svd_shapes):
+def test_window_validation(factorizations):
     # Both l2 functions refuse the same points, the oracle before any SVD.
     for fn in (l2_hom_dim_analytic, l2_kernel_truncated):
         with pytest.raises(ValueError, match="multiplicity"):
@@ -364,10 +381,10 @@ def test_window_validation(svd_shapes):
             for d1, d2 in ((delta, 0.5), (1.0, delta)):
                 with pytest.raises(FloatRangeError, match="e\\^delta is not a positive finite float"):
                     fn(2, 1, d1, d2)
-    assert svd_shapes == []
+    assert factorizations == []
 
 
-def test_l2_lambda_whose_float_modulus_underflows_is_refused(svd_shapes):
+def test_l2_lambda_whose_float_modulus_underflows_is_refused(factorizations):
     # An exact nonzero lambda below the float range is not mistaken for zero.
     for fn in (l2_hom_dim_analytic, l2_kernel_truncated):
         for lam in (Fraction(1, 10**400), GaussianRational(Fraction(1, 10**400), Fraction(-1, 10**401))):
@@ -376,22 +393,22 @@ def test_l2_lambda_whose_float_modulus_underflows_is_refused(svd_shapes):
         for lam in (Fraction(0), 0.0, GaussianRational(0, 0)):
             with pytest.raises(ValueError, match="lambda must be nonzero"):
                 fn(lam, 1, 1.0, 0.5)
-    assert svd_shapes == []
+    assert factorizations == []
 
 
-def test_l2_grid_agrees_up_to_max_mult(svd_shapes):
+def test_l2_grid_agrees_up_to_max_mult(factorizations):
     # All 16 grid pairs agree at MAX_MULT; the first pair to disagree does
     # so at MAX_MULT + 1, which is refused before any SVD.
     for lam in _L2_GRID_POINTS:
         for d1, d2 in _L2_GRID_WEIGHTS:
             analytic = l2_hom_dim_analytic(lam, MAX_MULT, d1, d2)
             assert l2_kernel_truncated(lam, MAX_MULT, d1, d2) == analytic, (lam, d1, d2)
-    assert len(svd_shapes) == 16
+    assert len(_bands(factorizations)) == 16
     with pytest.raises(ValueError, match=f"multiplicity {MAX_MULT + 1} is above the cap of {MAX_MULT}"):
         l2_kernel_truncated(Fraction(1, 2), MAX_MULT + 1, -1.0, -2.0)
     with pytest.raises(ValueError, match="above the cap"):
         l2_kernel_truncated(Fraction(1, 2), 1000, 1.0, 0.5)
-    assert len(svd_shapes) == 16
+    assert len(_bands(factorizations)) == 16
     # The analytic count has no cap.
     assert l2_hom_dim_analytic(Fraction(1, 2), MAX_MULT + 1, -0.5, -1.0) == MAX_MULT + 1
 
@@ -417,7 +434,7 @@ def test_l2_every_block_up_to_max_mult_agrees_or_is_refused():
     assert agreed >= 50 and refused >= 1
 
 
-def test_l2_min_window_keeps_spurious_vectors_out(monkeypatch, svd_shapes):
+def test_l2_min_window_keeps_spurious_vectors_out(monkeypatch, factorizations):
     # Seeded draws off the annulus, where the analytic count is 0, at gaps
     # whose derived half-width is below MIN_WINDOW.  At that half-width
     # alone the outer tenth holds one or two entries, and spurious singular
@@ -433,7 +450,7 @@ def test_l2_min_window_keeps_spurious_vectors_out(monkeypatch, svd_shapes):
             count = l2_kernel_truncated(*candidate)
         except WindowTooSmallError:
             count = None
-        (_, cols), _ = svd_shapes[-1]
+        cols, _ = _bands(factorizations)[-1]
         if count is not None and l2_hom_dim_analytic(*candidate) == 0 and (cols - 1) // 2 < MIN_WINDOW:
             draws.append(candidate)
             unfloored.append(count)
@@ -441,27 +458,134 @@ def test_l2_min_window_keeps_spurious_vectors_out(monkeypatch, svd_shapes):
         candidate = (math.exp(rng.uniform(math.log(1 / 8), math.log(8))), rng.randint(1, MAX_MULT), d1, d2)
     assert unfloored[0] == 3 and sum(c > 0 for c in unfloored) >= 2
     monkeypatch.setattr(twisted, "MIN_WINDOW", MIN_WINDOW)
-    svd_shapes.clear()
+    factorizations.clear()
     for d in draws:
         assert l2_kernel_truncated(*d) == l2_hom_dim_analytic(*d) == 0, d
-    assert {cols for (_, cols), _ in svd_shapes} == {2 * MIN_WINDOW + 1}
+    assert {cols for cols, _ in _bands(factorizations)} == {2 * MIN_WINDOW + 1}
 
 
-def test_l2_window_grows_with_the_block(svd_shapes):
+def test_l2_window_grows_with_the_block(factorizations):
     # ln 0.35 lies 0.0498 from the first weight.  The m = 1 decay asks for
     # N = 279, where the kernel of a 6-block still holds too much mass in
     # the outer tenth (2 of 6 counted); the 6-block needs 410, a 7-block 462.
     assert l2_kernel_truncated(0.35, 1, -1.0, -2.0) == 1
     assert l2_kernel_truncated(0.35, 6, -1.0, -2.0) == l2_hom_dim_analytic(0.35, 6, -1.0, -2.0) == 6
     assert l2_kernel_truncated(0.35, 7, -1.0, -2.0) == 7
-    assert [(cols - 1) // 2 for (_, cols), _ in svd_shapes] == [279, 410, 462]
+    assert [(cols - 1) // 2 for cols, _ in _bands(factorizations)] == [279, 410, 462]
 
 
-def test_fredholm_refuses_weight_without_finite_radius(s1s2_complex, svd_shapes):
+def _svd_kernel(a):
+    """The numerical kernel of a by a full SVD, the way the oracle found it
+    before it factored the band by QR: the null rows of V^T, then the rows
+    whose singular value is under KERNEL_RTOL times the largest."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return np.vstack([vh[len(s):], vh[:len(s)][s < KERNEL_RTOL * s[0]]]).T
+
+
+def _decaying(vectors, n):
+    """The boundary-mass test of l2_kernel_truncated, vector by vector."""
+    mass = vectors ** 2
+    boundary = np.abs(np.arange(-n, n + 1)) > math.floor(0.9 * n)
+    return int(np.count_nonzero(mass[boundary].sum(axis=0) / mass.sum(axis=0) < _BOUNDARY_MASS))
+
+
+def _window(lam, m, d1, d2):
+    ln_mod = math.log(lam)
+    gap = min(abs(ln_mod - d1), abs(ln_mod - d2))
+    return max(MIN_WINDOW, math.ceil(max(math.log(1 / KERNEL_RTOL), twisted._decay_reach(m)) / gap) + 1)
+
+
+def test_l2_numerical_kernel_matches_a_full_svd(factorizations):
+    # Seeded blocks with directions under the cutoff: off the annulus with
+    # delta2 > delta1 (a cluster at rounding level), and m >= 5 on both
+    # sides, some in wide windows.  The QR route spans the full SVD's
+    # numerical kernel (every principal angle below 1.5e-6 radians) and its
+    # vectors pass the boundary-mass test in the same number.  Both routes
+    # to the directions under the cutoff run: inverse iteration, whose last
+    # SVD is thin, and the factor's SVD with vectors.
+    rng = random.Random(45)
+    routes, wide, low = set(), 0, 0
+    while low < 10:
+        m = rng.choice((1, 2, 5, 6, 7))
+        lam = math.exp(rng.uniform(math.log(1 / 3), math.log(3)))
+        d1, d2 = sorted((rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)), reverse=rng.random() < 0.5)
+        n = _window(lam, m, d1, d2)
+        if n > 420:
+            continue
+        a = twisted._shift_band(math.log(lam), m, n, d1, d2)
+        reference = _svd_kernel(a)
+        if reference.shape[1] == m:
+            continue
+        factorizations.clear()
+        kernel = twisted._numerical_kernel(a)
+        assert kernel.shape == reference.shape, (lam, m, d1, d2)
+        cosines = np.linalg.svd(reference.T @ kernel, compute_uv=False)
+        assert cosines.min() > 1 - 1e-12, (lam, m, d1, d2)
+        assert _decaying(kernel, n) == _decaying(reference, n), (lam, m, d1, d2)
+        rows = a.shape[0]
+        routes |= {shape[1] < rows for routine, shape, _, vectors in factorizations
+                   if routine == "svd" and vectors}
+        wide += n > MIN_WINDOW and m >= 6
+        low += 1
+    assert routes == {True, False} and wide >= 2
+
+
+def test_l2_kernel_holds_no_square_factor_of_the_window():
+    # At N = 458 the full SVD held a and both singular-vector factors, about
+    # three (2N + 1)^2 float arrays (20.2 MB traced).  The QR route holds a
+    # and the factorization's copy of it, then the factor R_1^T: about two.
+    n = 458
+    assert _window(0.1313, 2, -1.0, -2.0) == n
+    l2_kernel_truncated(0.1313, 2, -1.0, -2.0)
+    tracemalloc.start()
+    try:
+        assert l2_kernel_truncated(0.1313, 2, -1.0, -2.0) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (2 * n + 1) ** 2 * 8
+
+
+def test_l2_standard_grid_runs_no_square_svd_with_vectors(factorizations):
+    # The CLI's grid (and the benchmark's l2 requests) at m = 1 and 2.  Only
+    # lambda = 2 with weights (0.5, 1.0) has directions under the cutoff (a
+    # cluster at rounding level), and inverse iteration finds them: the one
+    # SVD with vectors it runs is thin.
+    for lam in _L2_GRID_POINTS:
+        for m in (1, 2):
+            for d1, d2 in _L2_GRID_WEIGHTS:
+                assert l2_kernel_truncated(lam, m, d1, d2) == l2_hom_dim_analytic(lam, m, d1, d2)
+    with_vectors = [shape for routine, shape, _, vectors in factorizations if routine == "svd" and vectors]
+    assert len(_bands(factorizations)) == 32
+    assert with_vectors == [(2 * MIN_WINDOW, 1), (2 * MIN_WINDOW - 1, 2)]
+
+
+def test_l2_subspace_count_over_the_numerical_kernel_overcounts():
+    # The kernel count that ROADMAP item 13 proposes, measured at the block
+    # that made the window grow with m: lambda = 0.35, m = 6, weights
+    # (-1, -2), N = 410.  The band has 22 singular values under the cutoff.
+    # The per-vector test counts 6, the analytic count.  The eigenvalues
+    # below _BOUNDARY_MASS of the Gram matrix of the numerical kernel on the
+    # outer tenth count 22; over the null space alone they count 6.
+    n, m = 410, 6
+    assert _window(0.35, m, -1.0, -2.0) == n
+    kernel = twisted._numerical_kernel(twisted._shift_band(math.log(0.35), m, n, -1.0, -2.0))
+    assert kernel.shape == (2 * n + 1, 22 + m)
+    assert _decaying(kernel, n) == l2_hom_dim_analytic(0.35, m, -1.0, -2.0) == 6
+    outer = kernel[np.abs(np.arange(-n, n + 1)) > math.floor(0.9 * n)]
+
+    def subspace_count(block):
+        return int(np.count_nonzero(np.linalg.eigvalsh(block.T @ block) < _BOUNDARY_MASS))
+
+    # The null space is the last m columns.
+    assert (subspace_count(outer), subspace_count(outer[:, -m:])) == (22, 6)
+
+
+def test_fredholm_refuses_weight_without_finite_radius(s1s2_complex, factorizations):
     for delta in OUT_OF_RANGE_WEIGHTS:
         with pytest.raises(FloatRangeError, match="e\\^delta is not a positive finite float"):
             fredholm_check(analysis_of(s1s2_complex), delta)
-    assert svd_shapes == []
+    assert factorizations == []
 
 
 def test_l2_stencil_takes_a_modulus_whose_powers_overflow():
