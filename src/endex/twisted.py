@@ -8,11 +8,11 @@ brute-forcing kernels of truncated weighted shift operators.  Agreement of
 these routes is what the test suite leans on.
 
 Ranks at rational and Gaussian points are exact; at float points they use
-the fixed cutoff of ``linalg.numeric_rank``.  The shift-kernel oracle has
-its own fixed cutoff, ``KERNEL_RTOL``.  Neither is a parameter.  The
-shift-kernel oracle reads the numerical kernel of its band off one
-Householder QR and a values-only SVD of the triangular factor, not off a
-full SVD with its two singular-vector factors.
+the fixed cutoff of ``linalg.numeric_rank``, which is not a parameter.  The
+shift-kernel oracle has no rank decision: its truncated band has full row
+rank, so the band's null space has dimension exactly m, and one Householder
+QR gives it.  The oracle counts the vectors of that null space whose mass
+decays at the window boundary.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
@@ -33,29 +32,32 @@ from .rationals import GaussianRational
 from .spectral import wall_at
 
 _CIRCLE_PAD = 1e-9
-# Kernel vectors must hold all but this fraction of their mass away from
-# the outer tenth of the window to count as decaying.  The window is sized
-# so that every true kernel vector passes (_decay_reach).  Off the annulus
-# a block of m >= 6 can have spurious singular vectors under KERNEL_RTOL
-# that hold as little as 6e-5 of their mass there, which 1e-3 counted.
+# Null-space vectors must hold all but this fraction of their mass away
+# from the outer tenth of the window to count as decaying.  The window is
+# sized so that every true kernel vector passes (_decay_reach), so this
+# value sets the window of every block of m >= 4 (N = 410 for
+# lambda = 0.35, m = 6, weights (-1, -2)).
 _BOUNDARY_MASS = 1e-5
-# Relative singular-value cutoff of the shift-kernel oracle.  A kernel
-# vector decays like k^j e^(-gap k), gap being the distance from ln|lambda|
-# to the nearer weight, so the window needs ceil(reach / gap) + 1, reach
-# being the larger of ln(1/KERNEL_RTOL) and the block's _decay_reach.
+# A kernel vector decays like k^j e^(-gap k), gap being the distance from
+# ln|lambda| to the nearer weight, so the window needs ceil(reach / gap) + 1,
+# reach being the larger of ln(1/KERNEL_RTOL) = 13.8 and the block's
+# _decay_reach, so e^(-gap k) falls to KERNEL_RTOL of its peak or below by
+# the window's edge.  Nothing is cut at this value.
 KERNEL_RTOL = 1e-6
 # The window is never narrower than MIN_WINDOW; a weight that needs more
 # than MAX_WINDOW is refused (WindowTooSmallError).  See the README for costs.
 # The floor is load-bearing: off the annulus, a window of the derived
-# width alone has a few entries in its outer tenth (two at N = 9), and
-# spurious singular vectors pass the mass test there (lambda = 0.1555,
-# m = 4, weights (2.42, 0.037) counts 3 at N = 9, not 0).
+# width alone has only a few entries in its outer tenth (two at N = 9), and
+# at least m minus that many directions of the m-dimensional null space
+# vanish on them and pass the mass test (lambda = 0.1555, m = 4, weights
+# (2.42, 0.037) counts 3 at N = 9, not 0, though the band's smallest
+# singular value there is 0.34 of its largest).
 MIN_WINDOW = 200
 MAX_WINDOW = 500
 # The largest Jordan block the shift-kernel oracle takes; a larger m is
 # refused before anything is allocated.  Seeded draws of every m up to it
 # agree with the analytic count or are refused (tests/test_twisted.py);
-# past it they need not: one draw at m = 9 counts 3 of 9.
+# no test checks a larger block.
 MAX_MULT = 7
 # Circle points of the numeric Fredholm verdict.
 FREDHOLM_SAMPLES = 16
@@ -255,8 +257,8 @@ def _shift_band(ln_mod: float, m: int, n: int, delta1: float, delta2: float):
     sign = np.array([(-1.0) ** (m - i) for i in range(m + 1)])
     ln_stencil = np.array([math.log(math.comb(m, i)) + (m - i) * ln_mod for i in range(m + 1)])
     # Column scaling by the inverse weight e^(-delta k) maps weighted-norm
-    # kernel vectors to plain-norm ones; row balancing then keeps the
-    # singular spectrum readable without touching the kernel.  Both act on
+    # kernel vectors to plain-norm ones; row balancing then brings each
+    # row's largest entry to 1 without touching the kernel.  Both act on
     # log-magnitudes, so no weight overflows however wide the window: row r
     # holds output index k = -n + m + r, whose entry in column (k - i) + n
     # is sign[i] * e^ln_stencil[i].
@@ -271,20 +273,14 @@ def _shift_band(ln_mod: float, m: int, n: int, delta1: float, delta2: float):
     return a
 
 
-def _numerical_kernel(a):
-    """Orthonormal columns spanning the numerical kernel of the wide matrix
-    a: its null space and its right singular vectors whose singular values
-    are under KERNEL_RTOL times the largest.
+def _null_space(a):
+    """The null space of a wide matrix a of full row rank, as orthonormal
+    columns: one for each column of a beyond its row count.
 
-    One Householder QR of a^T = Q R.  With Q_1 the first `rows` columns of
-    Q and R_1 the top of R, a = R_1^T Q_1^T.  So a has the singular values
-    of R_1^T, which a values-only SVD gives; Q's last columns span the null
-    space; and a right singular vector w of R_1^T becomes the right
-    singular vector Q_1 w of a.  Only when some singular value is under
-    the cutoff are those w computed (`_low_directions`).  The columns come
-    from applying Q's reflectors to a block of the kernel's width, so Q
-    itself is never formed.  Pass a as a temporary, so that it is freed as
-    soon as the factorization returns.
+    One Householder QR of a^T = Q R.  The last columns of Q are orthogonal
+    to a's rows, and they come from applying Q's reflectors to the last
+    unit vectors, so Q itself is never formed.  Pass a as a temporary, so
+    that it is freed as soon as the factorization returns.
     """
     import numpy as np
 
@@ -293,14 +289,8 @@ def _numerical_kernel(a):
     del a
     # Row j of h is column j of the factored a^T: R's column j down to the
     # diagonal, then the tail of reflector j, whose head is 1.
-    r1t = np.tril(h[:, :rows])
-    s = np.linalg.svd(r1t, compute_uv=False)
-    low = np.empty((rows, 0))
-    if s[-1] < KERNEL_RTOL * s[0]:
-        low = _low_directions(r1t, s, KERNEL_RTOL * s[0])
-    kernel = np.zeros((size, low.shape[1] + size - rows))
-    kernel[:rows, :low.shape[1]] = low
-    kernel[rows:, low.shape[1]:] = np.eye(size - rows)
+    kernel = np.zeros((size, size - rows))
+    kernel[rows:] = np.eye(size - rows)
     for j in reversed(range(rows)):
         tail = h[j, j + 1:]
         proj = tau[j] * (kernel[j] + tail @ kernel[j + 1:])
@@ -309,72 +299,23 @@ def _numerical_kernel(a):
     return kernel
 
 
-def _low_directions(l, s, cutoff):
-    """Right singular vectors of the lower-triangular l for its singular
-    values under cutoff, as columns; s holds all of them in descending
-    order.
-
-    Inverse subspace iteration on l^T l, each step two triangular solves,
-    then a Rayleigh-Ritz step (the SVD of the thin matrix l x).  The block
-    spans every direction whose singular value is under 1000 * cutoff, so a
-    step shrinks each direction outside it by at least 1e6 against the
-    wanted ones, and three steps put them below rounding; the Rayleigh-Ritz
-    step separates the wanted vectors from the rest of the block.  Singular
-    vectors of distinct singular values are unique up to sign, so these are
-    the vectors an SVD of l returns.
-
-    A solve amplifies the smallest singular value's direction most, and
-    rounding drowns any wanted direction it amplifies less than that by
-    more than about 1e6.  When the wanted singular values spread further
-    above the rounding level (a cluster at rounding level under others
-    near the cutoff, seen at m >= 4 with delta2 > delta1 and ln|lambda|
-    between them), l's SVD with vectors gives them instead.
-    """
-    import numpy as np
-
-    want = int(np.count_nonzero(s < cutoff))
-    if s[-want] > 1e6 * max(s[-1], np.finfo(float).eps * s[0]):
-        return np.linalg.svd(l)[2][len(s) - want:].T
-    width = int(np.count_nonzero(s < 1e3 * cutoff))
-    # A seeded start block; numpy.random would add about 6 MB to the process.
-    start = random.Random(0).randbytes(8 * len(l) * width)
-    x = np.frombuffer(start, dtype=np.uint64).reshape(len(l), width) / 2.0**64 - 0.5
-    for _ in range(3):
-        x = np.linalg.qr(_solve_triangular(l.T, x, lower=False))[0]
-        x = np.linalg.qr(_solve_triangular(l, x, lower=True))[0]
-    _, _, vh = np.linalg.svd(l @ x, full_matrices=False)
-    return x @ vh[width - want:].T
-
-
-def _solve_triangular(t, b, lower: bool):
-    """t^-1 b for a nonsingular triangular t, in blocks of 64 rows: each
-    diagonal block is solved densely once the rows it depends on are."""
-    import numpy as np
-
-    n = len(t)
-    x = np.empty_like(b)
-    for p in range(0, n, 64) if lower else reversed(range(0, n, 64)):
-        q = min(p + 64, n)
-        solved = slice(0, p) if lower else slice(q, n)
-        x[p:q] = np.linalg.solve(t[p:q, p:q], b[p:q] - t[p:q, solved] @ x[solved])
-    return x
-
-
 def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     """Brute-force kernel count of the truncated weighted shift operator.
 
     Builds the band matrix of (shift - |lambda|)^m on window indices
     -N..N (the shift moves a sequence one step to the right), conjugates by
-    the two-sided exponential weight, and counts the kernel directions
-    whose mass decays at the window boundary.  The directions are an
-    orthonormal basis of the null space and the right singular vectors
-    whose singular values are under KERNEL_RTOL times the largest
-    (_numerical_kernel), and each is tested on its own.  Takes the arguments of
-    l2_hom_dim_analytic and picks the half-width N itself: the one that
-    KERNEL_RTOL and the block's kernel vectors (_decay_reach) need at this
-    gap, and at least MIN_WINDOW.  A weight that
-    needs more than MAX_WINDOW raises WindowTooSmallError, and m above
-    MAX_MULT raises ValueError, before anything is allocated.
+    the two-sided exponential weight, and counts the null-space directions
+    whose mass decays at the window boundary.  Row r of the band is zero
+    before column r and nonzero there, so the band has full row rank and
+    its null space has dimension exactly m.  The window restriction of
+    every kernel sequence satisfies every row, so it lies in that null
+    space.  Each vector of an orthonormal basis of it (_null_space) is
+    tested on its own.  Takes the arguments of l2_hom_dim_analytic and
+    picks the half-width N itself: the one that KERNEL_RTOL and the
+    block's kernel vectors (_decay_reach) need at this gap, and at least
+    MIN_WINDOW.  A weight that needs more than MAX_WINDOW raises
+    WindowTooSmallError, and m above MAX_MULT raises ValueError, before
+    anything is allocated.
 
     The operator for |lambda| gives the same count as the one for lambda,
     so the matrix is real for every lambda.  Write lambda = |lambda| e^(i theta)
@@ -386,10 +327,11 @@ def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     so the complex operator is U A V, with A the real operator for |lambda|
     and U, V unitary diagonal matrices.  The column weights are diagonal
     and commute with V, and the row balancing divides by moduli that U
-    leaves unchanged.  The weighted, balanced matrix therefore keeps its
-    singular values, and each right singular vector changes only by
-    unit-modulus factors on its entries.  The boundary-mass test reads
-    only the squared moduli of those entries, so it counts the same
+    leaves unchanged, so the weighted, balanced complex matrix is U B V for
+    the real weighted, balanced B.  U is invertible, so
+    null(U B V) = V^-1 null(B), and V^-1 maps an orthonormal basis of
+    null(B) to one of null(U B V) with the same squared moduli entry by
+    entry.  The boundary-mass test reads only those, so it counts the same
     vectors.
     """
     ln_mod = _ln_modulus(lam, m, delta1, delta2)
@@ -405,7 +347,7 @@ def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     import numpy as np
 
     n = max(MIN_WINDOW, needed)
-    kernel = _numerical_kernel(_shift_band(ln_mod, m, n, delta1, delta2))
+    kernel = _null_space(_shift_band(ln_mod, m, n, delta1, delta2))
     mass = kernel ** 2
     boundary = np.abs(np.arange(-n, n + 1)) > math.floor(0.9 * n)
     frac = mass[boundary].sum(axis=0) / mass.sum(axis=0)

@@ -279,13 +279,14 @@ def test_removed_size_flags_are_unknown(argv, capsys):
 
 
 def test_oracle_sizes_are_bounded(capsys, monkeypatch):
-    # A weight whose window would pass MAX_WINDOW is refused before the SVD.
-    import numpy as np
+    # A weight whose window would pass MAX_WINDOW is refused before the band
+    # is built.
+    from endex import twisted
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the oracle ran past its size bound")
 
-    monkeypatch.setattr(np.linalg, "svd", unreachable)
+    monkeypatch.setattr(twisted, "_shift_band", unreachable)
     code, out, err = run_cli(["l2-oracle", "--lam", "2", "--delta1", "0.7", "--delta2", "0.5"], capsys)
     assert (code, out, err) == (
         1, "", "endex: error: weight within 0.00685 of ln|lambda| needs a window of about 2018, above 500\n")

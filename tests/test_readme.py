@@ -1,6 +1,7 @@
 """The README's library example runs against the current API, each line
-marked ``# -> value`` evaluates to that value, and its command block names
-only subcommands and options the parser has."""
+marked ``# -> value`` evaluates to that value, its command block names
+only subcommands and options the parser has, and the shift-kernel window
+reaches it quotes are the code's."""
 
 import os
 import re
@@ -40,3 +41,18 @@ def test_readme_command_block_matches_the_parser():
         options = {s for a in subparsers.choices[command]._actions for s in a.option_strings}
         flags = set(re.findall(r"--[a-z][a-z0-9-]*", " ".join(rest)))
         assert flags <= options, (command, flags - options)
+
+
+def test_readme_window_reaches_match_the_code():
+    import math
+
+    from endex import twisted
+
+    with open(README, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    reaches = re.search(r"`twisted\._decay_reach`: ([0-9., and]+) for m = 1…(\d+)\)", text)
+    listed = [float(v) for v in re.split(r", | and ", reaches.group(1))]
+    assert int(reaches.group(2)) == twisted.MAX_MULT
+    assert listed == [round(twisted._decay_reach(m), 1) for m in range(1, twisted.MAX_MULT + 1)]
+    floor = re.search(r"ln\(1/`KERNEL_RTOL`\) = ([0-9.]+)", text)
+    assert float(floor.group(1)) == round(math.log(1 / twisted.KERNEL_RTOL), 1)

@@ -224,6 +224,9 @@ def test_l2_truncated_examples():
     assert l2_kernel_truncated(2, 1, 1.0, 0.5) == 1
     assert l2_kernel_truncated(2, 1, 0.5, 1.0) == 0
     assert l2_kernel_truncated(1, 1, 0.5, -0.5) == 1
+    # Off the annulus, the band at N = 200 has two singular values at
+    # rounding level; the count reads only the null space and answers.
+    assert l2_kernel_truncated(0.5676645275691931, 2, -1.3637264985288267, 1.238313250316121) == 0
 
 
 def test_l2_truncated_jordan_block():
@@ -328,8 +331,7 @@ def test_l2_truncated_factors_a_real_band(factorizations):
     twisted._decay_reach(1)  # cached, so its QRs of a sample basis stay out
     factorizations.clear()
     assert l2_kernel_truncated(1 + 1j, 1, 1.0, 0.0) == 1
-    assert factorizations == [("qr", (2 * MIN_WINDOW + 1, 2 * MIN_WINDOW), np.float64, "raw"),
-                              ("svd", (2 * MIN_WINDOW, 2 * MIN_WINDOW), np.float64, False)]
+    assert factorizations == [("qr", (2 * MIN_WINDOW + 1, 2 * MIN_WINDOW), np.float64, "raw")]
 
 
 def test_l2_window_is_derived_from_the_gap(factorizations):
@@ -366,7 +368,8 @@ def test_l2_weight_circle_rejected():
 
 
 def test_window_validation(factorizations):
-    # Both l2 functions refuse the same points, the oracle before any SVD.
+    # Both l2 functions refuse the same points, the oracle before any
+    # factorization.
     for fn in (l2_hom_dim_analytic, l2_kernel_truncated):
         with pytest.raises(ValueError, match="multiplicity"):
             fn(2, 0, 1.0, 0.5)
@@ -398,7 +401,7 @@ def test_l2_lambda_whose_float_modulus_underflows_is_refused(factorizations):
 
 def test_l2_grid_agrees_up_to_max_mult(factorizations):
     # All 16 grid pairs agree at MAX_MULT; the first pair to disagree does
-    # so at MAX_MULT + 1, which is refused before any SVD.
+    # so at MAX_MULT + 1, which is refused before any factorization.
     for lam in _L2_GRID_POINTS:
         for d1, d2 in _L2_GRID_WEIGHTS:
             analytic = l2_hom_dim_analytic(lam, MAX_MULT, d1, d2)
@@ -416,8 +419,8 @@ def test_l2_grid_agrees_up_to_max_mult(factorizations):
 def test_l2_every_block_up_to_max_mult_agrees_or_is_refused():
     # Moduli and weights drawn as in test_l2_truncated_matches_complex_operator,
     # ten blocks of each size.  The agreement holds off the standard grid
-    # only because the window grows with m and the boundary-mass test is
-    # tight enough to drop the spurious vectors of large blocks.
+    # only because the window grows with m: at the window of m <= 3, one
+    # draw of m = 5 and one of m = 7 count 0.
     rng = random.Random(18)
     agreed = refused = 0
     for m in range(1, MAX_MULT + 1):
@@ -437,10 +440,11 @@ def test_l2_every_block_up_to_max_mult_agrees_or_is_refused():
 def test_l2_min_window_keeps_spurious_vectors_out(monkeypatch, factorizations):
     # Seeded draws off the annulus, where the analytic count is 0, at gaps
     # whose derived half-width is below MIN_WINDOW.  At that half-width
-    # alone the outer tenth holds one or two entries, and spurious singular
-    # vectors under the cutoff pass the boundary-mass test: lambda = 0.1555,
-    # m = 4, weights (2.42, 0.037) runs at N = 9 and counts 3.  At
-    # MIN_WINDOW every draw agrees.
+    # alone the outer tenth holds one or two entries, and the directions of
+    # the m-dimensional null space that vanish on them pass the
+    # boundary-mass test: lambda = 0.1555, m = 4, weights (2.42, 0.037) runs
+    # at N = 9, where the band has no singular value under 0.34 of its
+    # largest, and counts 3.  At MIN_WINDOW every draw agrees.
     monkeypatch.setattr(twisted, "MIN_WINDOW", 1)
     rng = random.Random(19)
     draws, unfloored = [], []
@@ -467,7 +471,7 @@ def test_l2_min_window_keeps_spurious_vectors_out(monkeypatch, factorizations):
 def test_l2_window_grows_with_the_block(factorizations):
     # ln 0.35 lies 0.0498 from the first weight.  The m = 1 decay asks for
     # N = 279, where the kernel of a 6-block still holds too much mass in
-    # the outer tenth (2 of 6 counted); the 6-block needs 410, a 7-block 462.
+    # the outer tenth (0 of 6 counted); the 6-block needs 410, a 7-block 462.
     assert l2_kernel_truncated(0.35, 1, -1.0, -2.0) == 1
     assert l2_kernel_truncated(0.35, 6, -1.0, -2.0) == l2_hom_dim_analytic(0.35, 6, -1.0, -2.0) == 6
     assert l2_kernel_truncated(0.35, 7, -1.0, -2.0) == 7
@@ -475,9 +479,9 @@ def test_l2_window_grows_with_the_block(factorizations):
 
 
 def _svd_kernel(a):
-    """The numerical kernel of a by a full SVD, the way the oracle found it
-    before it factored the band by QR: the null rows of V^T, then the rows
-    whose singular value is under KERNEL_RTOL times the largest."""
+    """The numerical kernel of a by a full SVD, as columns: the null rows of
+    V^T, then the rows whose singular value is under KERNEL_RTOL times the
+    largest."""
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     return np.vstack([vh[len(s):], vh[:len(s)][s < KERNEL_RTOL * s[0]]]).T
 
@@ -495,16 +499,22 @@ def _window(lam, m, d1, d2):
     return max(MIN_WINDOW, math.ceil(max(math.log(1 / KERNEL_RTOL), twisted._decay_reach(m)) / gap) + 1)
 
 
-def test_l2_numerical_kernel_matches_a_full_svd(factorizations):
-    # Seeded blocks with directions under the cutoff: off the annulus with
-    # delta2 > delta1 (a cluster at rounding level), and m >= 5 on both
-    # sides, some in wide windows.  The QR route spans the full SVD's
-    # numerical kernel (every principal angle below 1.5e-6 radians) and its
-    # vectors pass the boundary-mass test in the same number.  Both routes
-    # to the directions under the cutoff run: inverse iteration, whose last
-    # SVD is thin, and the factor's SVD with vectors.
+def test_l2_null_space_matches_a_full_svd():
+    # Seeded blocks whose band has directions under the cutoff: off the
+    # annulus with delta2 > delta1 (a cluster at rounding level), and
+    # m >= 5 on both sides, some in wide windows.  The oracle's m columns
+    # are null to rounding and lie in the full SVD's numerical kernel (every
+    # principal angle below 1.5e-6 radians).  Where no singular value is at
+    # rounding level they span the SVD's last m right singular vectors; in
+    # a cluster at rounding level the SVD cannot tell those from the
+    # cluster.  Their per-vector count is the analytic one, which the same
+    # test over the SVD's whole numerical kernel also gives: the directions
+    # under the cutoff never pass it.
+    def cosines(span, columns):
+        return np.linalg.svd(span.T @ columns, compute_uv=False)
+
     rng = random.Random(45)
-    routes, wide, low = set(), 0, 0
+    wide = low = resolved = 0
     while low < 10:
         m = rng.choice((1, 2, 5, 6, 7))
         lam = math.exp(rng.uniform(math.log(1 / 3), math.log(3)))
@@ -516,24 +526,25 @@ def test_l2_numerical_kernel_matches_a_full_svd(factorizations):
         reference = _svd_kernel(a)
         if reference.shape[1] == m:
             continue
-        factorizations.clear()
-        kernel = twisted._numerical_kernel(a)
-        assert kernel.shape == reference.shape, (lam, m, d1, d2)
-        cosines = np.linalg.svd(reference.T @ kernel, compute_uv=False)
-        assert cosines.min() > 1 - 1e-12, (lam, m, d1, d2)
-        assert _decaying(kernel, n) == _decaying(reference, n), (lam, m, d1, d2)
-        rows = a.shape[0]
-        routes |= {shape[1] < rows for routine, shape, _, vectors in factorizations
-                   if routine == "svd" and vectors}
+        kernel = twisted._null_space(a)
+        assert kernel.shape == (2 * n + 1, m), (lam, m, d1, d2)
+        assert np.linalg.norm(a @ kernel, 2) < 1e-14, (lam, m, d1, d2)
+        assert cosines(reference, kernel).min() > 1 - 1e-12, (lam, m, d1, d2)
+        s = np.linalg.svd(a, compute_uv=False)
+        if s[-1] > 1e-13 * s[0]:
+            assert cosines(reference[:, :m], kernel).min() > 1 - 1e-12, (lam, m, d1, d2)
+            resolved += 1
+        count = _decaying(kernel, n)
+        assert count == l2_hom_dim_analytic(lam, m, d1, d2) == _decaying(reference, n), (lam, m, d1, d2)
         wide += n > MIN_WINDOW and m >= 6
         low += 1
-    assert routes == {True, False} and wide >= 2
+    assert wide >= 2 and 0 < resolved < low
 
 
 def test_l2_kernel_holds_no_square_factor_of_the_window():
     # At N = 458 the full SVD held a and both singular-vector factors, about
     # three (2N + 1)^2 float arrays (20.2 MB traced).  The QR route holds a
-    # and the factorization's copy of it, then the factor R_1^T: about two.
+    # and the factorization's copy of it: about two.
     n = 458
     assert _window(0.1313, 2, -1.0, -2.0) == n
     l2_kernel_truncated(0.1313, 2, -1.0, -2.0)
@@ -547,38 +558,39 @@ def test_l2_kernel_holds_no_square_factor_of_the_window():
 
 
 def test_l2_standard_grid_runs_no_square_svd_with_vectors(factorizations):
-    # The CLI's grid (and the benchmark's l2 requests) at m = 1 and 2.  Only
-    # lambda = 2 with weights (0.5, 1.0) has directions under the cutoff (a
-    # cluster at rounding level), and inverse iteration finds them: the one
-    # SVD with vectors it runs is thin.
+    # The CLI's grid (and the benchmark's l2 requests) at m = 1 and 2.  Every
+    # block, lambda = 2 with weights (0.5, 1.0) and its rounding-level
+    # cluster too, is counted from one raw QR of the band and no SVD.
     for lam in _L2_GRID_POINTS:
         for m in (1, 2):
             for d1, d2 in _L2_GRID_WEIGHTS:
                 assert l2_kernel_truncated(lam, m, d1, d2) == l2_hom_dim_analytic(lam, m, d1, d2)
-    with_vectors = [shape for routine, shape, _, vectors in factorizations if routine == "svd" and vectors]
     assert len(_bands(factorizations)) == 32
-    assert with_vectors == [(2 * MIN_WINDOW, 1), (2 * MIN_WINDOW - 1, 2)]
+    assert all(routine == "qr" for routine, *_ in factorizations)
 
 
 def test_l2_subspace_count_over_the_numerical_kernel_overcounts():
     # The kernel count that ROADMAP item 13 proposes, measured at the block
     # that made the window grow with m: lambda = 0.35, m = 6, weights
     # (-1, -2), N = 410.  The band has 22 singular values under the cutoff.
-    # The per-vector test counts 6, the analytic count.  The eigenvalues
-    # below _BOUNDARY_MASS of the Gram matrix of the numerical kernel on the
-    # outer tenth count 22; over the null space alone they count 6.
+    # The per-vector test over the numerical kernel counts 6, the analytic
+    # count.  The eigenvalues below _BOUNDARY_MASS of the Gram matrix of the
+    # numerical kernel on the outer tenth count 22; over the null space
+    # alone, the oracle's, they count 6.
     n, m = 410, 6
     assert _window(0.35, m, -1.0, -2.0) == n
-    kernel = twisted._numerical_kernel(twisted._shift_band(math.log(0.35), m, n, -1.0, -2.0))
+    a = twisted._shift_band(math.log(0.35), m, n, -1.0, -2.0)
+    kernel = _svd_kernel(a)
     assert kernel.shape == (2 * n + 1, 22 + m)
     assert _decaying(kernel, n) == l2_hom_dim_analytic(0.35, m, -1.0, -2.0) == 6
-    outer = kernel[np.abs(np.arange(-n, n + 1)) > math.floor(0.9 * n)]
+    outer = np.abs(np.arange(-n, n + 1)) > math.floor(0.9 * n)
 
     def subspace_count(block):
         return int(np.count_nonzero(np.linalg.eigvalsh(block.T @ block) < _BOUNDARY_MASS))
 
-    # The null space is the last m columns.
-    assert (subspace_count(outer), subspace_count(outer[:, -m:])) == (22, 6)
+    # The null space is the first m columns.
+    assert (subspace_count(kernel[outer]), subspace_count(kernel[outer, :m])) == (22, 6)
+    assert subspace_count(twisted._null_space(a)[outer]) == 6
 
 
 def test_fredholm_refuses_weight_without_finite_radius(s1s2_complex, factorizations):
