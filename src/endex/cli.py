@@ -134,9 +134,8 @@ def _cmd_twisted(args):
     if fiber.exact and analysis.finite:
         predicted = uct_dims(analysis.homology, z)
         payload["uct_dims"] = predicted
-        payload["uct_crosscheck"] = list(fiber.dims) == predicted[: len(fiber.dims)] and all(
-            d == 0 for d in predicted[len(fiber.dims):]
-        )
+        n = len(fiber.dims)
+        payload["uct_crosscheck"] = list(fiber.dims) == predicted[:n] and not any(predicted[n:])
     _emit(args, payload)
 
 

@@ -160,14 +160,10 @@ class SimplicialInput:
                     face = s[:i] + s[i + 1 :]
                     if face not in lower:
                         raise ComplexValidationError(f"face {face} of {s} is missing")
-        for d, lst in self.simplices.items():
-            for s in lst:
-                for a in range(d + 1):
-                    for b in range(a + 1, d + 1):
-                        if (s[a], s[b]) not in self.cocycle:
-                            raise ComplexValidationError(
-                                f"edge ({s[a]},{s[b]}) of {s} has no cocycle value"
-                            )
+        # Face closure puts every vertex pair of a simplex in simplices[1].
+        for s in self.simplices.get(1, ()):
+            if s not in self.cocycle:
+                raise ComplexValidationError(f"edge ({s[0]},{s[1]}) has no cocycle value")
         for s in self.simplices.get(2, ()):
             a, b, c = s
             if self.cocycle[(a, b)] + self.cocycle[(b, c)] != self.cocycle[(a, c)]:

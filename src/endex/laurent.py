@@ -10,8 +10,9 @@ representative used for invariant factors and characteristic polynomials
 throughout the package.
 
 Coefficients are rationals only, and the constructor is the one place that
-enforces it: anything but an exact rational raises TypeError.  Gaussian
-rationals appear only as points where a polynomial is evaluated.
+enforces it: anything but an exact rational raises TypeError.  Nor is a
+Gaussian rational a point of ``evaluate``: exact work at a + bi reduces
+modulo its minimal polynomial (``LaurentMatrix.rank_mod``).
 
 Ring operations take LaurentPoly operands only: ``poly("t") + 1`` and
 ``2 * poly("t")`` raise TypeError, and ``poly("0") == 0`` is false.  A
@@ -239,24 +240,13 @@ class LaurentPoly:
     # -- substitution ---------------------------------------------------
 
     def evaluate(self, z):
-        """Evaluate at z.  Exact for Fraction/GaussianRational, float otherwise.
+        """Evaluate at a number z: exact at a rational, float otherwise.
 
-        At a+bi, Horner's rule runs on (re, im) pairs of Fractions and the
-        value is a GaussianRational.  z must be nonzero when the polynomial
-        has negative exponents.
+        z must be nonzero when the polynomial has negative exponents.  A
+        GaussianRational raises TypeError rather than being rounded.
         """
         if isinstance(z, GaussianRational):
-            zr, zi = z.re, z.im
-            ar = ai = Fraction(0)
-            for c in reversed(self.coeffs):
-                ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
-            # t^low is |low| factors of z, or of 1/z when low is negative.
-            if self.low < 0:
-                n = zr * zr + zi * zi
-                zr, zi = zr / n, -zi / n
-            for _ in range(abs(self.low)):
-                ar, ai = ar * zr - ai * zi, ar * zi + ai * zr
-            return GaussianRational(ar, ai)
+            raise TypeError("a Gaussian point is reached through its minimal polynomial, not evaluated")
         if isinstance(z, _RationalABC):
             z = Fraction(z)
             acc = Fraction(0)

@@ -1,9 +1,9 @@
-"""Field linear algebra shared by the matrix, twisted-fiber and cup modules.
+"""Field linear algebra under the ranks and products of Laurent matrices.
 
 Exact ranks over Q come from one column-sparse eliminator: a matrix is a
 sequence of columns, each a dict from row index to a nonzero Fraction, so
-only the nonzero entries are ever stored or visited.  A rank over Q(i) is
-taken on the realified rational matrix (``LaurentMatrix.rank_at``).  The
+only the nonzero entries are ever stored or visited.  Every exact rank over
+a quotient Λ/(g) reaches it as blocks (``LaurentMatrix.rank_mod``).  The
 numeric rank uses SVD with one fixed relative tolerance, so every floating
 rank decision in the package is calibrated at one point.
 """
@@ -50,16 +50,6 @@ def mat_mul(a, b, ncols: int, zero):
                     acc[j] = acc[j] + x * y
         out.append(acc)
     return out
-
-
-def sparse_columns(entries, ncols: int) -> list:
-    """The columns of an ncols-column matrix from (row, column, value)
-    triples; a zero value is left out."""
-    columns = [{} for _ in range(ncols)]
-    for i, j, v in entries:
-        if v:
-            columns[j][i] = v
-    return columns
 
 
 def eliminate(columns) -> dict:

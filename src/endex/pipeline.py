@@ -15,7 +15,7 @@ can be re-ingested in direct-matrix mode and reproduce itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .cup import cup_product_check
@@ -23,7 +23,7 @@ from .homology import AlexanderData, HomologyModule, alexander_polynomials
 from .homology import homology as compute_homology
 from .indexfn import IndexFunction, duality_check, excision_index, index_function
 from .inputs import ParsedInput
-from .spectral import RootDatum, Wall, exceptional_weights, find_roots
+from .spectral import Wall, exceptional_weights, find_roots
 
 EXCISION_SAMPLES = 10
 
@@ -33,7 +33,6 @@ class Analysis:
     """The stages of one parsed input, each computed once, on first use."""
 
     parsed: ParsedInput
-    _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -61,15 +60,10 @@ class Analysis:
             return self.parsed.alexander
         return alexander_polynomials(self.homology, self.n)
 
-    def roots(self, k: int) -> list[RootDatum]:
-        """Roots of the degree-k characteristic polynomial."""
-        if k not in self._roots:
-            self._roots[k] = find_roots(self.alexander.poly(k), k)
-        return self._roots[k]
-
     @cached_property
     def walls(self) -> tuple[Wall, ...]:
-        return exceptional_weights([r for k in range(self.n) for r in self.roots(k)], self.n)
+        roots = [r for k in range(self.n) for r in find_roots(self.alexander.poly(k), k)]
+        return exceptional_weights(roots, self.n)
 
     @cached_property
     def index(self) -> IndexFunction | None:

@@ -32,7 +32,7 @@ from numbers import Rational as _RationalABC
 
 from .errors import CertificationError
 from .laurent import LaurentPoly, poly
-from .linalg import exact_rank, mat_mul, numeric_rank, sparse_columns
+from .linalg import exact_rank, mat_mul, numeric_rank
 from .rationals import GaussianRational, parse_int
 
 
@@ -119,36 +119,81 @@ class LaurentMatrix:
         return LaurentMatrix(rows, cols, flat)
 
     def evaluate(self, z):
-        """Evaluate entrywise at z in C*, as nested lists: exact values at an
-        exact point (Fractions at a rational one, GaussianRationals at a
-        Gaussian one), complex floats otherwise.  A zero entry is not
-        evaluated: it takes the value the zero polynomial has at z."""
-        _check_point(z)
+        """Evaluate entrywise at a nonzero z, as nested lists: Fractions at a
+        rational point, complex floats at any other number.  A zero entry is
+        not evaluated: it takes the value the zero polynomial has at z."""
+        if z == 0:
+            raise ZeroDivisionError("evaluation point must be nonzero")
         zero = LaurentPoly.zero().evaluate(z)
         return [[e.evaluate(z) if e.coeffs else zero for e in self.row(i)] for i in range(self.rows)]
 
     def rank_at(self, z) -> int:
-        """Rank of the evaluated matrix: exact for exact z, SVD otherwise.
+        """Rank of the matrix at z: exact for exact z, SVD otherwise.
 
-        At an exact point only the nonzero entries are evaluated, and their
-        values go to the sparse eliminator.  At a Gaussian point A + iB has
-        rank r over Q(i) exactly when [[A, -B], [B, A]] has rank 2r over Q.
+        At an exact z with minimal polynomial g, Λ/(g) is the field Q(z) of
+        dimension deg g over Q, so the rank is rank_mod(g) / deg g.
         """
         if not isinstance(z, (GaussianRational, _RationalABC)):
             return numeric_rank(self.evaluate(z), z)
-        _check_point(z)
-        r, c = self.rows, self.cols
-        values = [(*divmod(idx, c), e.evaluate(z)) for idx, e in enumerate(self.entries) if e.coeffs]
-        if isinstance(z, GaussianRational):
-            values = [x for i, j, v in values for x in (
-                (i, j, v.re), (i, j + c, -v.im), (i + r, j, v.im), (i + r, j + c, v.re))]
-            return exact_rank(sparse_columns(values, 2 * c)) // 2
-        return exact_rank(sparse_columns(values, c))
+        g = minimal_polynomial(z)
+        return self.rank_mod(g) // g.span
+
+    def rank_mod(self, g: LaurentPoly) -> int:
+        """Rank over Q of this matrix tensored with Λ/(g), for a canonical g
+        of positive degree n, so that t is a unit mod g and Λ/(g) is Q[t]/(g).
+
+        Entry p = t^low * P becomes the n x n block of multiplication by p on
+        the basis 1, t, ..., t^(n-1), and the blocks go to the sparse
+        eliminator.  t^low comes from repeated squaring of t or 1/t, cached
+        per exponent within one call: an entry t^w costs O(log |w|) products.
+        """
+        if not g.is_canonical or g.span < 1:
+            raise ValueError(f"rank_mod needs a canonical modulus of positive degree, got {g}")
+        n, r, c = g.span, self.rows, self.cols
+        tail = [-x for x in g.coeffs[:-1]]  # t^n = sum tail[i] t^i mod g
+        # 1, and 1/t = -(g_1 + g_2 t + ... + t^(n-1)) / g_0.
+        powers = {0: [1] + [0] * (n - 1), -1: [-x / g.coeffs[0] for x in g.coeffs[1:]]}
+
+        def power(e):
+            if e not in powers:  # t or 1/t, squared from the top bit of |e| down
+                base = out = powers[-1] if e < 0 else _times(powers[0], [0, 1], tail)
+                for bit in bin(abs(e))[3:]:
+                    out = _times(out, _times(out, base, tail) if bit == "1" else out, tail)
+                powers[e] = out
+            return powers[e]
+
+        blocks, columns = {}, [{} for _ in range(c * n)]
+        for idx, e in [(idx, e) for idx, e in enumerate(self.entries) if e.coeffs]:
+            i, j = divmod(idx, c)
+            block = blocks.get(e)
+            if block is None:
+                # Column b is p t^b; rows and columns run from t^(n-1) down to 1 (faster on the grid tori).
+                block = blocks[e] = [[((n - 1 - a) * r, x) for a, x in enumerate(
+                    _times(power(e.low), [0] * b + list(e.coeffs), tail)) if x] for b in range(n)]
+            for b, column in enumerate(block):
+                columns[(n - 1 - b) * c + j].update((row + i, x) for row, x in column)
+        return exact_rank(columns)
 
 
-def _check_point(z):
-    if z in (0, GaussianRational(0, 0)):
-        raise ZeroDivisionError("evaluation point must be nonzero")
+def _times(a, coeffs, tail):
+    """a times the polynomial with these ascending coefficients in Q[t]/(g),
+    by Horner's rule, with t^n = sum tail[i] t^i mod g."""
+    acc = [0] * len(a)
+    for x in reversed(coeffs):
+        top = acc[-1]
+        acc = [y + top * u + x * z for y, u, z in zip([0] + acc[:-1], tail, a)]
+    return acc
+
+
+def minimal_polynomial(z) -> LaurentPoly:
+    """The minimal polynomial over Q of a nonzero exact point: t - z at a
+    rational z, also one written z + 0i, and t^2 - 2at + a^2 + b^2 at a + bi
+    with b nonzero.  A float point raises TypeError."""
+    a, b = (z.re, z.im) if isinstance(z, GaussianRational) else (z, 0)
+    g = LaurentPoly(0, (a * a + b * b, -2 * a, 1) if b else (-a, 1))
+    if not g.is_canonical:  # only t - 0 = t lacks a constant term
+        raise ZeroDivisionError("the point must be nonzero")
+    return g
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Rationals are ``fractions.Fraction`` (already canonical: reduced, positive
 denominator), the package's only exact scalar type.  A Gaussian rational
 a+bi is a plain pair of Fractions naming a point of the punctured plane;
-code that evaluates there works on the (re, im) pair.  This module also
+exact work there reduces modulo its minimal polynomial.  This module also
 decodes the string form every serialized schema uses: a rational is
 written ``"p/q"`` (or just ``"p"`` when the denominator is 1), which is
 what ``str`` of a ``Fraction`` gives; an integer field is an integer.

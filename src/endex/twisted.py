@@ -7,12 +7,13 @@ the punctured plane, splitting cohomology through the homology module, and
 brute-forcing kernels of truncated weighted shift operators.  Agreement of
 these routes is what the test suite leans on.
 
-Ranks at rational and Gaussian points are exact; at float points they use
-the fixed cutoff of ``linalg.numeric_rank``, which is not a parameter.  The
-shift-kernel oracle has no rank decision: its truncated band has full row
-rank, so the band's null space has dimension exactly m, and one Householder
-QR gives it.  The oracle counts the vectors of that null space whose mass
-decays at the window boundary.
+Ranks at rational and Gaussian points are exact ranks over Λ/(g), g the
+point's minimal polynomial; at float points they use the fixed cutoff of
+``linalg.numeric_rank``, which is not a parameter.  The shift-kernel
+oracle has no rank decision: its truncated band has full row rank, so the
+band's null space has dimension exactly m, and one Householder QR gives
+it.  The oracle counts the vectors of that null space whose mass decays at
+the window boundary.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .complexes import ChainComplexOverLambda
 from .errors import FloatRangeError, NotFiniteError, OnWallError, WindowTooSmallError
 from .homology import HomologyModule
 from .pipeline import Analysis
+from .polymatrix import minimal_polynomial
 from .rationals import GaussianRational
 from .spectral import wall_at
 
@@ -90,10 +92,9 @@ def twisted_dims(cc: ChainComplexOverLambda, z) -> TwistedFiber:
     boundaries, so the alternating sum is the Euler characteristic by
     construction.
     """
-    exact = isinstance(z, (GaussianRational, _RationalABC))
     ranks = [0] + [cc.boundary(k).rank_at(z) for k in range(1, cc.n + 2)]
     dims = tuple(cc.ranks[k] - ranks[k] - ranks[k + 1] for k in range(cc.n + 1))
-    return TwistedFiber(z=z, dims=dims, exact=exact)
+    return TwistedFiber(z=z, dims=dims, exact=isinstance(z, (GaussianRational, _RationalABC)))
 
 
 def uct_dims(h: HomologyModule, z) -> list:
@@ -101,27 +102,16 @@ def uct_dims(h: HomologyModule, z) -> list:
 
     Degree k receives one dimension for every invariant factor of the
     degree-k module vanishing at z, plus one for every invariant factor of
-    the degree-(k-1) module vanishing at z.  Returns degrees 0..n+1.
-    Requires finite homology and an exact z.
+    the degree-(k-1) module vanishing at z; q vanishes at z exactly when
+    the minimal polynomial of z divides it.  Returns degrees 0..n+1.
+    Requires finite homology and an exact nonzero z.
     """
     if h.infinite_degrees:
         raise NotFiniteError(h.infinite_degrees)
-    if isinstance(z, _RationalABC):
-        z = GaussianRational(z, 0)
-    if not isinstance(z, GaussianRational):
-        raise TypeError("coefficient splitting is an exact oracle; z must be exact")
-    zero = GaussianRational(0, 0)
-    if z == zero:
-        raise ZeroDivisionError("z must be nonzero")
-    vanish = [
-        sum(1 for q in h.invariant_factors(k) if q.evaluate(z) == zero) for k in range(h.n + 1)
-    ]
-    dims = []
-    for k in range(h.n + 2):
-        hom = vanish[k] if k <= h.n else 0
-        ext = vanish[k - 1] if k >= 1 else 0
-        dims.append(hom + ext)
-    return dims
+    g = minimal_polynomial(z)
+    # vanish[k + 1] counts in degree k; degrees -1 and n + 1 have no factors.
+    vanish = [0] + [sum(1 for q in h.invariant_factors(k) if g.divides(q)) for k in range(h.n + 1)] + [0]
+    return [vanish[k] + vanish[k + 1] for k in range(h.n + 2)]
 
 
 def fredholm_check(analysis: Analysis, delta: float):

@@ -3,7 +3,8 @@ random chain complexes with known (planted) homology, a fraction-field
 rank and an exact determinant that cross-check the Smith normal form, a
 Euclid chain over Q that cross-checks the integer gcd and square-free
 decomposition, a dense reduced-row-echelon eliminator that cross-checks
-the sparse one in ``endex.linalg``, grid tori and random torus
+the sparse one in ``endex.linalg``, Horner's rule at a Gaussian point
+that cross-checks the ranks over Λ/(g) at one, grid tori and random torus
 subcomplexes with a front-face cup check that takes every rank from its
 own dense elimination, the wall-jump and annulus counts that cross-check
 the index, and Milnor's torsion at rational points that cross-checks the
@@ -18,7 +19,7 @@ from math import gcd
 
 import pytest
 
-from endex import AlexanderData, ChainComplexOverLambda, LaurentMatrix, LaurentPoly, SimplicialInput
+from endex import AlexanderData, ChainComplexOverLambda, GaussianRational, LaurentMatrix, LaurentPoly, SimplicialInput
 from endex.inputs import ParsedInput
 from endex.laurent import canonicalize, poly
 from endex.linalg import eliminate
@@ -299,6 +300,24 @@ def planted_roots(expected) -> set:
                 if q.evaluate(r) == 0:
                     out.add(r)
     return out
+
+
+def gaussian_evaluate(p: LaurentPoly, z: GaussianRational) -> GaussianRational:
+    """p at the Gaussian point z, exactly: Horner's rule on (re, im) pairs
+    of Fractions.  The reference for exact work at a + bi, which endex does
+    modulo the minimal polynomial of z instead.  z must be nonzero when p
+    has negative exponents."""
+    zr, zi = z.re, z.im
+    ar = ai = Fraction(0)
+    for c in reversed(p.coeffs):
+        ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
+    # t^low is |low| factors of z, or of 1/z when low is negative.
+    if p.low < 0:
+        n = zr * zr + zi * zi
+        zr, zi = zr / n, -zi / n
+    for _ in range(abs(p.low)):
+        ar, ai = ar * zr - ai * zi, ar * zi + ai * zr
+    return GaussianRational(ar, ai)
 
 
 def rank_ff(m: LaurentMatrix) -> int:

@@ -76,6 +76,13 @@ cases["l2-oracle-block-without-lam"] = {"argv": ["l2-oracle", "--mult", "1000", 
 for doc in ("fox", "s1s2"):
     cases[f"{doc}-plotdata-svg"] = {"argv": ["plotdata", "--input", "{data}/%s.json" % doc, "--svg", "{svg}"]}
 cases["fox-analyze-svg"] = {"argv": ["analyze", "--input", "{data}/fox.json", "--svg", "{svg}"]}
+# Exact ranks over Lambda/(g): twisted dimensions at rational and Gaussian
+# points, roots among them, and the cup check (a refusal on fox).
+for doc in ("circle", "circle_trivial", "s1s2", "sextic"):
+    for slug, z in (("1", "1"), ("minus1", "-1"), ("1+2i", "1+2i"), ("i", "i")):
+        cases[f"{doc}-twisted-{slug}"] = {"argv": ["twisted", "--z", z, "--input", "{data}/%s.json" % doc]}
+for doc in DOCS:
+    cases[f"{doc}-cup-check"] = {"argv": ["cup-check", "--input", "{data}/%s.json" % doc]}
 
 data = os.path.join(HERE, "data")
 os.environ["COLUMNS"] = "80"  # argparse wraps a usage line to the terminal width

@@ -5,8 +5,10 @@ import pytest
 
 from endex import CertificationError, GaussianRational, LaurentPoly, canonicalize, laurent_gcd, squarefree_decomposition
 from endex.laurent import _exact_quo, poly
+from endex.polymatrix import minimal_polynomial
 
 from conftest import (
+    gaussian_evaluate,
     random_laurent,
     reference_laurent_gcd,
     reference_squarefree_decomposition,
@@ -248,8 +250,6 @@ def test_squarefree_makes_no_laurent_division(monkeypatch):
 def test_evaluation():
     assert poly("t^-1").evaluate(Fraction(2)) == Fraction(1, 2)
     assert poly("t^2 - 4").evaluate(Fraction(2)) == 0
-    i = GaussianRational(0, 1)
-    assert poly("t^2 + 1").evaluate(i) == GaussianRational(0, 0)
     assert abs(poly("t^2 + 1").evaluate(1j)) < 1e-15
     with pytest.raises(ZeroDivisionError):
         poly("t^-1").evaluate(Fraction(0))
@@ -268,10 +268,18 @@ def test_unit_negative_powers():
         poly("t + 1") ** -1
 
 
+def test_evaluate_refuses_a_gaussian_point():
+    # GaussianRational has __complex__, so without the check it would be
+    # rounded: t^2 + 1 would give 0j at i instead of an error.
+    for z in (GaussianRational(0, 1), GaussianRational(2, 0), GaussianRational(0, 0)):
+        with pytest.raises(TypeError):
+            poly("t^2 + 1").evaluate(z)
+
+
 def test_evaluate_gaussian_negative_exponent():
     z = GaussianRational(Fraction(1), Fraction(1))
-    assert poly("t^-1").evaluate(z) == GaussianRational(Fraction(1, 2), Fraction(-1, 2))
-    assert poly("t^-2 + 1").evaluate(z) == GaussianRational(1, Fraction(-1, 2))
+    assert gaussian_evaluate(poly("t^-1"), z) == GaussianRational(Fraction(1, 2), Fraction(-1, 2))
+    assert gaussian_evaluate(poly("t^-2 + 1"), z) == GaussianRational(1, Fraction(-1, 2))
 
 
 def test_parser_rejects_garbage():
@@ -282,20 +290,29 @@ def test_parser_rejects_garbage():
 
 
 def test_evaluate_gaussian_matches_complex():
+    # p vanishes at z exactly when the minimal polynomial of z divides p,
+    # the test uct_dims applies; half of the draws are planted multiples.
     rng = random.Random(41)
+    vanishing = 0
     for _ in range(200):
         p = random_laurent(rng, max_span=5, low_range=(-4, 3))
         z = GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
                              Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
         if z == GaussianRational(0, 0):
             continue
-        exact = p.evaluate(z)
+        g = minimal_polynomial(z)
+        if rng.random() < 0.5:
+            p = p * g
+        exact = gaussian_evaluate(p, z)
         approx = p.evaluate(complex(z))
         assert isinstance(exact, GaussianRational)
         assert abs(complex(exact) - approx) <= 1e-9 * (1 + abs(approx))
+        assert (exact == GaussianRational(0, 0)) == g.divides(p)
+        vanishing += exact == GaussianRational(0, 0)
+    assert vanishing > 50
     with pytest.raises(ZeroDivisionError):
-        poly("t^-2 + 1").evaluate(GaussianRational(0, 0))
-    assert poly("t^2 + 3").evaluate(GaussianRational(0, 0)) == GaussianRational(3, 0)
+        gaussian_evaluate(poly("t^-2 + 1"), GaussianRational(0, 0))
+    assert gaussian_evaluate(poly("t^2 + 3"), GaussianRational(0, 0)) == GaussianRational(3, 0)
 
 
 def test_serialization_roundtrip():

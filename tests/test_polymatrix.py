@@ -9,10 +9,10 @@ from endex import (FloatRangeError, GaussianRational, LaurentMatrix, LaurentPoly
                    smith_normal_form)
 from endex.laurent import poly
 from endex.linalg import mat_mul, numeric_rank
-from endex.polymatrix import _certify
+from endex.polymatrix import _certify, minimal_polynomial
 
-from conftest import (_det_bareiss, _det_laplace, _random_unimodular, determinant, grid_torus, mat, random_laurent,
-                      random_matrix, rank_ff, shift, to_lists)
+from conftest import (_det_bareiss, _det_laplace, _random_unimodular, determinant, gaussian_evaluate, grid_torus,
+                      mat, random_laurent, random_matrix, rank_ff, shift, to_lists)
 
 
 def test_snf_unit_entry_absorbed():
@@ -79,8 +79,12 @@ def test_evaluate_skips_zero_entries(monkeypatch):
     # float point keeps float ranks bit-identical).
     m = lift_simplicial(grid_torus(3)).boundary(2)
     nonzero = sum(1 for e in m.entries if not e.is_zero())
-    evaluate = LaurentPoly.evaluate
+    own = LaurentPoly.evaluate
     calls = [0]
+
+    def evaluate(p, z):
+        # endex refuses a Gaussian point; the conftest reference takes it.
+        return gaussian_evaluate(p, z) if isinstance(z, GaussianRational) else own(p, z)
 
     def counting(self, z):
         calls[0] += 1
@@ -128,8 +132,9 @@ def test_snf_property_suite_with_reconstruction():
 
 def _nonvanishing(diag, z) -> int:
     """How many diagonal entries are nonzero at the exact point z."""
-    zero = GaussianRational(0, 0) if isinstance(z, GaussianRational) else 0
-    return sum(1 for d in diag if d.evaluate(z) != zero)
+    if isinstance(z, GaussianRational):
+        return sum(1 for d in diag if gaussian_evaluate(d, z) != GaussianRational(0, 0))
+    return sum(1 for d in diag if d.evaluate(z) != 0)
 
 
 # Factors with roots in Q(i): 2, -1, i and -i, 1 + i and 1 - i, 2i and -2i.
@@ -177,6 +182,20 @@ def test_snf_rank_matches_evaluation_rank():
             assert rank == _nonvanishing(s.diag, z) == _nonvanishing(chain, z)
             drops += rank < s.rank
     assert drops > 0
+
+
+def test_a_gaussian_point_on_the_real_axis_ranks_like_the_rational():
+    # a + 0i has minimal polynomial t - a.  Over Λ/((t - 2)^2) each entry
+    # below, divisible by t - 2 once, would keep rank 1 of its 2 x 2 block,
+    # and the rank at 2 + 0i would read 2 // 2 = 1, not 0.
+    assert minimal_polynomial(GaussianRational(2, 0)) == poly("t - 2")
+    m = mat([["t - 2", "0"], ["0", "t^2 - 4"]])
+    assert m.rank_at(GaussianRational(2, 0)) == m.rank_at(Fraction(2)) == 0
+    rng = random.Random(2)
+    for _ in range(20):
+        m, _ = _planted_snf_matrix(rng)
+        for a in (Fraction(2), Fraction(-1), Fraction(1, 2)):
+            assert m.rank_at(GaussianRational(a, 0)) == m.rank_at(a)
 
 
 def test_determinant_laplace_vs_bareiss():

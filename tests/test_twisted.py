@@ -24,15 +24,17 @@ from endex import (
     homology,
     l2_hom_dim_analytic,
     l2_kernel_truncated,
+    laurent_gcd,
     lift_simplicial,
+    squarefree_decomposition,
     twisted_dims,
     uct_dims,
 )
 from endex.cli import _L2_GRID_POINTS, _L2_GRID_WEIGHTS
 from endex.inputs import load_input, parse_point
 from endex.laurent import poly
-from endex.spectral import _WALL_PAD
-from endex import twisted
+from endex.spectral import _WALL_PAD, find_roots
+from endex import polymatrix, twisted
 from endex.twisted import _BOUNDARY_MASS, KERNEL_RTOL, MAX_MULT, MAX_WINDOW, MIN_WINDOW
 
 from conftest import (analysis_of, grid_torus, mat, off_wall_delta, planted_complex, planted_roots,
@@ -646,8 +648,8 @@ def _twisted_matches_uct(cc, h, z):
 
 
 def _rational_roots(cc):
-    analysis = analysis_of(cc)
-    return sorted({r.exact for k in range(cc.n) for r in analysis.roots(k) if r.exact is not None})
+    alex = analysis_of(cc).alexander
+    return sorted({r.exact for k in range(cc.n) for r in find_roots(alex.poly(k), k) if r.exact is not None})
 
 
 @pytest.mark.parametrize("name", ["circle.json", "s1s2.json", "sextic.json"])
@@ -681,6 +683,73 @@ def test_twisted_at_one_on_the_20x20_grid_torus():
     known = HomologyModule(2, [0, 0, 0], [[t_minus_1], [t_minus_1], []])
     assert twisted_dims(cc, Fraction(1)).dims == (1, 2, 1)
     _twisted_matches_uct(cc, known, Fraction(1))
+
+
+def _dims_mod(cc, g):
+    """dim_Q H_k(C ⊗ Λ/(g)) for k = 0..n, from the ranks over Λ/(g)."""
+    ranks = [cc.boundary(k).rank_mod(g) for k in range(cc.n + 2)]
+    return [g.span * cc.ranks[k] - ranks[k] - ranks[k + 1] for k in range(cc.n + 1)]
+
+
+def test_ranks_over_quotients_match_the_universal_coefficients():
+    # Milnor's universal coefficients over the PID Λ:
+    # H_k(C ⊗ Λ/(g)) = H_k ⊗ Λ/(g) ⊕ Tor(H_(k-1), Λ/(g)), and both Λ/(q) ⊗ Λ/(g)
+    # and Tor(Λ/(q), Λ/(g)) are Λ/(gcd(q, g)).  So the dimension is
+    # deg g free_k + Σ_(q in F_k) deg gcd(q, g) + Σ_(q in F_(k-1)) deg gcd(q, g),
+    # F_k being the invariant factors of H_k: planted ones, and the Smith
+    # normal form's on the shipped complexes.
+    rng = random.Random(2201)
+    cases = []
+    for draw in range(40):
+        cc, expected = planted_complex(rng, allow_free=draw % 2 == 0)
+        frees, factors = zip(*(expected[k] for k in range(cc.n + 1)))
+        cases.append((cc, frees, factors))
+    data = os.path.join(os.path.dirname(__file__), "data")
+    for name in ("circle.json", "circle_trivial.json", "s1s2.json", "sextic.json"):
+        cc = load_input(os.path.join(data, name)).complex
+        h = homology(cc)
+        cases.append((cc, list(h.free_ranks), [h.invariant_factors(k) for k in range(cc.n + 1)]))
+    pairs, with_free, with_gcd = 0, 0, 0
+    for cc, frees, factors in cases:
+        moduli = {poly("t - 1"), poly("t^2 - 2*t + 1"), poly("t^2 + 1")}
+        squarefree = {f for qs in factors for q in qs for f, _ in squarefree_decomposition(q)}
+        moduli |= {f ** r for f in squarefree for r in (1, 2, 3)}
+        for g in moduli:
+            shared = [sum(laurent_gcd(q, g).span for q in qs) for qs in factors]
+            want = [g.span * frees[k] + shared[k] + (shared[k - 1] if k else 0) for k in range(cc.n + 1)]
+            assert _dims_mod(cc, g) == want, (cc, g)
+            pairs += 1
+            with_gcd += any(shared)
+        with_free += any(frees)
+    assert pairs >= 350 and with_free >= 10 and with_gcd >= 200
+
+
+@pytest.mark.parametrize("w", [10**3, 10**5])
+def test_exact_ranks_on_a_far_winding_circle_take_log_w_products(monkeypatch, w):
+    # The circle winding w times has H0 = Λ/(t^w - 1), so its fibers are
+    # nonzero at z exactly when z^w = 1.  Its boundary holds t^w, which
+    # each of the four ranks below reduces mod g by repeated squaring.
+    edges = {(0, 1): 0, (1, 2): 0, (0, 2): w}
+    circle = lift_simplicial(SimplicialInput(3, {1: sorted(edges)}, edges))
+    products = []
+    times = polymatrix._times
+    monkeypatch.setattr(polymatrix, "_times", lambda *args: products.append(args) or times(*args))
+    assert twisted_dims(circle, GaussianRational(1, 2)).dims == (0, 0)
+    assert twisted_dims(circle, GaussianRational(0, 1)).dims == (1, 1)
+    rep = cup_product_check(circle)
+    assert rep["exact"] and rep["cohomology_dims"] == [1, 1]
+    assert len(products) <= 8 * w.bit_length() + 24
+
+
+def test_exact_ranks_at_roots_of_unity_take_a_cocycle_of_any_size():
+    # Modulo t + 1, t^2 + 1, t - 1 and (t - 1)^2 the powers of t stay small,
+    # so w = 2^1200 costs about 1200 squarings each, in a loop: no call
+    # stack grows with the bit length of w.
+    edges = {(0, 1): 0, (1, 2): 0, (0, 2): 2**1200}
+    circle = lift_simplicial(SimplicialInput(3, {1: sorted(edges)}, edges))
+    assert twisted_dims(circle, Fraction(-1)).dims == (1, 1)
+    assert twisted_dims(circle, GaussianRational(0, 1)).dims == (1, 1)
+    assert cup_product_check(circle)["exact"]
 
 
 def winding_triangle():
