@@ -144,24 +144,11 @@ class LaurentMatrix:
 
         Entry p = t^low * P becomes the n x n block of multiplication by p on
         the basis 1, t, ..., t^(n-1), and the blocks go to the sparse
-        eliminator.  t^low comes from repeated squaring of t or 1/t, cached
-        per exponent within one call: an entry t^w costs O(log |w|) products.
+        eliminator.  t^low comes from ``_powers_mod``: an entry t^w costs
+        O(log |w|) products.
         """
-        if not g.is_canonical or g.span < 1:
-            raise ValueError(f"rank_mod needs a canonical modulus of positive degree, got {g}")
+        power, tail = _powers_mod(g)
         n, r, c = g.span, self.rows, self.cols
-        tail = [-x for x in g.coeffs[:-1]]  # t^n = sum tail[i] t^i mod g
-        # 1, and 1/t = -(g_1 + g_2 t + ... + t^(n-1)) / g_0.
-        powers = {0: [1] + [0] * (n - 1), -1: [-x / g.coeffs[0] for x in g.coeffs[1:]]}
-
-        def power(e):
-            if e not in powers:  # t or 1/t, squared from the top bit of |e| down
-                base = out = powers[-1] if e < 0 else _times(powers[0], [0, 1], tail)
-                for bit in bin(abs(e))[3:]:
-                    out = _times(out, _times(out, base, tail) if bit == "1" else out, tail)
-                powers[e] = out
-            return powers[e]
-
         blocks, columns = {}, [{} for _ in range(c * n)]
         for idx, e in [(idx, e) for idx, e in enumerate(self.entries) if e.coeffs]:
             i, j = divmod(idx, c)
@@ -173,6 +160,49 @@ class LaurentMatrix:
             for b, column in enumerate(block):
                 columns[(n - 1 - b) * c + j].update((row + i, x) for row, x in column)
         return exact_rank(columns)
+
+
+def residue(p: LaurentPoly, g: LaurentPoly) -> list:
+    """The coefficients of p mod g on the basis 1, t, ..., t^(n-1), for a
+    canonical g of positive degree n, and no quotient formed.  Horner's rule
+    over p's nonzero terms, from the top: between two terms whose exponents
+    differ by d it multiplies by t^d mod g from ``_powers_mod``, so a gap
+    of w costs O(log w) products."""
+    power, tail = _powers_mod(g)
+    acc, above = [0] * g.span, len(p.coeffs) - 1
+    for i in range(above, -1, -1):
+        if p.coeffs[i]:
+            if above - i == 1:  # times t: shift up, and reduce t^n by g
+                top = acc[-1]
+                acc = [y + top * u for y, u in zip([0] + acc[:-1], tail)]
+            elif above > i:
+                acc = _times(acc, power(above - i), tail)
+            acc[0] += p.coeffs[i]
+            above = i
+    return _times(acc, power(p.low + above), tail) if p.low + above else acc
+
+
+def _powers_mod(g: LaurentPoly):
+    """e -> t^e mod g for a canonical g of positive degree n, so that t is a
+    unit mod g, as n ascending coefficients; and g's tail, with t^n =
+    sum tail[i] t^i mod g.  Each power comes from repeated squaring of t or
+    1/t and is cached per exponent for the life of the returned function."""
+    if not g.is_canonical or g.span < 1:
+        raise ValueError(f"the modulus must be canonical of positive degree, got {g}")
+    n = g.span
+    tail = [-x for x in g.coeffs[:-1]]
+    # 1, and 1/t = -(g_1 + g_2 t + ... + t^(n-1)) / g_0.
+    powers = {0: [1] + [0] * (n - 1), -1: [-x / g.coeffs[0] for x in g.coeffs[1:]]}
+
+    def power(e):
+        if e not in powers:  # t or 1/t, squared from the top bit of |e| down
+            base = out = powers[-1] if e < 0 else _times(powers[0], [0, 1], tail)
+            for bit in bin(abs(e))[3:]:
+                out = _times(out, _times(out, base, tail) if bit == "1" else out, tail)
+            powers[e] = out
+        return powers[e]
+
+    return power, tail
 
 
 def _times(a, coeffs, tail):

@@ -11,9 +11,10 @@ Ranks at rational and Gaussian points are exact ranks over Λ/(g), g the
 point's minimal polynomial; at float points they use the fixed cutoff of
 ``linalg.numeric_rank``, which is not a parameter.  The shift-kernel
 oracle has no rank decision: its truncated band has full row rank, so the
-band's null space has dimension exactly m, and one Householder QR gives
-it.  The oracle counts the vectors of that null space whose mass decays at
-the window boundary.
+band's null space has dimension exactly m, and one Householder QR of the
+band's m + 1 diagonals, kept packed, gives it in O(N m) memory.  The
+oracle counts the vectors of that null space whose mass decays at the
+window boundary.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
@@ -29,7 +31,7 @@ from .complexes import ChainComplexOverLambda
 from .errors import FloatRangeError, NotFiniteError, OnWallError, WindowTooSmallError
 from .homology import HomologyModule
 from .pipeline import Analysis
-from .polymatrix import minimal_polynomial
+from .polymatrix import minimal_polynomial, residue
 from .rationals import GaussianRational
 from .spectral import wall_at
 
@@ -103,14 +105,16 @@ def uct_dims(h: HomologyModule, z) -> list:
     Degree k receives one dimension for every invariant factor of the
     degree-k module vanishing at z, plus one for every invariant factor of
     the degree-(k-1) module vanishing at z; q vanishes at z exactly when
-    the minimal polynomial of z divides it.  Returns degrees 0..n+1.
+    the minimal polynomial g of z divides it, that is when q mod g
+    (``polymatrix.residue``, from q's nonzero terms alone) is zero.  Returns
+    degrees 0..n+1.
     Requires finite homology and an exact nonzero z.
     """
     if h.infinite_degrees:
         raise NotFiniteError(h.infinite_degrees)
     g = minimal_polynomial(z)
     # vanish[k + 1] counts in degree k; degrees -1 and n + 1 have no factors.
-    vanish = [0] + [sum(1 for q in h.invariant_factors(k) if g.divides(q)) for k in range(h.n + 1)] + [0]
+    vanish = [0] + [sum(not any(residue(q, g)) for q in h.invariant_factors(k)) for k in range(h.n + 1)] + [0]
     return [vanish[k] + vanish[k + 1] for k in range(h.n + 2)]
 
 
@@ -212,9 +216,9 @@ def _decay_reach(m: int) -> float:
     the boundary-mass test at half-width N.
 
     On the side of the nearer weight that kernel is spanned by
-    k^j e^(-gap k), j < m, and the oracle's basis of it (the last columns
-    of a QR factor) is whichever orthonormal basis the reflectors give, so
-    the test must hold for the worst unit vector of the span: the
+    k^j e^(-gap k), j < m, and the oracle's basis of it (_null_space) is
+    whichever orthonormal basis its Householder reflectors give, so the
+    test must hold for the worst unit vector of the span: the
     squared norm of the outer rows of an orthonormal basis.  The span
     depends on gap * N alone, so it is sampled once at N = MAX_WINDOW, and
     the reach is bisected to within 1e-3.
@@ -236,57 +240,87 @@ def _decay_reach(m: int) -> float:
 
 
 def _shift_band(ln_mod: float, m: int, n: int, delta1: float, delta2: float):
-    """The weighted, row-balanced band matrix of (shift - |lambda|)^m on
-    window indices -n..n, of shape (2n + 1 - m, 2n + 1)."""
+    """The weighted, row-balanced band matrix a of (shift - |lambda|)^m on
+    window indices -n..n, packed: a has shape (2n + 1 - m, 2n + 1) and is
+    zero off its m + 1 diagonals, and entry (r, c) of the returned
+    (2n + 1 - m, m + 1) array is a's entry (r, r + c)."""
     import numpy as np
 
-    size = 2 * n + 1
-    rows = size - m
-    # Stencil of (shift - |lam|)^m: coefficient of x_{k-i} is C(m,i)(-|lam|)^(m-i),
-    # held as a sign and a log-magnitude, so no power of |lam| overflows.
-    sign = np.array([(-1.0) ** (m - i) for i in range(m + 1)])
-    ln_stencil = np.array([math.log(math.comb(m, i)) + (m - i) * ln_mod for i in range(m + 1)])
+    # Stencil of (shift - |lam|)^m: row r holds output index k = -n + m + r,
+    # and its entry c is the coefficient of x_(k-m+c), C(m,c)(-|lam|)^c, held
+    # as a sign and a log-magnitude, so no power of |lam| overflows.
+    sign = np.array([(-1.0) ** c for c in range(m + 1)])
+    ln_stencil = np.array([math.log(math.comb(m, c)) + c * ln_mod for c in range(m + 1)])
     # Column scaling by the inverse weight e^(-delta k) maps weighted-norm
     # kernel vectors to plain-norm ones; row balancing then brings each
     # row's largest entry to 1 without touching the kernel.  Both act on
-    # log-magnitudes, so no weight overflows however wide the window: row r
-    # holds output index k = -n + m + r, whose entry in column (k - i) + n
-    # is sign[i] * e^ln_stencil[i].
+    # log-magnitudes, so no weight overflows however wide the window: entry
+    # (r, c) sits in a's column r + c, window index -n + r + c.
     idx = np.arange(-n, n + 1, dtype=float)
-    delta_of = np.where(idx < 0, delta1, np.where(idx > 0, delta2, 0.0))
-    r = np.arange(rows)[:, None]
-    cols = r + m - np.arange(m + 1)[None, :]
-    band = ln_stencil[None, :] - (delta_of * idx)[cols]
+    ln_weight = np.where(idx < 0, delta1, np.where(idx > 0, delta2, 0.0)) * idx
+    band = ln_stencil - np.lib.stride_tricks.sliding_window_view(ln_weight, m + 1)
     band -= band.max(axis=1, keepdims=True)
-    a = np.zeros((rows, size), dtype=np.float64)
-    a[r, cols] = sign * np.exp(band)
-    return a
+    return sign * np.exp(band)
 
 
-def _null_space(a):
-    """The null space of a wide matrix a of full row rank, as orthonormal
-    columns: one for each column of a beyond its row count.
+def _null_space(band):
+    """The null space of the band matrix a that ``_shift_band`` packs, as
+    orthonormal columns: m of them for a band of m + 1 diagonals, a having
+    full row rank.
 
-    One Householder QR of a^T = Q R.  The last columns of Q are orthogonal
-    to a's rows, and they come from applying Q's reflectors to the last
-    unit vectors, so Q itself is never formed.  Pass a as a temporary, so
-    that it is freed as soon as the factorization returns.
+    A Householder QR of a^T = Q R, whose last m columns of Q are orthogonal
+    to a's rows; it runs in O(N m) memory and O(N m^2) time, and neither a
+    nor Q is formed.  Column j of a^T is row j of a, nonzero in rows
+    j..j+m, and reflectors 0..j-1 touch no row past j-1+m, so reflector j
+    acts on rows j..j+m alone (Golub and Van Loan, Matrix Computations,
+    5.2).  The factorization therefore runs on a rolling (m+1) x (m+1)
+    window of a^T, rows and columns j..j+m, and R's row j is dropped as
+    the window moves on.  Each reflector I - tau v v^T follows LAPACK's
+    dlarfg, as numpy's QR does: v[0] = 1, beta = -sign(alpha) |x|, and
+    tau = 0 when x is already a multiple of e_0.  Q's last columns are the
+    reflectors applied in reverse to the last m unit vectors.
     """
     import numpy as np
 
-    rows, size = a.shape
-    h, tau = np.linalg.qr(a.T, mode="raw")
-    del a
-    # Row j of h is column j of the factored a^T: R's column j down to the
-    # diagonal, then the tail of reflector j, whose head is 1.
-    kernel = np.zeros((size, size - rows))
-    kernel[rows:] = np.eye(size - rows)
+    rows, w = band.shape
+    m = w - 1
+    entries = band.ravel().tolist()
+    # window[c][i] is entry (j + i, j + c) of a^T as factored so far.
+    window = [[0.0] * c + entries[c * w:c * w + w - c] for c in range(min(w, rows))]
+    vs, taus = [], []  # reflector j is vs[j * w:(j + 1) * w] and taus[j]
+    for j in range(rows):
+        alpha, *x = window.pop(0)
+        xnorm = math.hypot(*x)
+        tau = 0.0
+        if xnorm:
+            beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+            tau = (beta - alpha) / beta
+            scale = 1.0 / (alpha - beta)
+            x = [y * scale for y in x]
+        v = [1.0, *x]
+        vs += v
+        taus.append(tau)
+        # Row j + m + 1 enters the window: a^T's entries there in columns
+        # j+1..j+m+1 are a's entries (j+1+c, m-c).
+        incoming = iter(entries[(j + 1) * w + m:(j + w) * w + 1:m])
+        for c, col in enumerate(window):
+            s = tau * sum(map(operator.mul, v, col))
+            col = [y - s * u for y, u in zip(col[1:], x)]
+            col.append(next(incoming))
+            window[c] = col
+        if j + w < rows:
+            window.append([0.0] * m + [next(incoming)])
+    del entries, window
+    kernel = [[0.0] * (rows + m) for _ in range(m)]
+    for c, q in enumerate(kernel):
+        q[rows + c] = 1.0
     for j in reversed(range(rows)):
-        tail = h[j, j + 1:]
-        proj = tau[j] * (kernel[j] + tail @ kernel[j + 1:])
-        kernel[j] -= proj
-        kernel[j + 1:] -= np.outer(tail, proj)
-    return kernel
+        v, tau = vs[j * w:j * w + w], taus[j]
+        for q in kernel:
+            seg = q[j:j + w]
+            s = tau * sum(map(operator.mul, v, seg))
+            q[j:j + w] = [y - s * u for y, u in zip(seg, v)]
+    return np.array(kernel).T
 
 
 def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
@@ -295,11 +329,13 @@ def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     Builds the band matrix of (shift - |lambda|)^m on window indices
     -N..N (the shift moves a sequence one step to the right), conjugates by
     the two-sided exponential weight, and counts the null-space directions
-    whose mass decays at the window boundary.  Row r of the band is zero
-    before column r and nonzero there, so the band has full row rank and
-    its null space has dimension exactly m.  The window restriction of
-    every kernel sequence satisfies every row, so it lies in that null
-    space.  Each vector of an orthonormal basis of it (_null_space) is
+    whose mass decays at the window boundary.  The band keeps only its
+    m + 1 diagonals (_shift_band), and its null space comes from a
+    Householder QR that runs in O(N m) memory (_null_space).  Row r of the
+    band is zero before column r and nonzero there, so the band has full
+    row rank and its null space has dimension exactly m.  The window
+    restriction of every kernel sequence satisfies every row, so it lies
+    in that null space.  Each vector of an orthonormal basis of it (_null_space) is
     tested on its own.  Takes the arguments of l2_hom_dim_analytic and
     picks the half-width N itself: the one that KERNEL_RTOL and the
     block's kernel vectors (_decay_reach) need at this gap, and at least

@@ -551,6 +551,19 @@ def dense_kernel(rows, ncols: int):
     return basis
 
 
+def dense_band(band):
+    """The matrix whose m + 1 diagonals `twisted._shift_band` packs: entry
+    (r, c) of the (rows, m + 1) band goes to (r, r + c) of a (rows, rows + m)
+    array of zeros."""
+    import numpy as np
+
+    rows, width = band.shape
+    a = np.zeros((rows, rows + width - 1))
+    r = np.arange(rows)[:, None]
+    a[r, r + np.arange(width)] = band
+    return a
+
+
 def front_face_matrices(x: SimplicialInput, k: int):
     """The degree-k coboundary of X, and the matrix of cupping a k-cochain
     with the edge cocycle by the front-face/back-edge rule on ordered

@@ -9,7 +9,7 @@ from endex import (FloatRangeError, GaussianRational, LaurentMatrix, LaurentPoly
                    smith_normal_form)
 from endex.laurent import poly
 from endex.linalg import mat_mul, numeric_rank
-from endex.polymatrix import _certify, minimal_polynomial
+from endex.polymatrix import _certify, minimal_polynomial, residue
 
 from conftest import (_det_bareiss, _det_laplace, _random_unimodular, determinant, gaussian_evaluate, grid_torus,
                       mat, random_laurent, random_matrix, rank_ff, shift, to_lists)
@@ -289,6 +289,31 @@ def test_numeric_rank_refuses_non_finite_entries():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(FloatRangeError, match=r"evaluated at z = \(2\+1j\)"):
             numeric_rank(np.array([[1.0, bad], [0.0, 1.0]]), 2 + 1j)
+
+
+def test_residue_agrees_with_division():
+    # p mod g from p's terms alone, the test uct_dims applies, at the
+    # minimal polynomials of rational and Gaussian points and at their
+    # squares, with exponents far from 0: it has degree below g's, p minus
+    # it is a multiple of g, and it is zero exactly when g divides p.  Half
+    # of the draws are planted multiples.
+    rng = random.Random(23)
+    vanishing = 0
+    for _ in range(300):
+        p = random_laurent(rng, max_span=6, low_range=(-40, 40))
+        re = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 5))
+        g = minimal_polynomial(re if rng.random() < 0.5 else GaussianRational(re, Fraction(rng.randint(1, 6), 3)))
+        if rng.random() < 0.25:
+            g = g * g
+        if rng.random() < 0.5:
+            p = p * g
+        r = residue(p, g)
+        assert len(r) == g.span and g.divides(p - LaurentPoly(0, r)), (p, g)
+        assert (not any(r)) == g.divides(p), (p, g)
+        vanishing += not any(r)
+    assert vanishing > 100
+    with pytest.raises(ValueError, match="canonical of positive degree"):
+        residue(poly("t^2"), poly("t"))
 
 
 def test_matrix_serialization_roundtrip():

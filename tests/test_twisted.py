@@ -15,6 +15,7 @@ from endex import (
     FloatRangeError,
     GaussianRational,
     HomologyModule,
+    LaurentPoly,
     NotFiniteError,
     OnWallError,
     SimplicialInput,
@@ -37,7 +38,7 @@ from endex.spectral import _WALL_PAD, find_roots
 from endex import polymatrix, twisted
 from endex.twisted import _BOUNDARY_MASS, KERNEL_RTOL, MAX_MULT, MAX_WINDOW, MIN_WINDOW
 
-from conftest import (analysis_of, grid_torus, mat, off_wall_delta, planted_complex, planted_roots,
+from conftest import (analysis_of, dense_band, grid_torus, mat, off_wall_delta, planted_complex, planted_roots,
                       random_torus_subcomplex, reference_cup_product_check)
 
 
@@ -77,6 +78,25 @@ def test_uct_fox_at_two():
     )
     assert uct_dims(h, Fraction(2)) == [0, 1, 1, 0, 0]
     assert uct_dims(h, GaussianRational(1, 1)) == [0, 0, 0, 0, 0]
+
+
+def test_uct_reduces_a_far_winding_factor_in_little_memory():
+    # H0 of the circle winding 10^5 times is Λ/(t^(10^5) - 1).  Testing
+    # g | q by long division over Q forms a quotient whose coefficients
+    # reach 2^(10^5) at z = 2 (`twisted --z 2` on that circle peaked at
+    # 674 MB); q mod g from q's two terms holds one power of t mod g at a
+    # time.
+    w = 10**5
+    h = HomologyModule(1, [0, 0], [[LaurentPoly(0, (-1,) + (0,) * (w - 1) + (1,))], []])
+    for z, dims in ((Fraction(2), [0, 0, 0]), (GaussianRational(1, 2), [0, 0, 0]), (Fraction(1), [1, 1, 0]),
+                    (GaussianRational(0, 1), [1, 1, 0]), (Fraction(-1), [1, 1, 0])):
+        tracemalloc.start()
+        try:
+            assert uct_dims(h, z) == dims
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6, (z, peak)
 
 
 def test_uct_requires_finite():
@@ -264,31 +284,48 @@ def _l2_kernel_complex_reference(lam, m, d1, d2, n):
     return count
 
 
+# The numpy.linalg routines that hand a matrix to LAPACK.
+LAPACK_ROUTINES = ("qr", "svd", "eig", "eigh", "eigvals", "eigvalsh", "cholesky", "solve", "lstsq",
+                   "inv", "pinv", "det", "slogdet", "matrix_rank")
+
+
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Every QR and SVD the shift-kernel oracle runs: the routine, its
-    input's shape and dtype, and the QR's mode or whether the SVD computes
-    vectors."""
+    """What the shift-kernel oracle computes: ("band", N, m, shape, dtype)
+    for each band it builds, with the packed band's shape and dtype, and
+    (routine, shape) for each LAPACK routine of numpy.linalg that runs.
+    The window reaches of every block size are computed first, so the
+    QRs of _decay_reach's sample bases stay out."""
+    for m in range(1, MAX_MULT + 1):
+        twisted._decay_reach(m)
     seen = []
-    qr, svd = np.linalg.qr, np.linalg.svd
+    build = twisted._shift_band
 
-    def qr_spy(a, mode="reduced"):
-        seen.append(("qr", a.shape, a.dtype, mode))
-        return qr(a, mode=mode)
+    def band_spy(ln_mod, m, n, delta1, delta2):
+        band = build(ln_mod, m, n, delta1, delta2)
+        seen.append(("band", n, m, band.shape, band.dtype))
+        return band
 
-    def svd_spy(a, full_matrices=True, compute_uv=True):
-        seen.append(("svd", a.shape, a.dtype, compute_uv))
-        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+    def lapack_spy(name, routine):
+        def spy(a, *args, **kwargs):
+            seen.append((name, np.shape(a)))
+            return routine(a, *args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(np.linalg, "qr", qr_spy)
-    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(twisted, "_shift_band", band_spy)
+    for name in LAPACK_ROUTINES:
+        monkeypatch.setattr(np.linalg, name, lapack_spy(name, getattr(np.linalg, name)))
     return seen
 
 
 def _bands(factorizations):
-    """The (2N + 1, 2N + 1 - m) shape of each band the oracle factored, read
-    off the input of its one raw QR (the transposed band)."""
-    return [shape for routine, shape, _, mode in factorizations if routine == "qr" and mode == "raw"]
+    """The (N, m) of each band the oracle built, N its half-width."""
+    return [record[1:3] for record in factorizations if record[0] == "band"]
+
+
+def _lapack(factorizations):
+    """The LAPACK routines that ran, each with its input's shape."""
+    return [record for record in factorizations if record[0] != "band"]
 
 
 def _needed(lam, d1, d2):
@@ -309,7 +346,7 @@ def test_l2_truncated_phase_invariant():
 
 def test_l2_truncated_matches_complex_operator(factorizations):
     # Each draw is compared with the complex reference at the half-width the
-    # oracle picked, read off the matrix it decomposed.
+    # oracle picked, read off the band it built.
     rng = random.Random(4)
     outcomes, windows = set(), []
     for _ in range(20):
@@ -320,9 +357,8 @@ def test_l2_truncated_matches_complex_operator(factorizations):
         lam, m = mod * complex(math.cos(theta), math.sin(theta)), rng.randint(1, 3)
         rng.choice((60, 90, 120))  # unused; keeps the twenty seeded cases
         got = l2_kernel_truncated(lam, m, d1, d2)
-        cols, rows = _bands(factorizations)[-1]
-        n = (cols - 1) // 2
-        assert rows == cols - m and n == max(MIN_WINDOW, _needed(lam, d1, d2))
+        n = max(MIN_WINDOW, _needed(lam, d1, d2))
+        assert _bands(factorizations)[-1] == (n, m)
         assert got == _l2_kernel_complex_reference(lam, m, d1, d2, n), (lam, m, d1, d2)
         outcomes.add(got)
         windows.append(n)
@@ -330,10 +366,10 @@ def test_l2_truncated_matches_complex_operator(factorizations):
 
 
 def test_l2_truncated_factors_a_real_band(factorizations):
-    twisted._decay_reach(1)  # cached, so its QRs of a sample basis stay out
-    factorizations.clear()
+    # One real band of m + 1 = 2 diagonals and 2N + 1 - m rows, factored
+    # without LAPACK.
     assert l2_kernel_truncated(1 + 1j, 1, 1.0, 0.0) == 1
-    assert factorizations == [("qr", (2 * MIN_WINDOW + 1, 2 * MIN_WINDOW), np.float64, "raw")]
+    assert factorizations == [("band", MIN_WINDOW, 1, (2 * MIN_WINDOW, 2), np.float64)]
 
 
 def test_l2_window_is_derived_from_the_gap(factorizations):
@@ -345,7 +381,8 @@ def test_l2_window_is_derived_from_the_gap(factorizations):
     assert l2_kernel_truncated(2, 1, 1.0, 0.5) == l2_hom_dim_analytic(2, 1, 1.0, 0.5) == 1
     assert l2_kernel_truncated(0.1313, 2, -1.0, -2.0) == l2_hom_dim_analytic(0.1313, 2, -1.0, -2.0) == 0
     assert l2_kernel_truncated(inside, 2, -1.0, -2.0) == l2_hom_dim_analytic(inside, 2, -1.0, -2.0) == 2
-    assert [cols for cols, _ in _bands(factorizations)] == [2 * MIN_WINDOW + 1, 2 * 458 + 1, 2 * 462 + 1]
+    assert [n for n, _ in _bands(factorizations)] == [MIN_WINDOW, 458, 462]
+    assert _lapack(factorizations) == []
 
 
 def test_l2_window_too_small(factorizations):
@@ -357,7 +394,7 @@ def test_l2_window_too_small(factorizations):
     lam = math.exp(-1 - math.log(1 / KERNEL_RTOL) / (MAX_WINDOW - 1.5))
     assert _needed(lam, -1.0, -2.0) == MAX_WINDOW
     assert l2_kernel_truncated(lam, 1, -1.0, -2.0) == l2_hom_dim_analytic(lam, 1, -1.0, -2.0) == 1
-    assert [cols for cols, _ in _bands(factorizations)] == [2 * MAX_WINDOW + 1]
+    assert _bands(factorizations) == [(MAX_WINDOW, 1)] and _lapack(factorizations) == []
 
 
 # Weights whose e^delta is not a positive finite float.
@@ -408,7 +445,7 @@ def test_l2_grid_agrees_up_to_max_mult(factorizations):
         for d1, d2 in _L2_GRID_WEIGHTS:
             analytic = l2_hom_dim_analytic(lam, MAX_MULT, d1, d2)
             assert l2_kernel_truncated(lam, MAX_MULT, d1, d2) == analytic, (lam, d1, d2)
-    assert len(_bands(factorizations)) == 16
+    assert len(_bands(factorizations)) == 16 and _lapack(factorizations) == []
     with pytest.raises(ValueError, match=f"multiplicity {MAX_MULT + 1} is above the cap of {MAX_MULT}"):
         l2_kernel_truncated(Fraction(1, 2), MAX_MULT + 1, -1.0, -2.0)
     with pytest.raises(ValueError, match="above the cap"):
@@ -439,6 +476,36 @@ def test_l2_every_block_up_to_max_mult_agrees_or_is_refused():
     assert agreed >= 50 and refused >= 1
 
 
+def test_l2_seeded_sweep_agrees_in_windows_up_to_max_window(factorizations):
+    # 300 blocks that answer, drawn as in
+    # test_l2_every_block_up_to_max_mult_agrees_or_is_refused, each counted
+    # from its packed band in the window it needs.  In every other draw the
+    # nearer weight moves, on its side, to the gap whose window is uniform
+    # on [MIN_WINDOW, MAX_WINDOW + 1], so wide windows and refusals occur.
+    rng = random.Random(23)
+    refused, counts = 0, set()
+    while len(_bands(factorizations)) < 300:
+        m = rng.randint(1, MAX_MULT)
+        ln_mod = rng.uniform(math.log(1 / 3), math.log(3))
+        d = sorted((rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)), reverse=rng.random() < 0.75)
+        if rng.random() < 0.5:
+            near = min((0, 1), key=lambda i: abs(d[i] - ln_mod))
+            reach = max(math.log(1 / KERNEL_RTOL), twisted._decay_reach(m))
+            d[near] = ln_mod + math.copysign(reach / rng.uniform(MIN_WINDOW, MAX_WINDOW), d[near] - ln_mod)
+        block = (math.exp(ln_mod), m, *d)
+        try:
+            got = l2_kernel_truncated(*block)
+        except WindowTooSmallError:
+            refused += 1
+            continue
+        assert got == l2_hom_dim_analytic(*block), block
+        counts.add(got)
+    windows = [n for n, _ in _bands(factorizations)]
+    assert counts == set(range(MAX_MULT + 1)) and refused >= 1
+    assert max(windows) > 0.98 * MAX_WINDOW and sum(n > (MIN_WINDOW + MAX_WINDOW) / 2 for n in windows) >= 50
+    assert _lapack(factorizations) == []
+
+
 def test_l2_min_window_keeps_spurious_vectors_out(monkeypatch, factorizations):
     # Seeded draws off the annulus, where the analytic count is 0, at gaps
     # whose derived half-width is below MIN_WINDOW.  At that half-width
@@ -456,8 +523,8 @@ def test_l2_min_window_keeps_spurious_vectors_out(monkeypatch, factorizations):
             count = l2_kernel_truncated(*candidate)
         except WindowTooSmallError:
             count = None
-        cols, _ = _bands(factorizations)[-1]
-        if count is not None and l2_hom_dim_analytic(*candidate) == 0 and (cols - 1) // 2 < MIN_WINDOW:
+        n, _ = _bands(factorizations)[-1]
+        if count is not None and l2_hom_dim_analytic(*candidate) == 0 and n < MIN_WINDOW:
             draws.append(candidate)
             unfloored.append(count)
         d1, d2 = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
@@ -467,7 +534,7 @@ def test_l2_min_window_keeps_spurious_vectors_out(monkeypatch, factorizations):
     factorizations.clear()
     for d in draws:
         assert l2_kernel_truncated(*d) == l2_hom_dim_analytic(*d) == 0, d
-    assert {cols for cols, _ in _bands(factorizations)} == {2 * MIN_WINDOW + 1}
+    assert {n for n, _ in _bands(factorizations)} == {MIN_WINDOW}
 
 
 def test_l2_window_grows_with_the_block(factorizations):
@@ -477,7 +544,7 @@ def test_l2_window_grows_with_the_block(factorizations):
     assert l2_kernel_truncated(0.35, 1, -1.0, -2.0) == 1
     assert l2_kernel_truncated(0.35, 6, -1.0, -2.0) == l2_hom_dim_analytic(0.35, 6, -1.0, -2.0) == 6
     assert l2_kernel_truncated(0.35, 7, -1.0, -2.0) == 7
-    assert [(cols - 1) // 2 for cols, _ in _bands(factorizations)] == [279, 410, 462]
+    assert _bands(factorizations) == [(279, 1), (410, 6), (462, 7)]
 
 
 def _svd_kernel(a):
@@ -524,11 +591,12 @@ def test_l2_null_space_matches_a_full_svd():
         n = _window(lam, m, d1, d2)
         if n > 420:
             continue
-        a = twisted._shift_band(math.log(lam), m, n, d1, d2)
+        band = twisted._shift_band(math.log(lam), m, n, d1, d2)
+        a = dense_band(band)
         reference = _svd_kernel(a)
         if reference.shape[1] == m:
             continue
-        kernel = twisted._null_space(a)
+        kernel = twisted._null_space(band)
         assert kernel.shape == (2 * n + 1, m), (lam, m, d1, d2)
         assert np.linalg.norm(a @ kernel, 2) < 1e-14, (lam, m, d1, d2)
         assert cosines(reference, kernel).min() > 1 - 1e-12, (lam, m, d1, d2)
@@ -545,30 +613,34 @@ def test_l2_null_space_matches_a_full_svd():
 
 def test_l2_kernel_holds_no_square_factor_of_the_window():
     # At N = 458 the full SVD held a and both singular-vector factors, about
-    # three (2N + 1)^2 float arrays (20.2 MB traced).  The QR route holds a
-    # and the factorization's copy of it: about two.
-    n = 458
-    assert _window(0.1313, 2, -1.0, -2.0) == n
-    l2_kernel_truncated(0.1313, 2, -1.0, -2.0)
-    tracemalloc.start()
-    try:
-        assert l2_kernel_truncated(0.1313, 2, -1.0, -2.0) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * (2 * n + 1) ** 2 * 8
+    # three (2N + 1)^2 float arrays (20.2 MB traced), and a dense QR about
+    # two.  The packed band, its reflectors and the m kernel vectors hold
+    # O(m) floats per window index, at most 32 bytes each as Python floats
+    # in a list.
+    for lam, m, n in ((0.1313, 2, 458), (0.35, 6, 410)):
+        assert _window(lam, m, -1.0, -2.0) == n
+        l2_kernel_truncated(lam, m, -1.0, -2.0)
+        tracemalloc.start()
+        try:
+            assert l2_kernel_truncated(lam, m, -1.0, -2.0) == l2_hom_dim_analytic(lam, m, -1.0, -2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * (m + 1) * (2 * n + 1), (m, peak)
+    assert 100 * 3 * (2 * 458 + 1) < 0.5e6
 
 
 def test_l2_standard_grid_runs_no_square_svd_with_vectors(factorizations):
     # The CLI's grid (and the benchmark's l2 requests) at m = 1 and 2.  Every
     # block, lambda = 2 with weights (0.5, 1.0) and its rounding-level
-    # cluster too, is counted from one raw QR of the band and no SVD.
+    # cluster too, is counted from its packed band, with no SVD and no other
+    # LAPACK factorization.
     for lam in _L2_GRID_POINTS:
         for m in (1, 2):
             for d1, d2 in _L2_GRID_WEIGHTS:
                 assert l2_kernel_truncated(lam, m, d1, d2) == l2_hom_dim_analytic(lam, m, d1, d2)
     assert len(_bands(factorizations)) == 32
-    assert all(routine == "qr" for routine, *_ in factorizations)
+    assert _lapack(factorizations) == []
 
 
 def test_l2_subspace_count_over_the_numerical_kernel_overcounts():
@@ -581,8 +653,8 @@ def test_l2_subspace_count_over_the_numerical_kernel_overcounts():
     # alone, the oracle's, they count 6.
     n, m = 410, 6
     assert _window(0.35, m, -1.0, -2.0) == n
-    a = twisted._shift_band(math.log(0.35), m, n, -1.0, -2.0)
-    kernel = _svd_kernel(a)
+    band = twisted._shift_band(math.log(0.35), m, n, -1.0, -2.0)
+    kernel = _svd_kernel(dense_band(band))
     assert kernel.shape == (2 * n + 1, 22 + m)
     assert _decaying(kernel, n) == l2_hom_dim_analytic(0.35, m, -1.0, -2.0) == 6
     outer = np.abs(np.arange(-n, n + 1)) > math.floor(0.9 * n)
@@ -592,7 +664,7 @@ def test_l2_subspace_count_over_the_numerical_kernel_overcounts():
 
     # The null space is the first m columns.
     assert (subspace_count(kernel[outer]), subspace_count(kernel[outer, :m])) == (22, 6)
-    assert subspace_count(twisted._null_space(a)[outer]) == 6
+    assert subspace_count(twisted._null_space(band)[outer]) == 6
 
 
 def test_fredholm_refuses_weight_without_finite_radius(s1s2_complex, factorizations):
