@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import re
 from dataclasses import dataclass
 
 from .complexes import (
@@ -100,7 +101,7 @@ def parse_point(text: str):
     """An evaluation point: exact rational, exact a+bi, or complex float.
 
     Examples: "1/2", "-3", "1/2+1/3i", "2-i", "0.7", "0.5+0.25j".  A float
-    point that is not finite ("nan", "(1e400+0.5j)") raises FloatRangeError.
+    point that is not finite ("nan", "-inf", "(1e400+0.5j)") raises FloatRangeError.
     """
     s = text.strip().replace(" ", "")
     try:
@@ -121,7 +122,7 @@ def parse_point(text: str):
         except (ValueError, ZeroDivisionError):
             pass
     try:
-        z = complex(s.replace("i", "j"))
+        z = complex(re.sub(r"i(\)?)$", r"j\1", s))  # only a trailing unit: "inf" stays
     except ValueError:
         raise ComplexValidationError(f"cannot parse evaluation point {text!r}")
     if not cmath.isfinite(z):

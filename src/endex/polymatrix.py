@@ -142,10 +142,11 @@ class LaurentMatrix:
         """Rank over Q of this matrix tensored with Λ/(g), for a canonical g
         of positive degree n, so that t is a unit mod g and Λ/(g) is Q[t]/(g).
 
-        Entry p = t^low * P becomes the n x n block of multiplication by p on
-        the basis 1, t, ..., t^(n-1), and the blocks go to the sparse
-        eliminator.  t^low comes from ``_powers_mod``: an entry t^w costs
-        O(log |w|) products.
+        Entry p becomes the n x n block of multiplication by p on the basis
+        1, t, ..., t^(n-1), and the blocks go to the sparse eliminator.  Each
+        distinct entry is reduced once, r = p mod g as in ``residue``, and
+        block column b is r t^b mod g, so an entry costs O(log w) products
+        per gap of w between its nonzero terms: t^w and t^w - 1 alike.
         """
         power, tail = _powers_mod(g)
         n, r, c = g.span, self.rows, self.cols
@@ -155,8 +156,9 @@ class LaurentMatrix:
             block = blocks.get(e)
             if block is None:
                 # Column b is p t^b; rows and columns run from t^(n-1) down to 1 (faster on the grid tori).
+                res = _residue(e, power, tail)
                 block = blocks[e] = [[((n - 1 - a) * r, x) for a, x in enumerate(
-                    _times(power(e.low), [0] * b + list(e.coeffs), tail)) if x] for b in range(n)]
+                    _times(res, power(b), tail)) if x] for b in range(n)]
             for b, column in enumerate(block):
                 columns[(n - 1 - b) * c + j].update((row + i, x) for row, x in column)
         return exact_rank(columns)
@@ -164,12 +166,17 @@ class LaurentMatrix:
 
 def residue(p: LaurentPoly, g: LaurentPoly) -> list:
     """The coefficients of p mod g on the basis 1, t, ..., t^(n-1), for a
-    canonical g of positive degree n, and no quotient formed.  Horner's rule
+    canonical g of positive degree n, and no quotient formed.  The cost is
+    per nonzero term of p: a gap of w between two terms, or a power t^w,
+    costs O(log w) products, so t^w - 1 costs what t^w does."""
+    return _residue(p, *_powers_mod(g))
+
+
+def _residue(p: LaurentPoly, power, tail) -> list:
+    """p mod g from ``_powers_mod(g)``'s power table and tail.  Horner's rule
     over p's nonzero terms, from the top: between two terms whose exponents
-    differ by d it multiplies by t^d mod g from ``_powers_mod``, so a gap
-    of w costs O(log w) products."""
-    power, tail = _powers_mod(g)
-    acc, above = [0] * g.span, len(p.coeffs) - 1
+    differ by d it multiplies by t^d mod g."""
+    acc, above = [0] * len(tail), len(p.coeffs) - 1
     for i in range(above, -1, -1):
         if p.coeffs[i]:
             if above - i == 1:  # times t: shift up, and reduce t^n by g

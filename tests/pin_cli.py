@@ -61,6 +61,7 @@ for slug, delta in (("800", "800"), ("1e308", "1e308"), ("minus800", "-800"),
     cases[f"s1s2-fredholm-{slug}"] = {"argv": ["fredholm", f"--delta={delta}", "--input", "{data}/s1s2.json"]}
 cases["sextic-fredholm-150"] = {"argv": ["fredholm", "--delta=150", "--input", "{data}/sextic.json"]}
 cases["s1s2-twisted-nan"] = {"argv": ["twisted", "--z=nan", "--input", "{data}/s1s2.json"]}
+cases["s1s2-twisted-inf"] = {"argv": ["twisted", "--z=inf", "--input", "{data}/s1s2.json"]}
 cases["l2-oracle-lam1e400"] = {"argv": ["l2-oracle", "--lam", "1e400"]}
 cases["l2-oracle-lam-nan"] = {"argv": ["l2-oracle", "--lam", "nan"]}
 cases["l2-oracle-delta1-nan"] = {"argv": ["l2-oracle", "--lam", "2", "--delta1=nan"]}

@@ -173,6 +173,28 @@ def test_snf_rank_matches_evaluation_rank():
         zf = complex(float(z), 0.137)
         if all(abs(d.evaluate(zf)) > 1e-6 for d in s.diag):
             assert m.rank_at(zf) == s.rank
+    # Far exponents and wide gaps: dense runs with lows up to 40 away, and
+    # binomials t^a - c t^b with |a - b| up to 60, some vanishing at the
+    # roots of unity and at 1 + i ((1 + i)^4 = -4).
+    drops = 0
+    for _ in range(12):
+        r, c = rng.randint(1, 2), rng.randint(1, 3)
+        entries = []
+        for _ in range(r * c):
+            if rng.random() < 0.5:
+                entries.append(random_laurent(rng, max_span=6, low_range=(-40, 40)))
+            else:
+                a, gap = rng.randint(-30, 30), rng.choice([1, 2, 4]) * rng.randint(1, 15)
+                entries.append(LaurentPoly(a, (-rng.choice([1, -1, 2, -4]),) + (0,) * (gap - 1) + (1,)))
+        m = LaurentMatrix(r, c, entries)
+        s = smith_normal_form(m)
+        z = Fraction(rng.randint(2, 9), rng.randint(1, 7) * 2 + 1)
+        zg = GaussianRational(Fraction(rng.randint(-4, 4), 3), Fraction(rng.randint(1, 4), 5))
+        for point in (z, zg, Fraction(1), Fraction(-1), GaussianRational(0, 1), GaussianRational(1, 1)):
+            rank = m.rank_at(point)
+            assert rank == _nonvanishing(s.diag, point)
+            drops += rank < s.rank
+    assert drops > 0
     drops = 0
     for _ in range(30):
         m, chain = _planted_snf_matrix(rng)

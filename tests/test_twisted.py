@@ -15,6 +15,7 @@ from endex import (
     FloatRangeError,
     GaussianRational,
     HomologyModule,
+    LaurentMatrix,
     LaurentPoly,
     NotFiniteError,
     OnWallError,
@@ -680,7 +681,8 @@ def test_l2_stencil_takes_a_modulus_whose_powers_overflow():
 
 
 def test_float_point_must_be_finite():
-    for text in ("nan", "nan+1j", "(1e400+0.5j)", "(0.5+1e400j)"):
+    # Only a trailing imaginary unit is rewritten, so the i of "inf" stays.
+    for text in ("nan", "nan+1j", "(1e400+0.5j)", "(0.5+1e400j)", "inf", "-inf", "infj", "(inf+0j)", "-infi"):
         with pytest.raises(FloatRangeError, match="not a finite complex number"):
             parse_point(text)
     # Exact points have no float range.
@@ -811,6 +813,14 @@ def test_exact_ranks_on_a_far_winding_circle_take_log_w_products(monkeypatch, w)
     rep = cup_product_check(circle)
     assert rep["exact"] and rep["cohomology_dims"] == [1, 1]
     assert len(products) <= 8 * w.bit_length() + 24
+    # The same circle as one direct boundary [t^w - 1]: its two terms are
+    # reduced once, so no product runs over the w + 1 coefficients between.
+    products.clear()
+    direct = ChainComplexOverLambda([1, 1], [LaurentMatrix(1, 1, [LaurentPoly(0, (-1,) + (0,) * (w - 1) + (1,))])])
+    assert twisted_dims(direct, GaussianRational(0, 1)).dims == (1, 1)
+    assert twisted_dims(direct, GaussianRational(1, 2)).dims == (0, 0)
+    assert len(products) <= 8 * w.bit_length() + 24
+    assert sum(len(coeffs) for _, coeffs, _ in products) <= 2 * (8 * w.bit_length() + 24)
 
 
 def test_exact_ranks_at_roots_of_unity_take_a_cocycle_of_any_size():
