@@ -2,7 +2,8 @@
 
 Complexes arrive either as explicit boundary matrices or as a finite
 simplicial complex equipped with an integer edge cocycle classifying an
-infinite cyclic cover; the latter is lifted degree by degree.  Every
+infinite cyclic cover; the latter is lifted degree by degree, straight
+into the d + 1 nonzero entries ±t^w of each boundary column.  Every
 constructed complex is validated exactly: shapes must compose and
 consecutive boundaries must multiply to zero.
 """
@@ -46,12 +47,9 @@ class ChainComplexOverLambda:
                 )
         for k in range(1, n):
             prod = boundaries[k - 1] * boundaries[k]
-            for i in range(prod.rows):
-                for j in range(prod.cols):
-                    if not prod[i, j].is_zero():
-                        raise ComplexValidationError(
-                            f"boundary composite at degree {k + 1} is nonzero at entry ({i}, {j})"
-                        )
+            if prod.nonzeros:
+                i, j = min(prod.nonzeros)  # the first in row-major order
+                raise ComplexValidationError(f"boundary composite at degree {k + 1} is nonzero at entry ({i}, {j})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "boundaries", boundaries)
@@ -212,16 +210,12 @@ def lift_simplicial(x: SimplicialInput) -> ChainComplexOverLambda:
     ranks = [len(x.simplex_list(d)) for d in range(top + 1)]
     boundaries = []
     for d in range(1, top + 1):
-        lower = x.simplex_list(d - 1)
-        index = {s: i for i, s in enumerate(lower)}
-        rows, cols = len(lower), ranks[d]
-        zero = LaurentPoly.zero()
-        entries = [[zero] * cols for _ in range(rows)]
+        index = {s: i for i, s in enumerate(x.simplex_list(d - 1))}
+        nonzeros = {}
         for j, s in enumerate(x.simplex_list(d)):
+            # The d + 1 faces of s are distinct, so each sets its own entry.
             for i in range(d + 1):
                 face = s[:i] + s[i + 1 :]
-                sign = -1 if i % 2 else 1
-                shift = x.edge_value(s[0], face[0])
-                entries[index[face]][j] = entries[index[face]][j] + LaurentPoly.t_power(shift, sign)
-        boundaries.append(LaurentMatrix.from_rows(entries))
+                nonzeros[index[face], j] = LaurentPoly.t_power(x.edge_value(s[0], face[0]), -1 if i % 2 else 1)
+        boundaries.append(LaurentMatrix(ranks[d - 1], ranks[d], nonzeros))
     return ChainComplexOverLambda(ranks, boundaries)

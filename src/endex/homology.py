@@ -101,10 +101,8 @@ def homology(cc: ChainComplexOverLambda) -> HomologyModule:
             s = snfs[k]
             rewritten = s.right_inv * cc.boundary(k + 1)
             # The rows up to the rank vanish, since the composite is zero.
-            rows = [rewritten.row(i) for i in range(s.rank, cc.ranks[k])]
-            incoming_in_kernel = (
-                LaurentMatrix.from_rows(rows) if rows else LaurentMatrix.zero(0, rewritten.cols)
-            )
+            incoming_in_kernel = LaurentMatrix(cc.ranks[k] - s.rank, rewritten.cols,
+                                               {(i - s.rank, j): e for (i, j), e in rewritten.nonzeros.items()})
         factors.append(smith_normal_form(incoming_in_kernel).invariant_factors())
     # H_n = ker d_n is free (see the module docstring).
     factors.append([])

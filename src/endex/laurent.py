@@ -243,7 +243,10 @@ class LaurentPoly:
         """Evaluate at a number z: exact at a rational, float otherwise.
 
         z must be nonzero when the polynomial has negative exponents.  A
-        GaussianRational raises TypeError rather than being rounded.
+        GaussianRational raises TypeError rather than being rounded.  A
+        float value that overflows, through a coefficient or a power of z
+        beyond float range, comes back as complex NaN, a value that is not
+        finite, which ``linalg.numeric_rank`` refuses.
         """
         if isinstance(z, GaussianRational):
             raise TypeError("a Gaussian point is reached through its minimal polynomial, not evaluated")
@@ -252,12 +255,13 @@ class LaurentPoly:
             acc = Fraction(0)
             for c in reversed(self.coeffs):
                 acc = acc * z + c
-        else:
-            z = complex(z)
+            return acc * z ** self.low if self.low else acc
+        z = complex(z)
+        try:
             acc = _horner([float(c) for c in self.coeffs], z)
-        if self.low:
-            acc = acc * z ** self.low
-        return acc
+            return acc * z ** self.low if self.low else acc
+        except OverflowError:
+            return complex(math.nan, math.nan)
 
     def reversed_variable(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""

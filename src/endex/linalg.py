@@ -1,4 +1,4 @@
-"""Field linear algebra under the ranks and products of Laurent matrices.
+"""Field linear algebra under the ranks of Laurent matrices.
 
 Exact ranks over Q come from one column-sparse eliminator: a matrix is a
 sequence of columns, each a dict from row index to a nonzero Fraction, so
@@ -34,22 +34,6 @@ def numeric_rank(a, z) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > NUMERIC_RANK_RTOL * s[0]))
-
-
-def mat_mul(a, b, ncols: int, zero):
-    """The product of list-of-rows matrices a and b over any ring whose
-    zero is falsy; b has ncols columns.  Only products of two nonzero
-    entries are formed, and each output entry adds them in order of k."""
-    b_support = [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
-    out = []
-    for ra in a:
-        acc = [zero] * ncols
-        for x, support in zip(ra, b_support):
-            if x:
-                for j, y in support:
-                    acc[j] = acc[j] + x * y
-        out.append(acc)
-    return out
 
 
 def eliminate(columns) -> dict:

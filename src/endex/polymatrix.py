@@ -1,5 +1,9 @@
 """Matrices over the Laurent ring: Smith normal form, ranks, evaluation.
 
+A ``LaurentMatrix`` holds only its nonzero entries, and only this module
+knows that layout: products, ranks and evaluation visit the nonzero entries
+alone.  The Smith form's working matrix and transforms are dense rows.
+
 The Smith normal form is computed by Euclidean elimination.  One rule
 fills diagonal slot k: pick the pivot of least degree span in the trailing
 block (ties: smallest coefficient height, then row-major), and clear
@@ -29,25 +33,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Rational as _RationalABC
+from types import MappingProxyType
 
 from .errors import CertificationError
 from .laurent import LaurentPoly, poly
-from .linalg import exact_rank, mat_mul, numeric_rank
+from .linalg import exact_rank, numeric_rank
 from .rationals import GaussianRational, parse_int
 
 
 class LaurentMatrix:
-    """Immutable rows x cols matrix of Laurent polynomials."""
+    """Immutable rows x cols matrix of Laurent polynomials: ``nonzeros`` maps
+    (row, column) to each nonzero entry, read-only, and the rest are zero."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "nonzeros")
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(poly(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+    def __init__(self, rows: int, cols: int, nonzeros):
+        kept = {}
+        for (i, j), e in nonzeros.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i}, {j}) lies outside a {rows}x{cols} matrix")
+            e = poly(e)
+            if e.coeffs:
+                kept[i, j] = e
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "nonzeros", MappingProxyType(kept))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentMatrix is immutable")
@@ -56,46 +66,54 @@ class LaurentMatrix:
     def from_rows(rows_of_entries) -> "LaurentMatrix":
         rows = len(rows_of_entries)
         cols = len(rows_of_entries[0]) if rows else 0
-        flat = []
-        for r in rows_of_entries:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return LaurentMatrix(rows, cols, flat)
+        if any(len(r) != cols for r in rows_of_entries):
+            raise ValueError("ragged rows")
+        return LaurentMatrix(rows, cols, {(i, j): e for i, r in enumerate(rows_of_entries)
+                                          for j, e in enumerate(map(poly, r)) if e.coeffs})
 
     @staticmethod
     def zero(rows: int, cols: int) -> "LaurentMatrix":
-        return LaurentMatrix(rows, cols, [LaurentPoly.zero()] * (rows * cols))
+        return LaurentMatrix(rows, cols, {})
 
     @staticmethod
     def identity(n: int) -> "LaurentMatrix":
-        return LaurentMatrix(n, n, [e for row in _eye(n) for e in row])
+        return LaurentMatrix(n, n, {(i, i): LaurentPoly.one() for i in range(n)})
 
     def __getitem__(self, ij):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
-        return self.entries[i * self.cols + j]
+        return self.nonzeros.get((i, j), _ZERO)
 
     def row(self, i):
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        return [self.nonzeros.get((i, j), _ZERO) for j in range(self.cols)]
+
+    @property
+    def entries(self) -> tuple:
+        """Every entry, zeros included, in row-major order."""
+        return tuple(e for i in range(self.rows) for e in self.row(i))
 
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        rows = mat_mul([self.row(i) for i in range(self.rows)], [other.row(k) for k in range(other.rows)],
-                       other.cols, LaurentPoly.zero())
-        return LaurentMatrix(self.rows, other.cols, [e for r in rows for e in r])
+        by_row = {}
+        for (k, j), y in other.nonzeros.items():
+            by_row.setdefault(k, []).append((j, y))
+        out = {}  # the products of nonzero pairs only
+        for (i, k), x in self.nonzeros.items():
+            for j, y in by_row.get(k, ()):
+                out[i, j] = out.get((i, j), _ZERO) + x * y
+        return LaurentMatrix(self.rows, other.cols, out)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.entries == other.entries
+        return self.rows == other.rows and self.cols == other.cols and self.nonzeros == other.nonzeros
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, frozenset(self.nonzeros.items())))
 
     def __repr__(self):
         body = "; ".join(", ".join(e.pretty() for e in self.row(i)) for i in range(self.rows))
@@ -115,8 +133,8 @@ class LaurentMatrix:
         ent = obj["entries"]
         if len(ent) != rows or any(len(r) != cols for r in ent):
             raise ValueError("entry grid does not match declared shape")
-        flat = [LaurentPoly.from_json(e) for r in ent for e in r]
-        return LaurentMatrix(rows, cols, flat)
+        m = LaurentMatrix.from_rows([[LaurentPoly.from_json(e) for e in r] for r in ent])
+        return m if rows else LaurentMatrix.zero(0, cols)
 
     def evaluate(self, z):
         """Evaluate entrywise at a nonzero z, as nested lists: Fractions at a
@@ -124,8 +142,11 @@ class LaurentMatrix:
         not evaluated: it takes the value the zero polynomial has at z."""
         if z == 0:
             raise ZeroDivisionError("evaluation point must be nonzero")
-        zero = LaurentPoly.zero().evaluate(z)
-        return [[e.evaluate(z) if e.coeffs else zero for e in self.row(i)] for i in range(self.rows)]
+        zero = _ZERO.evaluate(z)
+        out = [[zero] * self.cols for _ in range(self.rows)]
+        for (i, j), e in self.nonzeros.items():
+            out[i][j] = e.evaluate(z)
+        return out
 
     def rank_at(self, z) -> int:
         """Rank of the matrix at z: exact for exact z, SVD otherwise.
@@ -151,8 +172,7 @@ class LaurentMatrix:
         power, tail = _powers_mod(g)
         n, r, c = g.span, self.rows, self.cols
         blocks, columns = {}, [{} for _ in range(c * n)]
-        for idx, e in [(idx, e) for idx, e in enumerate(self.entries) if e.coeffs]:
-            i, j = divmod(idx, c)
+        for (i, j), e in self.nonzeros.items():
             block = blocks.get(e)
             if block is None:
                 # Column b is p t^b; rows and columns run from t^(n-1) down to 1 (faster on the grid tori).
@@ -162,6 +182,9 @@ class LaurentMatrix:
             for b, column in enumerate(block):
                 columns[(n - 1 - b) * c + j].update((row + i, x) for row, x in column)
         return exact_rank(columns)
+
+
+_ZERO = LaurentPoly.zero()
 
 
 def residue(p: LaurentPoly, g: LaurentPoly) -> list:
@@ -250,10 +273,7 @@ class SnfResult:
     right_inv: LaurentMatrix = field(repr=False, default=None)
 
     def diagonal_matrix(self, rows: int, cols: int) -> LaurentMatrix:
-        ent = [LaurentPoly.zero()] * (rows * cols)
-        for i, d in enumerate(self.diag):
-            ent[i * cols + i] = d
-        return LaurentMatrix(rows, cols, ent)
+        return LaurentMatrix(rows, cols, {(i, i): d for i, d in enumerate(self.diag)})
 
     def invariant_factors(self):
         """The nonunit diagonal entries."""

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AmbiguousWallError, CertificationError
+from .errors import AmbiguousWallError, CertificationError, FloatRangeError
 from .laurent import (LaurentPoly, _exact_quo, _horner, _int_coeffs, _primitive, canonicalize,
                       squarefree_decomposition)
 
@@ -180,7 +180,9 @@ def find_roots(a: LaurentPoly, degree_k: int) -> list[RootDatum]:
 
     Returns one datum per distinct root; the sum of multiplicities equals
     the degree span.  Constant polynomials give [].  A span above
-    MAX_DEGREE raises ValueError before any work is done.
+    MAX_DEGREE raises ValueError before any work is done, and a factor
+    with a coefficient beyond float range raises FloatRangeError before
+    the float root finder starts on it.
     """
     a = canonicalize(a)
     if a.span > MAX_DEGREE:
@@ -202,7 +204,11 @@ def find_roots(a: LaurentPoly, degree_k: int) -> list[RootDatum]:
                 )
             )
         if rest.span >= 1:
-            coeffs = [float(c) for c in rest.coeffs]
+            try:
+                coeffs = [float(c) for c in rest.coeffs]
+            except OverflowError:
+                raise FloatRangeError(f"the degree-{degree_k} characteristic polynomial has a coefficient "
+                                      "beyond float range") from None
             deriv = [coeffs[i] * i for i in range(1, len(coeffs))]
             exact_sq = None
             if rest.span == 2:

@@ -161,9 +161,16 @@ def random_laurent(rng: random.Random, max_span: int = 3, max_coeff: int = 3,
     return LaurentPoly(rng.randint(*low_range), coeffs)
 
 
+def flat(r: int, c: int, entries) -> LaurentMatrix:
+    """The r x c matrix with these entries in row-major order."""
+    entries = list(entries)
+    assert len(entries) == r * c
+    return LaurentMatrix(r, c, {divmod(k, c): e for k, e in enumerate(entries)})
+
+
 def random_matrix(rng: random.Random, max_size: int = 5, max_span: int = 3) -> LaurentMatrix:
     r, c = rng.randint(0, max_size), rng.randint(0, max_size)
-    return LaurentMatrix(r, c, [random_laurent(rng, max_span) for _ in range(r * c)])
+    return flat(r, c, [random_laurent(rng, max_span) for _ in range(r * c)])
 
 
 # Nonzero rational roots whose moduli are pairwise distinct or exactly equal,
@@ -239,8 +246,8 @@ def _random_unimodular(rng: random.Random, n: int, ops: int = 8):
             for row in minv:
                 row[i] = row[i] * uinv
     eye = LaurentMatrix.identity(n)
-    mm = LaurentMatrix.from_rows(m) if n else LaurentMatrix(0, 0, [])
-    mi = LaurentMatrix.from_rows(minv) if n else LaurentMatrix(0, 0, [])
+    mm = LaurentMatrix.from_rows(m) if n else LaurentMatrix.zero(0, 0)
+    mi = LaurentMatrix.from_rows(minv) if n else LaurentMatrix.zero(0, 0)
     assert mm * mi == eye
     return mm, mi
 
@@ -618,7 +625,7 @@ TORSION_POINTS = (Fraction(2), Fraction(3), Fraction(5, 7))
 
 def _nonzero_entries(m: LaurentMatrix) -> list:
     """(row, column, entry) for every nonzero entry of m."""
-    return [(idx // m.cols, idx % m.cols, e) for idx, e in enumerate(m.entries) if e.coeffs]
+    return [(i, j, e) for (i, j), e in sorted(m.nonzeros.items())]
 
 
 def _permutation_sign(perm) -> int:

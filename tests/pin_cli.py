@@ -60,6 +60,14 @@ for slug, delta in (("800", "800"), ("1e308", "1e308"), ("minus800", "-800"),
                     ("minus-inf", "-inf"), ("nan", "nan")):
     cases[f"s1s2-fredholm-{slug}"] = {"argv": ["fredholm", f"--delta={delta}", "--input", "{data}/s1s2.json"]}
 cases["sextic-fredholm-150"] = {"argv": ["fredholm", "--delta=150", "--input", "{data}/sextic.json"]}
+# Floats that overflow on the way: t^2000 at |z| >= e^0.5, a 401-digit
+# coefficient, and a characteristic polynomial with one.
+for slug, argv in (("fredholm-0.5", ["fredholm", "--delta", "0.5"]), ("twisted-2+0.5j", ["twisted", "--z", "(2+0.5j)"])):
+    cases[f"circle_cocycle2000-{slug}"] = {"argv": argv + ["--input", "{data}/circle_cocycle2000.json"]}
+for slug, argv in (("twisted-0.5+0.1j", ["twisted", "--z", "(0.5+0.1j)"]), ("fredholm-0.1", ["fredholm", "--delta", "0.1"])):
+    cases[f"wide_entry-{slug}"] = {"argv": argv + ["--input", "{data}/wide_entry.json"]}
+for slug in ("analyze", "index", "duality"):
+    cases[f"alexander_wide-{slug}"] = {"argv": [slug, "--input", "{data}/alexander_wide.json"]}
 cases["s1s2-twisted-nan"] = {"argv": ["twisted", "--z=nan", "--input", "{data}/s1s2.json"]}
 cases["s1s2-twisted-inf"] = {"argv": ["twisted", "--z=inf", "--input", "{data}/s1s2.json"]}
 cases["l2-oracle-lam1e400"] = {"argv": ["l2-oracle", "--lam", "1e400"]}
@@ -82,6 +90,9 @@ cases["fox-analyze-svg"] = {"argv": ["analyze", "--input", "{data}/fox.json", "-
 for doc in ("circle", "circle_trivial", "s1s2", "sextic"):
     for slug, z in (("1", "1"), ("minus1", "-1"), ("1+2i", "1+2i"), ("i", "i")):
         cases[f"{doc}-twisted-{slug}"] = {"argv": ["twisted", "--z", z, "--input", "{data}/%s.json" % doc]}
+# Boundaries whose composite is nonzero at (0, 1) and (1, 0): the refusal
+# names the first in row-major order.
+cases["not_a_complex-analyze"] = {"argv": ["analyze", "--input", "{data}/not_a_complex.json"]}
 for doc in DOCS:
     cases[f"{doc}-cup-check"] = {"argv": ["cup-check", "--input", "{data}/%s.json" % doc]}
 

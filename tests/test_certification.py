@@ -31,9 +31,7 @@ SRC = os.path.dirname(endex.__file__)
 
 def _with_entry_changed(m: LaurentMatrix, i: int, j: int) -> LaurentMatrix:
     """m with one entry plus one."""
-    entries = list(m.entries)
-    entries[i * m.cols + j] = entries[i * m.cols + j] + LaurentPoly.one()
-    return LaurentMatrix(m.rows, m.cols, entries)
+    return LaurentMatrix(m.rows, m.cols, {**m.nonzeros, (i, j): m[i, j] + LaurentPoly.one()})
 
 
 SNF_INPUT = mat([["t - 1", "t"], ["1", "t + 2"]])

@@ -12,7 +12,8 @@ import tracemalloc
 import pytest
 
 import endex
-from endex.cli import main
+from endex import FloatRangeError
+from endex.cli import build_parser, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 PINNED = os.path.join(os.path.dirname(__file__), "golden", "cli")
@@ -83,6 +84,24 @@ def test_isolated_vertices_stay_small(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["homology"]["degrees"][0]["free_rank"] == 4000
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("doc, argv, match", [
+    ("circle_cocycle2000", ["fredholm", "--delta", "0.5"], r"evaluated at z = \(1\.6487\d*\+0j\)"),
+    ("circle_cocycle2000", ["twisted", "--z", "(2+0.5j)"], r"evaluated at z = \(2\+0\.5j\)"),
+    ("wide_entry", ["twisted", "--z", "(0.5+0.1j)"], r"evaluated at z = \(0\.5\+0\.1j\)"),
+    ("wide_entry", ["fredholm", "--delta", "0.1"], r"evaluated at z = \(1\.1051\d*\+0j\)"),
+    ("alexander_wide", ["analyze"], "degree-0 characteristic polynomial has a coefficient beyond float range"),
+    ("alexander_wide", ["index"], "degree-0 characteristic polynomial has a coefficient beyond float range"),
+    ("alexander_wide", ["duality"], "degree-0 characteristic polynomial has a coefficient beyond float range"),
+])
+def test_a_float_overflow_is_refused(doc, argv, match):
+    # An entry t^2000 at |z| >= e^0.5 (a power of z beyond float range), an
+    # entry with a 401-digit coefficient, and a characteristic polynomial
+    # with one: each is refused with FloatRangeError, not an OverflowError.
+    args = build_parser().parse_args(argv + ["--input", path(doc + ".json")])
+    with pytest.raises(FloatRangeError, match=match):
+        args.func(args)
 
 
 def test_fredholm_and_index_refuse_an_ambiguous_wall(tmp_path, capsys):
@@ -680,4 +699,4 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["25", str(len(runs))]
+    assert proc.stdout.split() == ["30", str(len(runs))]

@@ -816,7 +816,7 @@ def test_exact_ranks_on_a_far_winding_circle_take_log_w_products(monkeypatch, w)
     # The same circle as one direct boundary [t^w - 1]: its two terms are
     # reduced once, so no product runs over the w + 1 coefficients between.
     products.clear()
-    direct = ChainComplexOverLambda([1, 1], [LaurentMatrix(1, 1, [LaurentPoly(0, (-1,) + (0,) * (w - 1) + (1,))])])
+    direct = ChainComplexOverLambda([1, 1], [LaurentMatrix(1, 1, {(0, 0): LaurentPoly(0, (-1,) + (0,) * (w - 1) + (1,))})])
     assert twisted_dims(direct, GaussianRational(0, 1)).dims == (1, 1)
     assert twisted_dims(direct, GaussianRational(1, 2)).dims == (0, 0)
     assert len(products) <= 8 * w.bit_length() + 24
