@@ -48,7 +48,8 @@ class WindowTooSmallError(EndexError):
 class FloatRangeError(EndexError, ValueError):
     """A float the numeric routes cannot use: a weight that is not finite
     or whose e^delta is not a positive finite float, an evaluation point
-    that is not finite, or an evaluated matrix with an entry that is not.
+    that is not finite, an evaluated matrix with an entry that is not, or
+    a characteristic polynomial whose float roots overflow.
     Stays a ValueError, like the other refused argument values."""
 
 

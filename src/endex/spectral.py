@@ -182,7 +182,9 @@ def find_roots(a: LaurentPoly, degree_k: int) -> list[RootDatum]:
     the degree span.  Constant polynomials give [].  A span above
     MAX_DEGREE raises ValueError before any work is done, and a factor
     with a coefficient beyond float range raises FloatRangeError before
-    the float root finder starts on it.
+    the float root finder starts on it.  A root that comes out of the root
+    finder not finite, a power of an iterate having overflowed, raises
+    FloatRangeError too.
     """
     a = canonicalize(a)
     if a.span > MAX_DEGREE:
@@ -217,6 +219,9 @@ def find_roots(a: LaurentPoly, degree_k: int) -> list[RootDatum]:
                     # Conjugate pair: the modulus square is the root product.
                     exact_sq = rest.coeffs[0] / rest.coeffs[2]
             for z in _aberth(coeffs):
+                if not cmath.isfinite(z):
+                    raise FloatRangeError(f"the degree-{degree_k} characteristic polynomial overflows "
+                                          "the float root finder")
                 res = abs(_horner(coeffs, z))
                 dv = abs(_horner(deriv, z))
                 radius = rest.span * res / dv if dv > 0 else math.inf

@@ -14,13 +14,13 @@ oracle has no rank decision: its truncated band has full row rank, so the
 band's null space has dimension exactly m, and one Householder QR of the
 band's m + 1 diagonals, kept packed, gives it in O(N m) memory.  The
 oracle counts the vectors of that null space whose mass decays at the
-window boundary.
+window boundary.  It runs on Python floats alone: this module imports no
+numpy, which only the float ranks of ``linalg.numeric_rank`` load.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -38,14 +38,14 @@ from .spectral import wall_at
 _CIRCLE_PAD = 1e-9
 # Null-space vectors must hold all but this fraction of their mass away
 # from the outer tenth of the window to count as decaying.  The window is
-# sized so that every true kernel vector passes (_decay_reach), so this
+# sized so that every true kernel vector passes (_DECAY_REACH), so this
 # value sets the window of every block of m >= 4 (N = 410 for
 # lambda = 0.35, m = 6, weights (-1, -2)).
 _BOUNDARY_MASS = 1e-5
 # A kernel vector decays like k^j e^(-gap k), gap being the distance from
 # ln|lambda| to the nearer weight, so the window needs ceil(reach / gap) + 1,
 # reach being the larger of ln(1/KERNEL_RTOL) = 13.8 and the block's
-# _decay_reach, so e^(-gap k) falls to KERNEL_RTOL of its peak or below by
+# _DECAY_REACH, so e^(-gap k) falls to KERNEL_RTOL of its peak or below by
 # the window's edge.  Nothing is cut at this value.
 KERNEL_RTOL = 1e-6
 # The window is never narrower than MIN_WINDOW; a weight that needs more
@@ -63,6 +63,16 @@ MAX_WINDOW = 500
 # agree with the analytic count or are refused (tests/test_twisted.py);
 # no test checks a larger block.
 MAX_MULT = 7
+# The least gap * N at which every kernel vector of an m-block passes the
+# boundary-mass test at half-width N, for m = 1..MAX_MULT.  On the side of
+# the nearer weight that kernel is spanned by k^j e^(-gap k), j < m, and the
+# oracle's basis of it (_null_space) is whichever orthonormal basis its
+# Householder reflectors give, so the test must hold for the worst unit
+# vector of the span: the squared norm of the outer rows of an orthonormal
+# basis.  The span depends on gap * N alone; each value is bisected to
+# within 1e-3 on that span sampled at N = MAX_WINDOW
+# (tests/test_twisted.py recomputes them).
+_DECAY_REACH = (6.1923828125, 9.41015625, 12.318359375, 15.0810546875, 17.7578125, 20.375, 22.94921875)
 # Circle points of the numeric Fredholm verdict.
 FREDHOLM_SAMPLES = 16
 
@@ -210,63 +220,34 @@ def l2_hom_dim_analytic(lam, m: int, delta1: float, delta2: float) -> int:
     return 0
 
 
-@functools.cache
-def _decay_reach(m: int) -> float:
-    """The least gap * N at which every kernel vector of an m-block passes
-    the boundary-mass test at half-width N.
-
-    On the side of the nearer weight that kernel is spanned by
-    k^j e^(-gap k), j < m, and the oracle's basis of it (_null_space) is
-    whichever orthonormal basis its Householder reflectors give, so the
-    test must hold for the worst unit vector of the span: the
-    squared norm of the outer rows of an orthonormal basis.  The span
-    depends on gap * N alone, so it is sampled once at N = MAX_WINDOW, and
-    the reach is bisected to within 1e-3.
-    """
-    import numpy as np
-
-    x = np.arange(MAX_WINDOW + 1) / MAX_WINDOW
-    outer = x > 0.9
-
-    def worst(reach):
-        q, _ = np.linalg.qr(np.vander(x, m, increasing=True) * np.exp(-reach * x)[:, None])
-        return np.linalg.norm(q[outer], 2) ** 2
-
-    lo, hi = 0.0, 64.0
-    while hi - lo > 1e-3:
-        mid = (lo + hi) / 2
-        lo, hi = (lo, mid) if worst(mid) < _BOUNDARY_MASS else (mid, hi)
-    return hi
-
-
-def _shift_band(ln_mod: float, m: int, n: int, delta1: float, delta2: float):
+def _shift_band(ln_mod: float, m: int, n: int, delta1: float, delta2: float) -> list:
     """The weighted, row-balanced band matrix a of (shift - |lambda|)^m on
-    window indices -n..n, packed: a has shape (2n + 1 - m, 2n + 1) and is
-    zero off its m + 1 diagonals, and entry (r, c) of the returned
-    (2n + 1 - m, m + 1) array is a's entry (r, r + c)."""
-    import numpy as np
-
+    window indices -n..n, packed: a has 2n + 1 - m rows and 2n + 1 columns
+    and is zero off its m + 1 diagonals, and entry r * (m + 1) + c of the
+    returned row-major list of floats is a's entry (r, r + c)."""
     # Stencil of (shift - |lam|)^m: row r holds output index k = -n + m + r,
     # and its entry c is the coefficient of x_(k-m+c), C(m,c)(-|lam|)^c, held
     # as a sign and a log-magnitude, so no power of |lam| overflows.
-    sign = np.array([(-1.0) ** c for c in range(m + 1)])
-    ln_stencil = np.array([math.log(math.comb(m, c)) + c * ln_mod for c in range(m + 1)])
+    sign = [(-1.0) ** c for c in range(m + 1)]
+    ln_stencil = [math.log(math.comb(m, c)) + c * ln_mod for c in range(m + 1)]
     # Column scaling by the inverse weight e^(-delta k) maps weighted-norm
     # kernel vectors to plain-norm ones; row balancing then brings each
     # row's largest entry to 1 without touching the kernel.  Both act on
     # log-magnitudes, so no weight overflows however wide the window: entry
     # (r, c) sits in a's column r + c, window index -n + r + c.
-    idx = np.arange(-n, n + 1, dtype=float)
-    ln_weight = np.where(idx < 0, delta1, np.where(idx > 0, delta2, 0.0)) * idx
-    band = ln_stencil - np.lib.stride_tricks.sliding_window_view(ln_weight, m + 1)
-    band -= band.max(axis=1, keepdims=True)
-    return sign * np.exp(band)
+    ln_weight = [(delta1 if k < 0 else delta2 if k > 0 else 0.0) * k for k in range(-n, n + 1)]
+    band = []
+    for r in range(2 * n + 1 - m):
+        row = [s - w for s, w in zip(ln_stencil, ln_weight[r:r + m + 1])]
+        top = max(row)
+        band += [s * math.exp(x - top) for s, x in zip(sign, row)]
+    return band
 
 
-def _null_space(band):
+def _null_space(entries: list, m: int) -> list:
     """The null space of the band matrix a that ``_shift_band`` packs, as
-    orthonormal columns: m of them for a band of m + 1 diagonals, a having
-    full row rank.
+    m orthonormal vectors for a band of m + 1 diagonals, a having full row
+    rank.
 
     A Householder QR of a^T = Q R, whose last m columns of Q are orthogonal
     to a's rows; it runs in O(N m) memory and O(N m^2) time, and neither a
@@ -280,11 +261,8 @@ def _null_space(band):
     tau = 0 when x is already a multiple of e_0.  Q's last columns are the
     reflectors applied in reverse to the last m unit vectors.
     """
-    import numpy as np
-
-    rows, w = band.shape
-    m = w - 1
-    entries = band.ravel().tolist()
+    w = m + 1
+    rows = len(entries) // w
     # window[c][i] is entry (j + i, j + c) of a^T as factored so far.
     window = [[0.0] * c + entries[c * w:c * w + w - c] for c in range(min(w, rows))]
     vs, taus = [], []  # reflector j is vs[j * w:(j + 1) * w] and taus[j]
@@ -310,7 +288,6 @@ def _null_space(band):
             window[c] = col
         if j + w < rows:
             window.append([0.0] * m + [next(incoming)])
-    del entries, window
     kernel = [[0.0] * (rows + m) for _ in range(m)]
     for c, q in enumerate(kernel):
         q[rows + c] = 1.0
@@ -320,7 +297,7 @@ def _null_space(band):
             seg = q[j:j + w]
             s = tau * sum(map(operator.mul, v, seg))
             q[j:j + w] = [y - s * u for y, u in zip(seg, v)]
-    return np.array(kernel).T
+    return kernel
 
 
 def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
@@ -338,7 +315,7 @@ def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     in that null space.  Each vector of an orthonormal basis of it (_null_space) is
     tested on its own.  Takes the arguments of l2_hom_dim_analytic and
     picks the half-width N itself: the one that KERNEL_RTOL and the
-    block's kernel vectors (_decay_reach) need at this gap, and at least
+    block's kernel vectors (_DECAY_REACH) need at this gap, and at least
     MIN_WINDOW.  A weight that needs more than MAX_WINDOW raises
     WindowTooSmallError, and m above MAX_MULT raises ValueError, before
     anything is allocated.
@@ -364,17 +341,19 @@ def l2_kernel_truncated(lam, m: int, delta1: float, delta2: float) -> int:
     if m > MAX_MULT:
         raise ValueError(f"multiplicity {m} is above the cap of {MAX_MULT}")
     gap = min(abs(ln_mod - delta1), abs(ln_mod - delta2))
-    needed = math.ceil(max(math.log(1.0 / KERNEL_RTOL), _decay_reach(m)) / gap) + 1
+    needed = math.ceil(max(math.log(1.0 / KERNEL_RTOL), _DECAY_REACH[m - 1]) / gap) + 1
     if needed > MAX_WINDOW:
         raise WindowTooSmallError(
             needed,
             f"weight within {gap:.3g} of ln|lambda| needs a window of about {needed}, above {MAX_WINDOW}",
         )
-    import numpy as np
-
     n = max(MIN_WINDOW, needed)
-    kernel = _null_space(_shift_band(ln_mod, m, n, delta1, delta2))
-    mass = kernel ** 2
-    boundary = np.abs(np.arange(-n, n + 1)) > math.floor(0.9 * n)
-    frac = mass[boundary].sum(axis=0) / mass.sum(axis=0)
-    return int(np.count_nonzero(frac < _BOUNDARY_MASS))
+    # The outer tenth is window indices k with |k| > floor(0.9 n), the
+    # first and last n - floor(0.9 n) entries of a kernel vector.
+    edge = n - math.floor(0.9 * n)
+    count = 0
+    for q in _null_space(_shift_band(ln_mod, m, n, delta1, delta2), m):
+        mass = [y * y for y in q]
+        if math.fsum(mass[:edge] + mass[-edge:]) / math.fsum(mass) < _BOUNDARY_MASS:
+            count += 1
+    return count

@@ -558,16 +558,17 @@ def dense_kernel(rows, ncols: int):
     return basis
 
 
-def dense_band(band):
+def dense_band(band, m):
     """The matrix whose m + 1 diagonals `twisted._shift_band` packs: entry
-    (r, c) of the (rows, m + 1) band goes to (r, r + c) of a (rows, rows + m)
-    array of zeros."""
+    r * (m + 1) + c of the row-major list goes to (r, r + c) of a
+    (rows, rows + m) array of zeros."""
     import numpy as np
 
-    rows, width = band.shape
-    a = np.zeros((rows, rows + width - 1))
+    packed = np.reshape(band, (-1, m + 1))
+    rows = len(packed)
+    a = np.zeros((rows, rows + m))
     r = np.arange(rows)[:, None]
-    a[r, r + np.arange(width)] = band
+    a[r, r + np.arange(m + 1)] = packed
     return a
 
 

@@ -68,6 +68,11 @@ for slug, argv in (("twisted-0.5+0.1j", ["twisted", "--z", "(0.5+0.1j)"]), ("fre
     cases[f"wide_entry-{slug}"] = {"argv": argv + ["--input", "{data}/wide_entry.json"]}
 for slug in ("analyze", "index", "duality"):
     cases[f"alexander_wide-{slug}"] = {"argv": [slug, "--input", "{data}/alexander_wide.json"]}
+# Coefficients inside float range whose roots' powers overflow in the root
+# finder: t^3 + 10^307 and t^2 + 3t + 10^307.
+for doc in ("alexander_overflow_cubic", "alexander_overflow_quadratic"):
+    for slug in ("analyze", "index"):
+        cases[f"{doc}-{slug}"] = {"argv": [slug, "--input", "{data}/%s.json" % doc]}
 cases["s1s2-twisted-nan"] = {"argv": ["twisted", "--z=nan", "--input", "{data}/s1s2.json"]}
 cases["s1s2-twisted-inf"] = {"argv": ["twisted", "--z=inf", "--input", "{data}/s1s2.json"]}
 cases["l2-oracle-lam1e400"] = {"argv": ["l2-oracle", "--lam", "1e400"]}

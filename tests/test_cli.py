@@ -679,24 +679,32 @@ def test_console_entry_point():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is loaded only by the float paths, so exact runs do not pay for
-    # it (about 13.5 MB of resident memory): neither the import nor any exact
-    # command on the shipped documents, whether it answers or refuses.
+    # numpy is loaded only by linalg.numeric_rank's SVD, so exact runs and the
+    # shift-kernel oracle do not pay for it (about 14 MB of resident memory):
+    # neither the import, nor any exact command on the shipped documents,
+    # whether it answers or refuses, nor l2-oracle at a point or on its grid.
+    # Every run returns from main, and the runs that name no document answer.
     runs = [[cmd, "--input", path(name)] + extra
             for name in sorted(os.listdir(DATA))
             for cmd, extra in (("analyze", []), ("alexander", []), ("index", ["--chi", "0"]),
                                ("duality", []), ("plotdata", []))]
-    runs += [["twisted", "--input", path("s1s2.json"), f"--z={z}"] for z in ("1/2", "1", "1+2i")]
+    answering = [["twisted", "--input", path("s1s2.json"), f"--z={z}"] for z in ("1/2", "1", "1+2i")]
+    answering += [["l2-oracle", "--lam", "1/2"],
+                  ["l2-oracle", "--lam", "0.35", "--mult", "6", "--delta1", "-1", "--delta2", "-2"],
+                  ["l2-oracle", "--lam", "1+i", "--mult", "2"],
+                  ["l2-oracle"]]
     script = (
         "import contextlib, io, sys, endex.cli\n"
         "codes = []\n"
-        f"for argv in {runs!r}:\n"
+        f"for argv in {runs + answering!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "        codes.append(endex.cli.main(argv))\n"
         "    if 'numpy' in sys.modules:\n"
         "        sys.exit('numpy loaded by ' + ' '.join(argv))\n"
-        "print(codes.count(0), len(codes))\n"
+        "print(*codes)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["30", str(len(runs))]
+    codes = [int(c) for c in proc.stdout.split()]
+    assert len(codes) == len(runs) + len(answering) and set(codes) <= {0, 1}
+    assert codes[len(runs):] == [0] * len(answering)

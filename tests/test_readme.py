@@ -50,9 +50,9 @@ def test_readme_window_reaches_match_the_code():
 
     with open(README, encoding="utf-8") as fh:
         text = " ".join(fh.read().split())
-    reaches = re.search(r"`twisted\._decay_reach`: ([0-9., and]+) for m = 1…(\d+)\)", text)
+    reaches = re.search(r"`twisted\._DECAY_REACH`: ([0-9., and]+) for m = 1…(\d+),", text)
     listed = [float(v) for v in re.split(r", | and ", reaches.group(1))]
     assert int(reaches.group(2)) == twisted.MAX_MULT
-    assert listed == [round(twisted._decay_reach(m), 1) for m in range(1, twisted.MAX_MULT + 1)]
+    assert listed == [round(reach, 1) for reach in twisted._DECAY_REACH]
     floor = re.search(r"ln\(1/`KERNEL_RTOL`\) = ([0-9.]+)", text)
     assert float(floor.group(1)) == round(math.log(1 / twisted.KERNEL_RTOL), 1)

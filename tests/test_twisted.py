@@ -273,7 +273,7 @@ def _l2_kernel_complex_reference(lam, m, d1, d2, n):
     delta_of = np.where(idx < 0, d1, np.where(idx > 0, d2, 0.0))
     a *= np.exp(-delta_of * idx)[None, :]
     a /= np.max(np.abs(a), axis=1)[:, None]
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = _SVD(a, full_matrices=True)
     kernel_rows = [vh[i] for i in range(len(s), size)]
     kernel_rows += [vh[i] for i in range(len(s)) if s[i] < KERNEL_RTOL * s[0]]
     boundary = np.abs(idx) > int(math.floor(0.9 * n))
@@ -288,45 +288,42 @@ def _l2_kernel_complex_reference(lam, m, d1, d2, n):
 # The numpy.linalg routines that hand a matrix to LAPACK.
 LAPACK_ROUTINES = ("qr", "svd", "eig", "eigh", "eigvals", "eigvalsh", "cholesky", "solve", "lstsq",
                    "inv", "pinv", "det", "slogdet", "matrix_rank")
+# The references' own SVD, held before the factorizations fixture patches
+# numpy.linalg.
+_SVD = np.linalg.svd
 
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """What the shift-kernel oracle computes: ("band", N, m, shape, dtype)
-    for each band it builds, with the packed band's shape and dtype, and
-    (routine, shape) for each LAPACK routine of numpy.linalg that runs.
-    The window reaches of every block size are computed first, so the
-    QRs of _decay_reach's sample bases stay out."""
-    for m in range(1, MAX_MULT + 1):
-        twisted._decay_reach(m)
+    """The bands the shift-kernel oracle builds: (N, m, rows, width) for
+    each, N its half-width and rows and width those of the packed band,
+    whose entries must all be floats.  Any LAPACK routine of numpy.linalg
+    fails the test if it runs, in the first l2 call for each m as in every
+    other."""
     seen = []
     build = twisted._shift_band
 
     def band_spy(ln_mod, m, n, delta1, delta2):
         band = build(ln_mod, m, n, delta1, delta2)
-        seen.append(("band", n, m, band.shape, band.dtype))
+        rows, rest = divmod(len(band), m + 1)
+        assert rest == 0 and all(type(x) is float for x in band)
+        seen.append((n, m, rows, m + 1))
         return band
 
-    def lapack_spy(name, routine):
-        def spy(a, *args, **kwargs):
-            seen.append((name, np.shape(a)))
-            return routine(a, *args, **kwargs)
+    def refuse(name):
+        def spy(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} ran")
         return spy
 
     monkeypatch.setattr(twisted, "_shift_band", band_spy)
     for name in LAPACK_ROUTINES:
-        monkeypatch.setattr(np.linalg, name, lapack_spy(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, name, refuse(name))
     return seen
 
 
 def _bands(factorizations):
     """The (N, m) of each band the oracle built, N its half-width."""
-    return [record[1:3] for record in factorizations if record[0] == "band"]
-
-
-def _lapack(factorizations):
-    """The LAPACK routines that ran, each with its input's shape."""
-    return [record for record in factorizations if record[0] != "band"]
+    return [record[:2] for record in factorizations]
 
 
 def _needed(lam, d1, d2):
@@ -370,7 +367,25 @@ def test_l2_truncated_factors_a_real_band(factorizations):
     # One real band of m + 1 = 2 diagonals and 2N + 1 - m rows, factored
     # without LAPACK.
     assert l2_kernel_truncated(1 + 1j, 1, 1.0, 0.0) == 1
-    assert factorizations == [("band", MIN_WINDOW, 1, (2 * MIN_WINDOW, 2), np.float64)]
+    assert factorizations == [(MIN_WINDOW, 1, 2 * MIN_WINDOW, 2)]
+
+
+def test_shift_band_matches_its_array_form():
+    # The same stencil, column weights and row balancing on numpy arrays.
+    # The log-magnitudes are the same floats; np.exp and math.exp may round
+    # differently, by at most one unit in the last place.
+    rng = random.Random(26)
+    for _ in range(30):
+        m, n = rng.randint(1, MAX_MULT), rng.choice((MIN_WINDOW, 458, MAX_WINDOW))
+        ln_mod, d1, d2 = rng.uniform(-1.5, 1.5), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        sign = np.array([(-1.0) ** c for c in range(m + 1)])
+        ln_stencil = np.array([math.log(math.comb(m, c)) + c * ln_mod for c in range(m + 1)])
+        idx = np.arange(-n, n + 1, dtype=float)
+        ln_weight = np.where(idx < 0, d1, np.where(idx > 0, d2, 0.0)) * idx
+        ln_band = ln_stencil - np.lib.stride_tricks.sliding_window_view(ln_weight, m + 1)
+        reference = sign * np.exp(ln_band - ln_band.max(axis=1, keepdims=True))
+        band = np.reshape(twisted._shift_band(ln_mod, m, n, d1, d2), (-1, m + 1))
+        np.testing.assert_allclose(band, reference, rtol=2 * np.finfo(float).eps, atol=1e-300)
 
 
 def test_l2_window_is_derived_from_the_gap(factorizations):
@@ -383,7 +398,6 @@ def test_l2_window_is_derived_from_the_gap(factorizations):
     assert l2_kernel_truncated(0.1313, 2, -1.0, -2.0) == l2_hom_dim_analytic(0.1313, 2, -1.0, -2.0) == 0
     assert l2_kernel_truncated(inside, 2, -1.0, -2.0) == l2_hom_dim_analytic(inside, 2, -1.0, -2.0) == 2
     assert [n for n, _ in _bands(factorizations)] == [MIN_WINDOW, 458, 462]
-    assert _lapack(factorizations) == []
 
 
 def test_l2_window_too_small(factorizations):
@@ -395,7 +409,7 @@ def test_l2_window_too_small(factorizations):
     lam = math.exp(-1 - math.log(1 / KERNEL_RTOL) / (MAX_WINDOW - 1.5))
     assert _needed(lam, -1.0, -2.0) == MAX_WINDOW
     assert l2_kernel_truncated(lam, 1, -1.0, -2.0) == l2_hom_dim_analytic(lam, 1, -1.0, -2.0) == 1
-    assert _bands(factorizations) == [(MAX_WINDOW, 1)] and _lapack(factorizations) == []
+    assert _bands(factorizations) == [(MAX_WINDOW, 1)]
 
 
 # Weights whose e^delta is not a positive finite float.
@@ -446,7 +460,7 @@ def test_l2_grid_agrees_up_to_max_mult(factorizations):
         for d1, d2 in _L2_GRID_WEIGHTS:
             analytic = l2_hom_dim_analytic(lam, MAX_MULT, d1, d2)
             assert l2_kernel_truncated(lam, MAX_MULT, d1, d2) == analytic, (lam, d1, d2)
-    assert len(_bands(factorizations)) == 16 and _lapack(factorizations) == []
+    assert len(_bands(factorizations)) == 16
     with pytest.raises(ValueError, match=f"multiplicity {MAX_MULT + 1} is above the cap of {MAX_MULT}"):
         l2_kernel_truncated(Fraction(1, 2), MAX_MULT + 1, -1.0, -2.0)
     with pytest.raises(ValueError, match="above the cap"):
@@ -491,7 +505,7 @@ def test_l2_seeded_sweep_agrees_in_windows_up_to_max_window(factorizations):
         d = sorted((rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)), reverse=rng.random() < 0.75)
         if rng.random() < 0.5:
             near = min((0, 1), key=lambda i: abs(d[i] - ln_mod))
-            reach = max(math.log(1 / KERNEL_RTOL), twisted._decay_reach(m))
+            reach = max(math.log(1 / KERNEL_RTOL), twisted._DECAY_REACH[m - 1])
             d[near] = ln_mod + math.copysign(reach / rng.uniform(MIN_WINDOW, MAX_WINDOW), d[near] - ln_mod)
         block = (math.exp(ln_mod), m, *d)
         try:
@@ -504,7 +518,6 @@ def test_l2_seeded_sweep_agrees_in_windows_up_to_max_window(factorizations):
     windows = [n for n, _ in _bands(factorizations)]
     assert counts == set(range(MAX_MULT + 1)) and refused >= 1
     assert max(windows) > 0.98 * MAX_WINDOW and sum(n > (MIN_WINDOW + MAX_WINDOW) / 2 for n in windows) >= 50
-    assert _lapack(factorizations) == []
 
 
 def test_l2_min_window_keeps_spurious_vectors_out(monkeypatch, factorizations):
@@ -548,6 +561,34 @@ def test_l2_window_grows_with_the_block(factorizations):
     assert _bands(factorizations) == [(279, 1), (410, 6), (462, 7)]
 
 
+def _bisected_decay_reach(m):
+    """The least gap * N at which every kernel vector of an m-block passes
+    the boundary-mass test, bisected to within 1e-3: the kernel is spanned
+    by k^j e^(-gap k), j < m, sampled at N = MAX_WINDOW, and the squared
+    norm of the outer rows of its orthonormal basis is the worst unit
+    vector's outer mass."""
+    x = np.arange(MAX_WINDOW + 1) / MAX_WINDOW
+    outer = x > 0.9
+
+    def worst(reach):
+        q, _ = np.linalg.qr(np.vander(x, m, increasing=True) * np.exp(-reach * x)[:, None])
+        return np.linalg.norm(q[outer], 2) ** 2
+
+    lo, hi = 0.0, 64.0
+    while hi - lo > 1e-3:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if worst(mid) < _BOUNDARY_MASS else (mid, hi)
+    return hi
+
+
+def test_decay_reach_table_matches_its_bisection():
+    # One entry per block size the oracle takes, each within the
+    # bisection's step of the bisection run here.
+    assert len(twisted._DECAY_REACH) == MAX_MULT
+    for m, reach in enumerate(twisted._DECAY_REACH, start=1):
+        assert abs(_bisected_decay_reach(m) - reach) <= 1e-3, m
+
+
 def _svd_kernel(a):
     """The numerical kernel of a by a full SVD, as columns: the null rows of
     V^T, then the rows whose singular value is under KERNEL_RTOL times the
@@ -566,7 +607,7 @@ def _decaying(vectors, n):
 def _window(lam, m, d1, d2):
     ln_mod = math.log(lam)
     gap = min(abs(ln_mod - d1), abs(ln_mod - d2))
-    return max(MIN_WINDOW, math.ceil(max(math.log(1 / KERNEL_RTOL), twisted._decay_reach(m)) / gap) + 1)
+    return max(MIN_WINDOW, math.ceil(max(math.log(1 / KERNEL_RTOL), twisted._DECAY_REACH[m - 1]) / gap) + 1)
 
 
 def test_l2_null_space_matches_a_full_svd():
@@ -593,11 +634,11 @@ def test_l2_null_space_matches_a_full_svd():
         if n > 420:
             continue
         band = twisted._shift_band(math.log(lam), m, n, d1, d2)
-        a = dense_band(band)
+        a = dense_band(band, m)
         reference = _svd_kernel(a)
         if reference.shape[1] == m:
             continue
-        kernel = twisted._null_space(band)
+        kernel = np.array(twisted._null_space(band, m)).T
         assert kernel.shape == (2 * n + 1, m), (lam, m, d1, d2)
         assert np.linalg.norm(a @ kernel, 2) < 1e-14, (lam, m, d1, d2)
         assert cosines(reference, kernel).min() > 1 - 1e-12, (lam, m, d1, d2)
@@ -641,7 +682,6 @@ def test_l2_standard_grid_runs_no_square_svd_with_vectors(factorizations):
             for d1, d2 in _L2_GRID_WEIGHTS:
                 assert l2_kernel_truncated(lam, m, d1, d2) == l2_hom_dim_analytic(lam, m, d1, d2)
     assert len(_bands(factorizations)) == 32
-    assert _lapack(factorizations) == []
 
 
 def test_l2_subspace_count_over_the_numerical_kernel_overcounts():
@@ -655,7 +695,7 @@ def test_l2_subspace_count_over_the_numerical_kernel_overcounts():
     n, m = 410, 6
     assert _window(0.35, m, -1.0, -2.0) == n
     band = twisted._shift_band(math.log(0.35), m, n, -1.0, -2.0)
-    kernel = _svd_kernel(dense_band(band))
+    kernel = _svd_kernel(dense_band(band, m))
     assert kernel.shape == (2 * n + 1, 22 + m)
     assert _decaying(kernel, n) == l2_hom_dim_analytic(0.35, m, -1.0, -2.0) == 6
     outer = np.abs(np.arange(-n, n + 1)) > math.floor(0.9 * n)
@@ -665,7 +705,7 @@ def test_l2_subspace_count_over_the_numerical_kernel_overcounts():
 
     # The null space is the first m columns.
     assert (subspace_count(kernel[outer]), subspace_count(kernel[outer, :m])) == (22, 6)
-    assert subspace_count(twisted._null_space(band)[outer]) == 6
+    assert subspace_count(np.array(twisted._null_space(band, m)).T[outer]) == 6
 
 
 def test_fredholm_refuses_weight_without_finite_radius(s1s2_complex, factorizations):
