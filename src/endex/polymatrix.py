@@ -149,13 +149,15 @@ class LaurentMatrix:
         return out
 
     def rank_at(self, z) -> int:
-        """Rank of the matrix at z: exact for exact z, SVD otherwise.
+        """Rank of the matrix at z: exact for exact z, and otherwise the
+        float rank of ``linalg.numeric_rank`` (complete pivoting) on the
+        values of the nonzero entries at z.
 
         At an exact z with minimal polynomial g, Λ/(g) is the field Q(z) of
         dimension deg g over Q, so the rank is rank_mod(g) / deg g.
         """
         if not isinstance(z, (GaussianRational, _RationalABC)):
-            return numeric_rank(self.evaluate(z), z)
+            return numeric_rank({ij: e.evaluate(z) for ij, e in self.nonzeros.items()}, z)
         g = minimal_polynomial(z)
         return self.rank_mod(g) // g.span
 

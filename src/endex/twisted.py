@@ -8,14 +8,15 @@ brute-forcing kernels of truncated weighted shift operators.  Agreement of
 these routes is what the test suite leans on.
 
 Ranks at rational and Gaussian points are exact ranks over Λ/(g), g the
-point's minimal polynomial; at float points they use the fixed cutoff of
+point's minimal polynomial; at float points they are the ranks of
+Gaussian elimination with complete pivoting, at the fixed pivot cutoff of
 ``linalg.numeric_rank``, which is not a parameter.  The shift-kernel
 oracle has no rank decision: its truncated band has full row rank, so the
 band's null space has dimension exactly m, and one Householder QR of the
 band's m + 1 diagonals, kept packed, gives it in O(N m) memory.  The
 oracle counts the vectors of that null space whose mass decays at the
-window boundary.  It runs on Python floats alone: this module imports no
-numpy, which only the float ranks of ``linalg.numeric_rank`` load.
+window boundary.  It runs on Python floats alone, as the float ranks of
+``linalg.numeric_rank`` do: no module of the package imports numpy.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class TwistedFiber:
 def twisted_dims(cc: ChainComplexOverLambda, z) -> TwistedFiber:
     """Dimensions of the evaluated cochain complex in each degree.
 
-    Exact at rational and Gaussian points; floating (SVD ranks) otherwise.
+    Exact at rational and Gaussian points; otherwise floating, with the
+    complete-pivoting ranks of ``linalg.numeric_rank``.
     Each dimension is c_k - r_k - r_(k+1) from the ranks r of the
     boundaries, so the alternating sum is the Euler characteristic by
     construction.

@@ -679,15 +679,16 @@ def test_console_entry_point():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is loaded only by linalg.numeric_rank's SVD, so exact runs and the
-    # shift-kernel oracle do not pay for it (about 14 MB of resident memory):
-    # neither the import, nor any exact command on the shipped documents,
+    # No module of endex imports numpy (about 14 MB of resident memory): not
+    # the import, not any command on the shipped documents, exact or at a
+    # float point (the complete-pivoting ranks of twisted and fredholm),
     # whether it answers or refuses, nor l2-oracle at a point or on its grid.
     # Every run returns from main, and the runs that name no document answer.
     runs = [[cmd, "--input", path(name)] + extra
             for name in sorted(os.listdir(DATA))
             for cmd, extra in (("analyze", []), ("alexander", []), ("index", ["--chi", "0"]),
-                               ("duality", []), ("plotdata", []))]
+                               ("duality", []), ("plotdata", []), ("twisted", ["--z", "(0.7+0.1j)"]),
+                               ("fredholm", ["--delta", "0.5"]))]
     answering = [["twisted", "--input", path("s1s2.json"), f"--z={z}"] for z in ("1/2", "1", "1+2i")]
     answering += [["l2-oracle", "--lam", "1/2"],
                   ["l2-oracle", "--lam", "0.35", "--mult", "6", "--delta1", "-1", "--delta2", "-2"],

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -8,11 +9,12 @@ import pytest
 from endex import (FloatRangeError, GaussianRational, LaurentMatrix, LaurentPoly, SnfResult, lift_simplicial,
                    smith_normal_form)
 from endex.laurent import poly
-from endex.linalg import numeric_rank
+from endex.linalg import NUMERIC_RANK_RTOL, numeric_rank
 from endex.polymatrix import _certify, minimal_polynomial, residue
 
 from conftest import (_det_bareiss, _det_laplace, _random_unimodular, determinant, flat, gaussian_evaluate,
-                      grid_torus, mat, random_laurent, random_matrix, rank_ff, shift, to_lists)
+                      grid_torus, mat, planted_complex, planted_roots, random_laurent, random_matrix, rank_ff, shift,
+                      to_lists)
 
 
 def test_snf_unit_entry_absorbed():
@@ -285,17 +287,88 @@ def test_matrix_product_matches_naive_triple_loop():
             assert all(p[i, zj].is_zero() for i in range(r))
 
 
+def _rank(grid, z=0.5):
+    """numeric_rank of a matrix given as a sequence of rows."""
+    return numeric_rank({(i, j): x for i, row in enumerate(grid) for j, x in enumerate(row)}, z)
+
+
 def test_numeric_rank_tolerance():
-    a = np.diag([1.0, 1e-5, 1e-12])
-    assert numeric_rank(a, 0.5) == 2
-    assert numeric_rank(np.zeros((3, 3)), 0.5) == 0
-    assert numeric_rank(np.zeros((0, 4)), 0.5) == 0
+    assert _rank(np.diag([1.0, 1e-5, 1e-12])) == 2
+    assert _rank(np.zeros((3, 3))) == 0
+    assert _rank([[0j] * 3] * 2) == 0
+    assert _rank(np.zeros((0, 4))) == 0
+    assert _rank([[]] * 4) == 0
+    assert numeric_rank({}, 0.5) == 0
 
 
 def test_numeric_rank_refuses_non_finite_entries():
-    for bad in (math.inf, -math.inf, math.nan):
+    for bad in (math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.nan, 0.0)):
         with pytest.raises(FloatRangeError, match=r"evaluated at z = \(2\+1j\)"):
-            numeric_rank(np.array([[1.0, bad], [0.0, 1.0]]), 2 + 1j)
+            _rank(np.array([[1.0, bad], [0.0, 1.0]]), 2 + 1j)
+        with pytest.raises(FloatRangeError):
+            _rank([[0j, 1e300], [bad, 0j]], 2 + 1j)
+
+
+def test_numeric_rank_is_scale_free_near_the_float_range_ends():
+    # Scaling by a power of two is exact, so a matrix near 1e300 or 1e-300
+    # has the rank of its unscaled form, even where |entry| itself or a
+    # product of two entries would overflow or underflow.
+    rng = random.Random(27)
+    for rank in range(4):
+        u = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rank)] for _ in range(4)]
+        v = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5)] for _ in range(rank)]
+        a = [[sum(u[i][k] * v[k][j] for k in range(rank)) for j in range(5)] for i in range(4)]
+        assert _rank(a) == rank
+        for c in (1e307, 1e300, 1e-300, 1e-307):
+            scaled = [[x * c for x in row] for row in a]
+            assert _rank(scaled) == rank
+            assert _rank(list(zip(*scaled))) == rank
+    assert _rank([[complex(1.5e308, 1.5e308), 0j], [0j, 1e300]]) == 2
+    assert _rank([[1e-300, 2e-300], [2e-300, 4e-300]]) == 1
+    assert _rank([[1e300, 0.0], [0.0, 1e292]]) == 2
+    assert _rank([[1e300, 0.0], [0.0, 1e-300]]) == 1
+
+
+def _svd_count(a):
+    """numpy's SVD count at the same cutoff, and how many decades the
+    nonzero singular value nearest the cutoff lies from it."""
+    s = np.linalg.svd(np.array(a, dtype=complex), compute_uv=False) if a and a[0] else np.zeros(0)
+    if not s.size or s[0] == 0.0:
+        return 0, math.inf
+    cutoff = NUMERIC_RANK_RTOL * s[0]
+    return int(np.sum(s > cutoff)), min(abs(math.log10(x / cutoff)) for x in s if x > 0.0)
+
+
+def test_numeric_rank_matches_the_svd_count_away_from_the_cutoff():
+    # Complete pivoting compares pivots with the largest entry, the SVD
+    # compares singular values with the largest one: both counts must agree
+    # unless a singular value lies within a decade of the cutoff.  The
+    # corpus: disguised planted complexes at seeded float points, off their
+    # roots and at 1e-3 to 1e-12 from them, and the 3x3 grid torus at the
+    # 16 Fredholm samples of delta = 0.5.  rank_at hands numeric_rank the
+    # values of the nonzero entries; the SVD gets the whole evaluated grid.
+    rng = random.Random(2027)
+    cases = []
+    for _ in range(40):
+        cc, expected = planted_complex(rng)
+        points = [cmath.rect(rng.uniform(0.3, 3.0), rng.uniform(0.0, 2 * math.pi)) for _ in range(2)]
+        points += [float(r) + 10.0 ** -e * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+                   for r in sorted(planted_roots(expected)) for e in range(3, 13)]
+        cases += [(cc.boundary(k), z) for z in points for k in range(1, cc.n + 1)]
+    torus = lift_simplicial(grid_torus(3))
+    for j in range(16):
+        z = math.exp(0.5) * cmath.exp(2j * math.pi * j / 16)
+        cases += [(torus.boundary(k), z) for k in range(1, torus.n + 1)]
+    checked = near = 0
+    for m, z in cases:
+        count, decades = _svd_count(m.evaluate(z))
+        if decades > 1.0:
+            checked += 1
+            assert m.rank_at(z) == count, (m, z, decades)
+        else:
+            near += 1
+    assert checked > 1000 and near > 10
+    assert sum((m.rows, m.cols) == (9, 27) for m, _ in cases) == 16
 
 
 def test_residue_agrees_with_division():

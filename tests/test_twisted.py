@@ -1,3 +1,4 @@
+import cmath
 import importlib.util
 import itertools
 import math
@@ -797,6 +798,16 @@ def test_twisted_at_one_on_the_20x20_grid_torus():
     known = HomologyModule(2, [0, 0, 0], [[t_minus_1], [t_minus_1], []])
     assert twisted_dims(cc, Fraction(1)).dims == (1, 2, 1)
     _twisted_matches_uct(cc, known, Fraction(1))
+
+
+def test_float_ranks_on_the_20x20_grid_torus():
+    # The complete-pivoting ranks at float points, on the same 400 x 1200
+    # and 1200 x 800 boundaries: the exact dimensions at 1.0, and none at
+    # points that are not the root of t - 1.
+    cc = lift_simplicial(grid_torus(20))
+    assert twisted_dims(cc, 1.0).dims == (1, 2, 1)
+    for z in (-1.0, 0.7 + 0.1j, cmath.exp(0.5 + 3j * math.pi / 8)):
+        assert twisted_dims(cc, z).dims == (0, 0, 0)
 
 
 def _dims_mod(cc, g):
