@@ -24,6 +24,7 @@ from .errors import (
     FloatRangeError,
     NotFiniteError,
     OnWallError,
+    SizeBoundError,
     UnsupportedInputError,
     WindowTooSmallError,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "OnWallError",
     "RootDatum",
     "SimplicialInput",
+    "SizeBoundError",
     "SnfResult",
     "TwistedFiber",
     "UnsupportedInputError",

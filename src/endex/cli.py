@@ -86,7 +86,7 @@ def _poly_text(pj) -> str:
 
 
 def _analysis(args) -> Analysis:
-    return Analysis(load_input(args.input, args.dim, args.chi))
+    return load_input(args.input, args.dim, args.chi)
 
 
 def _write_svg(args, f):
@@ -105,7 +105,7 @@ def _cmd_analyze(args):
 def _cmd_alexander(args):
     analysis = _analysis(args)
     payload = {}
-    if analysis.parsed.complex is not None:
+    if analysis.complex is not None:
         payload["homology"] = analysis.homology.to_json()
         payload["finiteness"] = analysis.finiteness_json()
     if analysis.finite:
@@ -115,7 +115,7 @@ def _cmd_alexander(args):
 
 def _cmd_index(args):
     analysis = _analysis(args)
-    if analysis.parsed.chi is None:
+    if analysis.chi is None:
         raise EndexError("the index needs --chi (or a manifold block with chi)")
     if not analysis.finite:
         raise NotFiniteError(analysis.homology.infinite_degrees)
@@ -124,12 +124,12 @@ def _cmd_index(args):
 
 def _cmd_twisted(args):
     analysis = _analysis(args)
-    if analysis.parsed.complex is None:
+    if analysis.complex is None:
         raise UnsupportedInputError("twisted dimensions need a chain complex input")
     z = parse_point(args.z)
     if z in (0, GaussianRational(0, 0)):
         raise EndexError("twisted dimensions need a nonzero point z")
-    fiber = twisted_dims(analysis.parsed.complex, z)
+    fiber = twisted_dims(analysis.complex, z)
     payload = fiber.to_json()
     if fiber.exact and analysis.finite:
         predicted = uct_dims(analysis.homology, z)
@@ -141,7 +141,7 @@ def _cmd_twisted(args):
 
 def _cmd_fredholm(args):
     analysis = _analysis(args)
-    if analysis.parsed.complex is None:
+    if analysis.complex is None:
         raise UnsupportedInputError("the Fredholm check needs a chain complex input")
     _emit(args, fredholm_check(analysis, args.delta))
 
@@ -168,15 +168,15 @@ def _cmd_l2_oracle(args):
 
 
 def _cmd_cup_check(args):
-    parsed = _analysis(args).parsed
-    if parsed.simplicial is None:
+    analysis = _analysis(args)
+    if analysis.kind != "simplicial":
         raise UnsupportedInputError("the cup check needs a simplicial input")
-    _emit(args, cup_product_check(parsed.complex))
+    _emit(args, cup_product_check(analysis.complex))
 
 
 def _cmd_duality(args):
     analysis = _analysis(args)
-    f = analysis.index if analysis.parsed.chi is not None else None
+    f = analysis.index if analysis.chi is not None else None
     _emit(args, duality_check(analysis.alexander, f))
 
 

@@ -53,6 +53,11 @@ class FloatRangeError(EndexError, ValueError):
     Stays a ValueError, like the other refused argument values."""
 
 
+class SizeBoundError(EndexError):
+    """A stage would form a value above a stated size bound; the message
+    names the stage and the bound."""
+
+
 class UnsupportedInputError(EndexError):
     """The operation needs an input form this datum does not provide."""
 

@@ -15,35 +15,17 @@ from __future__ import annotations
 import cmath
 import json
 import re
-from dataclasses import dataclass
 
-from .complexes import (
-    ChainComplexOverLambda,
-    SimplicialInput,
-    from_boundary_matrices,
-    lift_simplicial,
-)
+from .complexes import SimplicialInput, from_boundary_matrices, lift_simplicial
 from .errors import ComplexValidationError, FloatRangeError
 from .homology import AlexanderData
 from .laurent import LaurentPoly
+from .pipeline import Analysis
 from .rationals import GaussianRational, parse_int, parse_rational
 
 
-@dataclass(frozen=True)
-class ParsedInput:
-    """One classified input document, with the manifold dimension and Euler
-    characteristic the index formula reads (chi may be None)."""
-
-    kind: str
-    complex: ChainComplexOverLambda | None
-    simplicial: SimplicialInput | None
-    alexander: AlexanderData | None
-    dim: int
-    chi: int | None
-
-
-def parse_document(doc, dim_override: int | None = None, chi_override: int | None = None) -> ParsedInput:
-    """Classify and validate one input document.
+def parse_document(doc, dim_override: int | None = None, chi_override: int | None = None) -> Analysis:
+    """Classify and validate one input document, as the `Analysis` of it.
 
     The decoders index and iterate the document as the schema says, so a
     value of the wrong JSON type, a missing field or a non-integral integer
@@ -59,7 +41,7 @@ def parse_document(doc, dim_override: int | None = None, chi_override: int | Non
         raise ComplexValidationError(f"malformed input document: {detail}") from e
 
 
-def _parse(doc, dim_override, chi_override) -> ParsedInput:
+def _parse(doc, dim_override, chi_override) -> Analysis:
     manifold = doc.get("manifold") or {}
     dim = dim_override if dim_override is not None else (
         parse_int(manifold["dim"]) if "dim" in manifold else None
@@ -71,13 +53,11 @@ def _parse(doc, dim_override, chi_override) -> ParsedInput:
     if "alexander" in doc:
         polys = [LaurentPoly.from_json(p) for p in doc["alexander"]]
         n = dim if dim is not None else len(polys)
-        alex = AlexanderData(n, polys)
-        return ParsedInput("alexander", None, None, alex, n, chi)
+        return Analysis("alexander", None, AlexanderData(n, polys), n, chi)
     if "vertices" in doc or "simplices" in doc:
-        si = SimplicialInput.from_json(doc)
-        kind, cc = "simplicial", lift_simplicial(si)
+        kind, cc = "simplicial", lift_simplicial(SimplicialInput.from_json(doc))
     elif "ranks" in doc or "boundaries" in doc:
-        si, kind, cc = None, "complex", from_boundary_matrices(doc)
+        kind, cc = "complex", from_boundary_matrices(doc)
     else:
         raise ComplexValidationError(
             "unrecognized input: expected 'alexander', 'vertices'/'simplices', or 'ranks'/'boundaries'"
@@ -85,10 +65,10 @@ def _parse(doc, dim_override, chi_override) -> ParsedInput:
     # A dimension below the top degree would drop the homology above it.
     if dim is not None and dim < cc.n:
         raise ComplexValidationError(f"manifold dimension {dim} is below the complex's top degree {cc.n}")
-    return ParsedInput(kind, cc, si, None, cc.n if dim is None else dim, chi)
+    return Analysis(kind, cc, None, cc.n if dim is None else dim, chi)
 
 
-def load_input(path: str, dim_override: int | None = None, chi_override: int | None = None) -> ParsedInput:
+def load_input(path: str, dim_override: int | None = None, chi_override: int | None = None) -> Analysis:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

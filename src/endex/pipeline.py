@@ -1,7 +1,7 @@
 """One shared analysis per input: homology, characteristic polynomials,
 roots, walls, index.
 
-An `Analysis` holds one parsed input and computes each stage of the chain
+An `Analysis` is one parsed input, and computes each stage of the chain
 
     homology -> finiteness -> alexander -> roots -> walls -> index
 
@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .complexes import ChainComplexOverLambda
 from .cup import cup_product_check
 from .homology import AlexanderData, HomologyModule, alexander_polynomials
 from .homology import homology as compute_homology
 from .indexfn import IndexFunction, duality_check, excision_index, index_function
-from .inputs import ParsedInput
 from .spectral import Wall, exceptional_weights, find_roots
 
 EXCISION_SAMPLES = 10
@@ -30,23 +30,26 @@ EXCISION_SAMPLES = 10
 
 @dataclass(frozen=True)
 class Analysis:
-    """The stages of one parsed input, each computed once, on first use."""
+    """One classified input document and its stages, each computed once, on
+    first use.  n is the manifold dimension and chi the Euler characteristic
+    the index formula reads (chi may be None); an alexander document gives
+    its polynomials as ``given_alexander`` and no complex."""
 
-    parsed: ParsedInput
-
-    @property
-    def n(self) -> int:
-        return self.parsed.dim
+    kind: str
+    complex: ChainComplexOverLambda | None
+    given_alexander: AlexanderData | None
+    n: int
+    chi: int | None
 
     @cached_property
     def homology(self) -> HomologyModule:
-        return compute_homology(self.parsed.complex)
+        return compute_homology(self.complex)
 
     @property
     def finite(self) -> bool:
         """Whether the characteristic polynomials exist; always true when the
         input gives them directly."""
-        return self.parsed.complex is None or not self.homology.infinite_degrees
+        return self.complex is None or not self.homology.infinite_degrees
 
     def finiteness_json(self):
         """The finiteness verdict of the homology, as reported."""
@@ -56,8 +59,8 @@ class Analysis:
     @cached_property
     def alexander(self) -> AlexanderData:
         """The characteristic polynomials; NotFiniteError for free homology."""
-        if self.parsed.alexander is not None:
-            return self.parsed.alexander
+        if self.given_alexander is not None:
+            return self.given_alexander
         return alexander_polynomials(self.homology, self.n)
 
     @cached_property
@@ -75,9 +78,9 @@ class Analysis:
         if not self.finite:
             return None
         walls = self.walls
-        if self.parsed.chi is None:
+        if self.chi is None:
             return None
-        return index_function(self.n, self.parsed.chi, walls)
+        return index_function(self.n, self.chi, walls)
 
 
 def analyze(a: Analysis):
@@ -85,16 +88,15 @@ def analyze(a: Analysis):
 
     Reads the stages of the `Analysis`, which stay there for the caller.
     """
-    parsed = a.parsed
     report = {
-        "input_kind": parsed.kind,
+        "input_kind": a.kind,
         "n": a.n,
-        "chi": parsed.chi,
+        "chi": a.chi,
         "warnings": [],
         "notices": [],
     }
-    if parsed.complex is not None:
-        cc = parsed.complex
+    if a.complex is not None:
+        cc = a.complex
         report["complex"] = cc.to_json()
         chi_x = cc.euler_characteristic()
         report["euler_x"] = chi_x
@@ -110,8 +112,8 @@ def analyze(a: Analysis):
                 "homology has free summands; characteristic polynomials, walls "
                 "and index are omitted"
             )
-    if parsed.simplicial is not None:
-        report["cup_check"] = cup_product_check(parsed.complex)
+    if a.kind == "simplicial":
+        report["cup_check"] = cup_product_check(a.complex)
     if not a.finite:
         return report
 

@@ -1,8 +1,8 @@
-"""Matrices over the Laurent ring: Smith normal form, ranks, evaluation.
+"""Matrices over the Laurent ring: Smith normal form and ranks.
 
 A ``LaurentMatrix`` holds only its nonzero entries, and only this module
-knows that layout: products, ranks and evaluation visit the nonzero entries
-alone.  The Smith form's working matrix and transforms are dense rows.
+knows that layout: products and ranks visit the nonzero entries alone.
+The Smith form's working matrix and transforms are dense rows.
 
 The Smith normal form is computed by Euclidean elimination.  One rule
 fills diagonal slot k: pick the pivot of least degree span in the trailing
@@ -35,10 +35,15 @@ from dataclasses import dataclass, field
 from numbers import Rational as _RationalABC
 from types import MappingProxyType
 
-from .errors import CertificationError
+from .errors import CertificationError, SizeBoundError
 from .laurent import LaurentPoly, poly
 from .linalg import exact_rank, numeric_rank
 from .rationals import GaussianRational, parse_int
+
+# The largest coefficient, in bits of numerator and denominator, of a power
+# t^e mod g.  Off the unit circle those coefficients grow like |z|^e, so a
+# cocycle of 10^10 would otherwise need integers of about 10^10 bits.
+MAX_POWER_BITS = 2**22
 
 
 class LaurentMatrix:
@@ -136,18 +141,6 @@ class LaurentMatrix:
         m = LaurentMatrix.from_rows([[LaurentPoly.from_json(e) for e in r] for r in ent])
         return m if rows else LaurentMatrix.zero(0, cols)
 
-    def evaluate(self, z):
-        """Evaluate entrywise at a nonzero z, as nested lists: Fractions at a
-        rational point, complex floats at any other number.  A zero entry is
-        not evaluated: it takes the value the zero polynomial has at z."""
-        if z == 0:
-            raise ZeroDivisionError("evaluation point must be nonzero")
-        zero = _ZERO.evaluate(z)
-        out = [[zero] * self.cols for _ in range(self.rows)]
-        for (i, j), e in self.nonzeros.items():
-            out[i][j] = e.evaluate(z)
-        return out
-
     def rank_at(self, z) -> int:
         """Rank of the matrix at z: exact for exact z, and otherwise the
         float rank of ``linalg.numeric_rank`` (complete pivoting) on the
@@ -218,7 +211,8 @@ def _powers_mod(g: LaurentPoly):
     """e -> t^e mod g for a canonical g of positive degree n, so that t is a
     unit mod g, as n ascending coefficients; and g's tail, with t^n =
     sum tail[i] t^i mod g.  Each power comes from repeated squaring of t or
-    1/t and is cached per exponent for the life of the returned function."""
+    1/t and is cached per exponent for the life of the returned function.
+    A square with a coefficient above MAX_POWER_BITS raises SizeBoundError."""
     if not g.is_canonical or g.span < 1:
         raise ValueError(f"the modulus must be canonical of positive degree, got {g}")
     n = g.span
@@ -231,6 +225,9 @@ def _powers_mod(g: LaurentPoly):
             base = out = powers[-1] if e < 0 else _times(powers[0], [0, 1], tail)
             for bit in bin(abs(e))[3:]:
                 out = _times(out, _times(out, base, tail) if bit == "1" else out, tail)
+                if max(x.numerator.bit_length() + x.denominator.bit_length() for x in out) > MAX_POWER_BITS:
+                    raise SizeBoundError(f"reduction mod {g.pretty()}: t^{e} has a coefficient above "
+                                         f"the budget of {MAX_POWER_BITS} bits")
             powers[e] = out
         return powers[e]
 

@@ -60,10 +60,6 @@ class RootDatum:
             return math.sqrt(float(self.exact_modulus_sq))
         return abs(self.approx)
 
-    @property
-    def delta(self) -> float:
-        return math.log(self.modulus)
-
 
 def _divisors(n: int):
     n = abs(n)
@@ -283,11 +279,8 @@ def _sqrt_fraction(x: Fraction) -> Fraction | None:
 
 
 def _modulus_interval(r: RootDatum):
-    if r.exact_modulus_sq is not None:
-        m = math.sqrt(float(r.exact_modulus_sq))
-        return (m, m)
-    m = abs(r.approx)
-    return (m - r.radius, m + r.radius)
+    m = r.modulus
+    return (m, m) if r.exact_modulus_sq is not None else (m - r.radius, m + r.radius)
 
 
 def _possibly_equal(a: RootDatum, b: RootDatum) -> bool:

@@ -147,7 +147,7 @@ def fredholm_check(analysis: Analysis, delta: float):
     numeric = True
     for j in range(FREDHOLM_SAMPLES):
         z = radius * cmath.exp(2j * math.pi * j / FREDHOLM_SAMPLES)
-        fiber = twisted_dims(analysis.parsed.complex, z)
+        fiber = twisted_dims(analysis.complex, z)
         if any(d != 0 for d in fiber.dims):
             numeric = False
             break

@@ -20,7 +20,6 @@ from math import gcd
 import pytest
 
 from endex import AlexanderData, ChainComplexOverLambda, GaussianRational, LaurentMatrix, LaurentPoly, SimplicialInput
-from endex.inputs import ParsedInput
 from endex.laurent import canonicalize, poly
 from endex.linalg import eliminate
 from endex.pipeline import Analysis
@@ -33,7 +32,7 @@ def mat(rows):
 
 def analysis_of(cc: ChainComplexOverLambda, chi: int | None = None) -> Analysis:
     """The Analysis of a complex on its own, in its own dimension."""
-    return Analysis(ParsedInput("complex", cc, None, None, cc.n, chi))
+    return Analysis("complex", cc, None, cc.n, chi)
 
 
 def scale(p: LaurentPoly, c) -> LaurentPoly:

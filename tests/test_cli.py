@@ -386,10 +386,16 @@ def test_plotdata_no_walls(capsys, tmp_path):
     }
     p = tmp_path / "const.json"
     p.write_text(json.dumps(doc))
-    code, out, _ = run_cli(["plotdata", "--input", str(p)], capsys)
+    svg = tmp_path / "const.svg"
+    code, out, _ = run_cli(["plotdata", "--input", str(p), "--svg", str(svg)], capsys)
     assert code == 0
     data = json.loads(out)
     assert len(data["samples"]) == 2 and data["walls"] == []
+    # One horizontal step across the plot, at mid height, and no wall marker.
+    body = svg.read_text()
+    assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
+    assert '<line x1="40.00" y1="180.00" x2="600.00" y2="180.00"' in body
+    assert "stroke-dasharray" not in body
 
 
 def test_plotdata_single_wall(capsys, tmp_path):
@@ -565,10 +571,10 @@ def test_golden_plotdata_text(tmp_path):
 
 def test_report_is_plain_json():
     from endex.inputs import load_input
-    from endex.pipeline import Analysis, analyze
+    from endex.pipeline import analyze
 
     for name in ("fox.json", "s1s2.json", "circle.json", "circle_trivial.json"):
-        report = analyze(Analysis(load_input(path(name))))
+        report = analyze(load_input(path(name)))
         assert json.loads(json.dumps(report)) == report
         assert [k for k in report if k.startswith("_")] == []
 
@@ -579,23 +585,24 @@ def test_every_export_resolves():
 
 
 def test_public_values_are_immutable():
-    # One instance of every exported value type (and of ParsedInput): no
+    # One instance of every exported value type (and of Analysis): no
     # attribute can be rebound, and no attribute holds a mutable container.
     from fractions import Fraction
 
-    from endex.inputs import ParsedInput, load_input
+    from endex.inputs import load_input
     from endex.pipeline import Analysis
 
-    fox, s1s2 = Analysis(load_input(path("fox.json"))), Analysis(load_input(path("s1s2.json")))
-    simplicial = load_input(path("circle.json")).simplicial
-    cc = s1s2.parsed.complex
+    fox, s1s2 = load_input(path("fox.json")), load_input(path("s1s2.json"))
+    with open(path("circle.json"), encoding="utf-8") as fh:
+        simplicial = endex.SimplicialInput.from_json(json.load(fh))
+    cc = s1s2.complex
     values = [endex.poly("t - 1"), cc.boundary(1), endex.GaussianRational(1, 2),
               endex.smith_normal_form(cc.boundary(1)), cc, simplicial, s1s2.homology, fox.alexander,
               fox.walls[0].contributions[0], fox.walls[0], fox.index,
-              endex.twisted_dims(cc, Fraction(2)), s1s2.parsed]
+              endex.twisted_dims(cc, Fraction(2)), s1s2]
     exported = {getattr(endex, name) for name in endex.__all__}
     exported = {t for t in exported if isinstance(t, type) and not issubclass(t, Exception)}
-    assert exported | {ParsedInput} == {type(v) for v in values}
+    assert exported | {Analysis} == {type(v) for v in values}
     for value in values:
         names = ([f.name for f in dataclasses.fields(value)] if dataclasses.is_dataclass(value)
                  else type(value).__slots__)

@@ -52,6 +52,14 @@ def test_alexander_requires_finite():
     assert exc.value.degrees == [0]
 
 
+def test_homology_module_refuses_a_bad_factor_chain():
+    with pytest.raises(ValueError, match="do not form a divisibility chain"):
+        HomologyModule(0, [0], [[poly("t - 2"), poly("t - 1")]])
+    for q in (poly("1"), poly("2t - 2")):
+        with pytest.raises(ValueError, match="is not canonical nonconstant"):
+            HomologyModule(0, [0], [[q]])
+
+
 def test_fox_injected_module():
     h = HomologyModule(
         3, [0, 0, 0, 0],

@@ -17,7 +17,6 @@ from endex import (
 from endex.indexfn import _closed_values, mirrored_sample_points
 from endex.inputs import load_input
 from endex.laurent import poly
-from endex.pipeline import Analysis
 
 from conftest import (accumulated_values, analysis_of, annulus_count, jump_at, off_wall_delta,
                       planted_complex, random_alexander)
@@ -143,7 +142,7 @@ def _weight_pairs(f):
 
 @pytest.mark.parametrize("name, chi", [("fox.json", None), ("s1s2.json", None), ("circle.json", 0)])
 def test_excision_is_the_annulus_count_on_shipped_examples(name, chi):
-    f = Analysis(load_input(os.path.join(DATA, name), chi_override=chi)).index
+    f = load_input(os.path.join(DATA, name), chi_override=chi).index
     assert f.walls
     for d1, d2 in _weight_pairs(f):
         assert excision_index(d1, d2, f) == annulus_count(f, d1, d2)

@@ -66,42 +66,6 @@ def test_rank_ff_examples():
     assert rank_ff(mat([["t", "1"], ["t^2", "t"]])) == 1
 
 
-def test_evaluate_examples():
-    assert mat([["t - 1"]]).evaluate(Fraction(1))[0][0] == 0
-    assert mat([["t - 2"]]).evaluate(Fraction(2))[0][0] == 0
-    assert mat([["t^-1"]]).evaluate(Fraction(2))[0][0] == Fraction(1, 2)
-    with pytest.raises(ZeroDivisionError):
-        mat([["t"]]).evaluate(Fraction(0))
-
-
-def test_evaluate_skips_zero_entries(monkeypatch):
-    # d_2 of the 3x3 grid torus: 54 of its 486 entries are nonzero.  Each
-    # zero entry takes the zero polynomial's own value at z, so the
-    # evaluation matches the entrywise one in value and type (0j at a
-    # float point keeps float ranks bit-identical).
-    m = lift_simplicial(grid_torus(3)).boundary(2)
-    nonzero = sum(1 for e in m.entries if not e.is_zero())
-    own = LaurentPoly.evaluate
-    calls = [0]
-
-    def evaluate(p, z):
-        # endex refuses a Gaussian point; the conftest reference takes it.
-        return gaussian_evaluate(p, z) if isinstance(z, GaussianRational) else own(p, z)
-
-    def counting(self, z):
-        calls[0] += 1
-        return evaluate(self, z)
-
-    monkeypatch.setattr(LaurentPoly, "evaluate", counting)
-    for z in (Fraction(2, 3), 3, GaussianRational(1, 2), 0.5 + 0.25j, 0.75):
-        expected = [[evaluate(e, z) for e in m.row(i)] for i in range(m.rows)]
-        calls[0] = 0
-        got = m.evaluate(z)
-        assert calls[0] == nonzero + 1
-        assert got == expected
-        assert [type(x) for row in got for x in row] == [type(x) for row in expected for x in row]
-
-
 def _t_power_scaled(rng, m: LaurentMatrix) -> LaurentMatrix:
     """m with row i times t^a_i and column j times t^b_j, for random a, b."""
     a = [rng.randint(-3, 3) for _ in range(m.rows)]
@@ -361,7 +325,7 @@ def test_numeric_rank_matches_the_svd_count_away_from_the_cutoff():
         cases += [(torus.boundary(k), z) for k in range(1, torus.n + 1)]
     checked = near = 0
     for m, z in cases:
-        count, decades = _svd_count(m.evaluate(z))
+        count, decades = _svd_count([[e.evaluate(z) for e in m.row(i)] for i in range(m.rows)])
         if decades > 1.0:
             checked += 1
             assert m.rank_at(z) == count, (m, z, decades)
@@ -410,6 +374,8 @@ def test_matrix_shape_validation():
             LaurentMatrix(2, 2, {key: poly("1")})
     with pytest.raises(ValueError):
         mat([["1", "0"], ["1"]])
+    with pytest.raises(ValueError, match=r"^shape mismatch: 2x2 times 3x1$"):
+        LaurentMatrix.identity(2) * LaurentMatrix.zero(3, 1)
 
 
 def test_matrix_holds_only_its_nonzero_entries():

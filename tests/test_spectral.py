@@ -22,7 +22,7 @@ def all_roots(alex, n=None):
 def test_single_rational_root():
     (r,) = find_roots(poly("t - 2"), 1)
     assert r.exact == 2 and r.multiplicity == 1 and r.radius == 0.0
-    assert r.modulus == 2.0 and r.delta == math.log(2)
+    assert r.modulus == 2.0
 
 
 def test_double_root_multiplicity_exact():
@@ -280,6 +280,23 @@ def test_aberth_stops_on_high_degree_circle(tmp_path, monkeypatch, capsys):
     assert [(w["delta"], w["jump"], len(w["contributions"])) for w in walls] == [(0.0, -200, 200)]
     sweeps = calls[0] // (2 * 198)
     assert sweeps < 100
+
+
+def test_a_linear_factor_past_the_rational_search_cap(tmp_path, capsys):
+    # t - 10^13 has an end coefficient above 10^12, where the rational
+    # search stops, so the float root finder solves the linear factor.  The
+    # wall is checked within its radius, not by its float bytes.
+    doc = tmp_path / "linear.json"
+    doc.write_text('{"alexander": [{"lowest": 0, "coeffs": ["-10000000000000", "1"]}],'
+                   ' "manifold": {"dim": 1, "chi": 0}}')
+    assert main(["index", "--input", str(doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    (wall,) = report["walls"]
+    assert (wall["jump"], report["values"]) == (-1, [1, 0])
+    (r,) = find_roots(poly("t - 10000000000000"), 0)
+    (w,) = exceptional_weights([r], 1)
+    assert abs(r.approx - 10**13) <= r.radius
+    assert abs(wall["delta"] - 13 * math.log(10)) <= w.delta_radius + 1e-12
 
 
 def test_degree_above_the_cap_is_refused(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,13 @@
 import cmath
 import importlib.util
 import itertools
+import json
 import math
 import os
 import random
+import re
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ from endex import (
     NotFiniteError,
     OnWallError,
     SimplicialInput,
+    SizeBoundError,
     WindowTooSmallError,
     cup_product_check,
     fredholm_check,
@@ -885,6 +889,22 @@ def test_exact_ranks_at_roots_of_unity_take_a_cocycle_of_any_size():
     assert cup_product_check(circle)["exact"]
 
 
+def test_an_exact_power_above_the_bit_budget_is_refused():
+    # Off the unit circle t^w mod g has coefficients of about w log2|z|
+    # bits: at w = 10^10 each exact rank would run for hours.  Repeated
+    # squaring stops at the first square above the budget, within seconds.
+    edges = {(0, 1): 0, (1, 2): 0, (0, 2): 10**10}
+    circle = lift_simplicial(SimplicialInput(3, {1: sorted(edges)}, edges))
+    for z, g in ((Fraction(2), "t - 2"), (Fraction(1, 2), "t - 1/2"), (GaussianRational(1, 2), "t^2 - 2*t + 5")):
+        start = time.process_time()
+        with pytest.raises(SizeBoundError, match=rf"^reduction mod {re.escape(g)}: t\^10000000000 has a "
+                                                 rf"coefficient above the budget of {polymatrix.MAX_POWER_BITS} bits$"):
+            twisted_dims(circle, z)
+        assert time.process_time() - start < 30
+    for z in (Fraction(1), Fraction(-1), GaussianRational(0, 1)):
+        assert twisted_dims(circle, z).dims == (1, 1)
+
+
 def winding_triangle():
     return SimplicialInput(3, {1: [(0, 1), (1, 2), (0, 2)]}, {(0, 1): 0, (1, 2): 0, (0, 2): 1})
 
@@ -954,7 +974,10 @@ def test_cup_check_matches_the_reference_on_known_spaces(monkeypatch):
     circles, grid tori and staircase products S^1 x K, whose cup report
     the benchmark generator derives from the Kunneth formula."""
     data = os.path.join(os.path.dirname(__file__), "data")
-    spaces = [load_input(os.path.join(data, name)).simplicial for name in ("circle.json", "circle_trivial.json")]
+    spaces = []
+    for name in ("circle.json", "circle_trivial.json"):
+        with open(os.path.join(data, name), encoding="utf-8") as fh:
+            spaces.append(SimplicialInput.from_json(json.load(fh)))
     spaces += [grid_torus(k) for k in (3, 4)]
     for si in spaces:
         assert cup_product_check(lift_simplicial(si)) == reference_cup_product_check(si)
