@@ -9,6 +9,7 @@ the exit code is zero exactly when no error occurred.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -188,7 +189,11 @@ def _cmd_plotdata(args):
     _emit(args, plot_data(f), plot_text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one, so
+    no caller may change it; parse_args leaves it as it is and returns a
+    fresh Namespace."""
     top = argparse.ArgumentParser(
         prog="endex",
         description="Index step functions of weighted complexes on end-periodic manifolds",

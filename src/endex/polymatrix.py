@@ -212,7 +212,8 @@ def _powers_mod(g: LaurentPoly):
     unit mod g, as n ascending coefficients; and g's tail, with t^n =
     sum tail[i] t^i mod g.  Each power comes from repeated squaring of t or
     1/t and is cached per exponent for the life of the returned function.
-    A square with a coefficient above MAX_POWER_BITS raises SizeBoundError."""
+    A square whose operand has a coefficient above MAX_POWER_BITS // 2 bits
+    raises SizeBoundError before it is formed."""
     if not g.is_canonical or g.span < 1:
         raise ValueError(f"the modulus must be canonical of positive degree, got {g}")
     n = g.span
@@ -224,10 +225,10 @@ def _powers_mod(g: LaurentPoly):
         if e not in powers:  # t or 1/t, squared from the top bit of |e| down
             base = out = powers[-1] if e < 0 else _times(powers[0], [0, 1], tail)
             for bit in bin(abs(e))[3:]:
-                out = _times(out, _times(out, base, tail) if bit == "1" else out, tail)
-                if max(x.numerator.bit_length() + x.denominator.bit_length() for x in out) > MAX_POWER_BITS:
+                if max(x.numerator.bit_length() + x.denominator.bit_length() for x in out) > MAX_POWER_BITS // 2:
                     raise SizeBoundError(f"reduction mod {g.pretty()}: t^{e} has a coefficient above "
                                          f"the budget of {MAX_POWER_BITS} bits")
+                out = _times(out, _times(out, base, tail) if bit == "1" else out, tail)
             powers[e] = out
         return powers[e]
 

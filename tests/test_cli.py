@@ -337,6 +337,30 @@ def test_l2_oracle_block_flags_need_lam(capsys):
                                "analytic": 1, "truncated": 1, "agree": True}
 
 
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    # main builds its parser on the first call in a process and reuses it, so
+    # no flag, default or --output of one call may reach the next.
+    assert build_parser() is build_parser()
+    code, out, err = run_cli(["l2-oracle", "--lam", "1+i", "--mult", "2", "--delta1", "0.5", "--delta2", "-1"],
+                             capsys)
+    assert code == 0 and err == "" and json.loads(out)["m"] == 2
+    with pytest.raises(SystemExit) as info:
+        main(["l2-oracle", "--mult", "2"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("endex l2-oracle: error: --mult: only allowed with --lam\n")
+    # The block flags are argparse.SUPPRESS: none given before may carry over.
+    with open(os.path.join(PINNED, "l2-oracle-2.out"), encoding="utf-8") as fh:
+        assert run_cli(["l2-oracle", "--lam", "2"], capsys) == (0, fh.read(), "")
+    code, out, _ = run_cli(["analyze", "--input", path("fox.json"), "--format", "text"], capsys)
+    assert code == 0 and out.startswith("input: ")
+    code, out, _ = run_cli(["analyze", "--input", path("fox.json")], capsys)
+    assert code == 0 and json.loads(out)["values"] == [2, 1, 1, 2]
+    written = tmp_path / "plot.json"
+    assert run_cli(["plotdata", "--input", path("fox.json"), "--output", str(written)], capsys) == (0, "", "")
+    code, out, _ = run_cli(["plotdata", "--input", path("fox.json")], capsys)
+    assert code == 0 and out == written.read_text(encoding="utf-8")
+
+
 def test_l2_oracle_at_a_wide_derived_window(capsys):
     # These weights need a half-width of 458, where |delta| * N passes the
     # 709 at which a plain e^(-delta k) column weight overflows a float.

@@ -892,7 +892,8 @@ def test_exact_ranks_at_roots_of_unity_take_a_cocycle_of_any_size():
 def test_an_exact_power_above_the_bit_budget_is_refused():
     # Off the unit circle t^w mod g has coefficients of about w log2|z|
     # bits: at w = 10^10 each exact rank would run for hours.  Repeated
-    # squaring stops at the first square above the budget, within seconds.
+    # squaring stops before the first square whose operand is above half
+    # the budget, in about a second at 1+2i.
     edges = {(0, 1): 0, (1, 2): 0, (0, 2): 10**10}
     circle = lift_simplicial(SimplicialInput(3, {1: sorted(edges)}, edges))
     for z, g in ((Fraction(2), "t - 2"), (Fraction(1, 2), "t - 1/2"), (GaussianRational(1, 2), "t^2 - 2*t + 5")):
@@ -900,9 +901,20 @@ def test_an_exact_power_above_the_bit_budget_is_refused():
         with pytest.raises(SizeBoundError, match=rf"^reduction mod {re.escape(g)}: t\^10000000000 has a "
                                                  rf"coefficient above the budget of {polymatrix.MAX_POWER_BITS} bits$"):
             twisted_dims(circle, z)
-        assert time.process_time() - start < 30
+        assert time.process_time() - start < 3
     for z in (Fraction(1), Fraction(-1), GaussianRational(0, 1)):
         assert twisted_dims(circle, z).dims == (1, 1)
+
+
+def test_the_bit_budget_is_checked_on_the_operand_of_each_square(monkeypatch):
+    # Mod t - 2, t^(2^j) = 2^(2^j) has 2^j + 2 bits (numerator plus the
+    # denominator 1).  At a budget of 66 bits the last square of t^64 would
+    # have 66 bits, but its operand t^32 has 34 > 66 // 2, so it is refused.
+    monkeypatch.setattr(polymatrix, "MAX_POWER_BITS", 66)
+    g = poly("t - 2")
+    assert polymatrix.residue(poly("t^33"), g) == [2**33]
+    with pytest.raises(SizeBoundError, match=r"^reduction mod t - 2: t\^64 has a coefficient above the budget of 66 bits$"):
+        polymatrix.residue(poly("t^64"), g)
 
 
 def winding_triangle():
