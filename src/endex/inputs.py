@@ -49,6 +49,8 @@ def _parse(doc, dim_override, chi_override) -> Analysis:
     chi = chi_override if chi_override is not None else (
         parse_int(manifold["chi"]) if "chi" in manifold and manifold["chi"] is not None else None
     )
+    if dim is not None and dim < 0:
+        raise ComplexValidationError(f"manifold dimension {dim} is negative")
 
     if "alexander" in doc:
         polys = [LaurentPoly.from_json(p) for p in doc["alexander"]]

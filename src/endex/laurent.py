@@ -12,7 +12,7 @@ throughout the package.
 Coefficients are rationals only, and the constructor is the one place that
 enforces it: anything but an exact rational raises TypeError.  Nor is a
 Gaussian rational a point of ``evaluate``: exact work at a + bi reduces
-modulo its minimal polynomial (``LaurentMatrix.rank_mod``).
+modulo its minimal polynomial, in ``QuotientRing``.
 
 Ring operations take LaurentPoly operands only: ``poly("t") + 1`` and
 ``2 * poly("t")`` raise TypeError, and ``poly("0") == 0`` is false.  A
@@ -24,9 +24,12 @@ Python ints: each input is scaled to its primitive integer associate, and
 by Gauss's lemma a primitive divisor over Q divides over Z as well, so the
 gcd needs no rational and every division in the decomposition is an exact
 integer one.  The same kernel (``_int_coeffs``, ``_primitive``,
-``_exact_quo``) deflates the rational roots in ``spectral``; there is no
+``_exact_quo``) deflates the exact roots of ``rational_roots``; there is no
 second, rational-coefficient route to primitive parts or exact quotients.
-Float evaluation, here and in the root finder, goes through ``_horner``.
+Float evaluation, here and in spectral's root finder, goes through ``horner``.
+
+``QuotientRing`` is Q[t]/(g), the one reduction modulo a point's minimal
+polynomial, under ``LaurentMatrix.rank_mod`` and ``twisted.uct_dims`` alike.
 
 >>> poly("t^2 - 1") == poly("t - 1") * poly("t + 1")
 True
@@ -43,7 +46,7 @@ import re
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 
-from .errors import CertificationError
+from .errors import CertificationError, SizeBoundError
 from .rationals import GaussianRational, parse_int, parse_rational
 
 
@@ -258,7 +261,7 @@ class LaurentPoly:
             return acc * z ** self.low if self.low else acc
         z = complex(z)
         try:
-            acc = _horner([float(c) for c in self.coeffs], z)
+            acc = horner([float(c) for c in self.coeffs], z)
             return acc * z ** self.low if self.low else acc
         except OverflowError:
             return complex(math.nan, math.nan)
@@ -323,7 +326,7 @@ _ZERO = LaurentPoly(0, ())
 _ONE = LaurentPoly(0, (Fraction(1),))
 
 
-def _horner(coeffs, z) -> complex:
+def horner(coeffs, z) -> complex:
     """The polynomial with ascending float coefficients at z, by Horner's
     rule in complex arithmetic."""
     acc = 0j
@@ -535,3 +538,146 @@ def squarefree_decomposition(p: LaurentPoly):
         d = _sub(_exact_quo(d, a), _derivative(c))
         mult += 1
     return out
+
+
+def _divisors(n: int):
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _sign_changes(a) -> int:
+    """Sign changes in a coefficient sequence, zeros skipped."""
+    signs = [c > 0 for c in a if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def rational_roots(f: LaurentPoly):
+    """Exact rational roots of a square-free canonical factor, with the
+    deflated remainder (which then has no rational roots).
+
+    Runs on the primitive integer associate g: a root p/q in lowest terms
+    has p dividing g's constant term and q its leading one, and q*t - p is
+    a primitive divisor of g, so each deflation is an exact integer one.
+    The search stops at an end coefficient above 10^12.
+
+    Each round tries the candidates p/q, then -p/q, for p and q ascending,
+    and deflates the first root it meets.  By Descartes' rule of signs, g
+    has no positive root when its coefficients show no sign change, and
+    no negative root when those of g(-t) show none; the round then skips
+    the candidates of that sign, and with neither sign left the search
+    ends.  A skipped candidate is never a root, so
+    every round meets the same first root as the full scan, and the roots
+    come out in the same order."""
+    g = _int_coeffs(f)
+    roots = []
+    while len(g) > 1:
+        if abs(g[0]) > 10**12 or abs(g[-1]) > 10**12:
+            break
+        g_neg = [-c if i % 2 else c for i, c in enumerate(g)]
+        signs = [s for s, a in ((1, g), (-1, g_neg)) if _sign_changes(a)]
+        if not signs:
+            break
+        value_at = LaurentPoly(0, g).evaluate
+        qs = _divisors(g[-1])
+        found = next((r for p in _divisors(g[0]) for q in qs if math.gcd(p, q) == 1
+                      for s in signs for r in (Fraction(s * p, q),) if value_at(r) == 0), None)
+        if found is None:
+            break
+        roots.append(found)
+        g = _primitive(_exact_quo(g, [-found.numerator, found.denominator]))
+    return roots, LaurentPoly(0, g)
+
+
+# The largest coefficient, in bits of numerator and denominator, of a power
+# t^e mod g.  Off the unit circle those coefficients grow like |z|^e, so a
+# cocycle of 10^10 would otherwise need integers of about 10^10 bits.
+MAX_POWER_BITS = 2**22
+
+
+def minimal_polynomial(z) -> LaurentPoly:
+    """The minimal polynomial over Q of a nonzero exact point: t - z at a
+    rational z, also one written z + 0i, and t^2 - 2at + a^2 + b^2 at a + bi
+    with b nonzero.  A float point raises TypeError."""
+    a, b = (z.re, z.im) if isinstance(z, GaussianRational) else (z, 0)
+    g = LaurentPoly(0, (a * a + b * b, -2 * a, 1) if b else (-a, 1))
+    if not g.is_canonical:  # only t - 0 = t lacks a constant term
+        raise ZeroDivisionError("the point must be nonzero")
+    return g
+
+
+class QuotientRing:
+    """Arithmetic in Q[t]/(g), for a canonical g of positive degree n, so
+    that t is a unit mod g.  An element is the list of its n ascending
+    coefficients on the basis 1, t, ..., t^(n-1); t^n = sum tail[i] t^i.
+    Each power of t comes from repeated squaring of t or 1/t and is cached
+    per exponent for the life of the object.  A square whose operand has a
+    coefficient above half the bit budget (MAX_POWER_BITS when the object
+    is made) raises SizeBoundError before it is formed.
+    """
+
+    __slots__ = ("g", "tail", "max_bits", "_powers")
+
+    def __init__(self, g: LaurentPoly):
+        if not g.is_canonical or g.span < 1:
+            raise ValueError(f"the modulus must be canonical of positive degree, got {g}")
+        self.g = g
+        self.tail = [-x for x in g.coeffs[:-1]]
+        self.max_bits = MAX_POWER_BITS
+        # 1, and 1/t = -(g_1 + g_2 t + ... + t^(n-1)) / g_0.
+        self._powers = {0: [1] + [0] * (g.span - 1), -1: [-x / g.coeffs[0] for x in g.coeffs[1:]]}
+
+    def power(self, e: int) -> list:
+        """t^e mod g."""
+        powers = self._powers
+        if e not in powers:  # t or 1/t, squared from the top bit of |e| down
+            base = out = powers[-1] if e < 0 else self.times(powers[0], [0, 1])
+            for bit in bin(abs(e))[3:]:
+                if max(x.numerator.bit_length() + x.denominator.bit_length() for x in out) > self.max_bits // 2:
+                    raise SizeBoundError(f"reduction mod {self.g.pretty()}: t^{e} has a coefficient above "
+                                         f"the budget of {self.max_bits} bits")
+                out = self.times(out, self.times(out, base) if bit == "1" else out)
+            powers[e] = out
+        return powers[e]
+
+    def times(self, a: list, coeffs) -> list:
+        """a times the polynomial with these ascending coefficients, by
+        Horner's rule."""
+        tail = self.tail
+        acc = [0] * len(a)
+        for x in reversed(coeffs):
+            top = acc[-1]
+            acc = [y + top * u + x * z for y, u, z in zip([0] + acc[:-1], tail, a)]
+        return acc
+
+    def residue(self, p: LaurentPoly) -> list:
+        """p mod g, and no quotient formed.  Horner's rule over p's nonzero
+        terms, from the top: between two terms whose exponents differ by d
+        it multiplies by t^d mod g.  So the cost is per nonzero term of p: a
+        gap of w between two terms, or a power t^w, costs O(log w) products,
+        and t^w - 1 costs what t^w does."""
+        tail = self.tail
+        acc, above = [0] * len(tail), len(p.coeffs) - 1
+        for i in range(above, -1, -1):
+            if p.coeffs[i]:
+                if above - i == 1:  # times t: shift up, and reduce t^n by g
+                    top = acc[-1]
+                    acc = [y + top * u for y, u in zip([0] + acc[:-1], tail)]
+                elif above > i:
+                    acc = self.times(acc, self.power(above - i))
+                acc[0] += p.coeffs[i]
+                above = i
+        return self.times(acc, self.power(p.low + above)) if p.low + above else acc
+
+    def columns(self, p: LaurentPoly) -> list:
+        """p t^b mod g for b = 0..n-1: the columns of multiplication by p on
+        the basis 1, t, ..., t^(n-1)."""
+        r = self.residue(p)
+        return [self.times(r, self.power(b)) for b in range(len(self.tail))]

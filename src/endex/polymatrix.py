@@ -1,8 +1,9 @@
-"""Matrices over the Laurent ring: Smith normal form and ranks.
+"""Matrices over the Laurent ring: their ranks and Smith normal form.
 
 A ``LaurentMatrix`` holds only its nonzero entries, and only this module
 knows that layout: products and ranks visit the nonzero entries alone.
-The Smith form's working matrix and transforms are dense rows.
+The Smith form's working matrix and transforms are dense rows, and exact
+ranks reduce each entry in ``laurent.QuotientRing``.
 
 The Smith normal form is computed by Euclidean elimination.  One rule
 fills diagonal slot k: pick the pivot of least degree span in the trailing
@@ -35,15 +36,10 @@ from dataclasses import dataclass, field
 from numbers import Rational as _RationalABC
 from types import MappingProxyType
 
-from .errors import CertificationError, SizeBoundError
-from .laurent import LaurentPoly, poly
+from .errors import CertificationError
+from .laurent import LaurentPoly, QuotientRing, minimal_polynomial, poly
 from .linalg import exact_rank, numeric_rank
 from .rationals import GaussianRational, parse_int
-
-# The largest coefficient, in bits of numerator and denominator, of a power
-# t^e mod g.  Off the unit circle those coefficients grow like |z|^e, so a
-# cocycle of 10^10 would otherwise need integers of about 10^10 bits.
-MAX_POWER_BITS = 2**22
 
 
 class LaurentMatrix:
@@ -160,100 +156,25 @@ class LaurentMatrix:
 
         Entry p becomes the n x n block of multiplication by p on the basis
         1, t, ..., t^(n-1), and the blocks go to the sparse eliminator.  Each
-        distinct entry is reduced once, r = p mod g as in ``residue``, and
-        block column b is r t^b mod g, so an entry costs O(log w) products
-        per gap of w between its nonzero terms: t^w and t^w - 1 alike.
+        distinct entry's columns come from ``QuotientRing.columns``, so an
+        entry costs O(log w) products per gap of w between its nonzero
+        terms: t^w and t^w - 1 alike.
         """
-        power, tail = _powers_mod(g)
+        ring = QuotientRing(g)
         n, r, c = g.span, self.rows, self.cols
         blocks, columns = {}, [{} for _ in range(c * n)]
         for (i, j), e in self.nonzeros.items():
             block = blocks.get(e)
             if block is None:
                 # Column b is p t^b; rows and columns run from t^(n-1) down to 1 (faster on the grid tori).
-                res = _residue(e, power, tail)
-                block = blocks[e] = [[((n - 1 - a) * r, x) for a, x in enumerate(
-                    _times(res, power(b), tail)) if x] for b in range(n)]
+                block = blocks[e] = [[((n - 1 - a) * r, x) for a, x in enumerate(column) if x]
+                                     for column in ring.columns(e)]
             for b, column in enumerate(block):
                 columns[(n - 1 - b) * c + j].update((row + i, x) for row, x in column)
         return exact_rank(columns)
 
 
 _ZERO = LaurentPoly.zero()
-
-
-def residue(p: LaurentPoly, g: LaurentPoly) -> list:
-    """The coefficients of p mod g on the basis 1, t, ..., t^(n-1), for a
-    canonical g of positive degree n, and no quotient formed.  The cost is
-    per nonzero term of p: a gap of w between two terms, or a power t^w,
-    costs O(log w) products, so t^w - 1 costs what t^w does."""
-    return _residue(p, *_powers_mod(g))
-
-
-def _residue(p: LaurentPoly, power, tail) -> list:
-    """p mod g from ``_powers_mod(g)``'s power table and tail.  Horner's rule
-    over p's nonzero terms, from the top: between two terms whose exponents
-    differ by d it multiplies by t^d mod g."""
-    acc, above = [0] * len(tail), len(p.coeffs) - 1
-    for i in range(above, -1, -1):
-        if p.coeffs[i]:
-            if above - i == 1:  # times t: shift up, and reduce t^n by g
-                top = acc[-1]
-                acc = [y + top * u for y, u in zip([0] + acc[:-1], tail)]
-            elif above > i:
-                acc = _times(acc, power(above - i), tail)
-            acc[0] += p.coeffs[i]
-            above = i
-    return _times(acc, power(p.low + above), tail) if p.low + above else acc
-
-
-def _powers_mod(g: LaurentPoly):
-    """e -> t^e mod g for a canonical g of positive degree n, so that t is a
-    unit mod g, as n ascending coefficients; and g's tail, with t^n =
-    sum tail[i] t^i mod g.  Each power comes from repeated squaring of t or
-    1/t and is cached per exponent for the life of the returned function.
-    A square whose operand has a coefficient above MAX_POWER_BITS // 2 bits
-    raises SizeBoundError before it is formed."""
-    if not g.is_canonical or g.span < 1:
-        raise ValueError(f"the modulus must be canonical of positive degree, got {g}")
-    n = g.span
-    tail = [-x for x in g.coeffs[:-1]]
-    # 1, and 1/t = -(g_1 + g_2 t + ... + t^(n-1)) / g_0.
-    powers = {0: [1] + [0] * (n - 1), -1: [-x / g.coeffs[0] for x in g.coeffs[1:]]}
-
-    def power(e):
-        if e not in powers:  # t or 1/t, squared from the top bit of |e| down
-            base = out = powers[-1] if e < 0 else _times(powers[0], [0, 1], tail)
-            for bit in bin(abs(e))[3:]:
-                if max(x.numerator.bit_length() + x.denominator.bit_length() for x in out) > MAX_POWER_BITS // 2:
-                    raise SizeBoundError(f"reduction mod {g.pretty()}: t^{e} has a coefficient above "
-                                         f"the budget of {MAX_POWER_BITS} bits")
-                out = _times(out, _times(out, base, tail) if bit == "1" else out, tail)
-            powers[e] = out
-        return powers[e]
-
-    return power, tail
-
-
-def _times(a, coeffs, tail):
-    """a times the polynomial with these ascending coefficients in Q[t]/(g),
-    by Horner's rule, with t^n = sum tail[i] t^i mod g."""
-    acc = [0] * len(a)
-    for x in reversed(coeffs):
-        top = acc[-1]
-        acc = [y + top * u + x * z for y, u, z in zip([0] + acc[:-1], tail, a)]
-    return acc
-
-
-def minimal_polynomial(z) -> LaurentPoly:
-    """The minimal polynomial over Q of a nonzero exact point: t - z at a
-    rational z, also one written z + 0i, and t^2 - 2at + a^2 + b^2 at a + bi
-    with b nonzero.  A float point raises TypeError."""
-    a, b = (z.re, z.im) if isinstance(z, GaussianRational) else (z, 0)
-    g = LaurentPoly(0, (a * a + b * b, -2 * a, 1) if b else (-a, 1))
-    if not g.is_canonical:  # only t - 0 = t lacks a constant term
-        raise ZeroDivisionError("the point must be nonzero")
-    return g
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
-"""Roots of the characteristic polynomials and the exceptional weight set.
+"""Float root location, radii and walls for the characteristic polynomials.
 
-Multiplicities are always exact, coming from the square-free decomposition;
-floating point enters only to locate the roots of each square-free factor.
-Rational roots are pulled out exactly first (they are what the worked
-examples produce), the rest go to a simultaneous Aberth-Ehrlich iteration
-with a deterministic start, and every approximate root carries an
-a-posteriori error radius.
+Multiplicities are always exact: the square-free decomposition and the
+rational roots (those of the worked examples) come from ``laurent``, exact.
+Floating point enters only to locate the other roots of each square-free
+factor, by a simultaneous Aberth-Ehrlich iteration with a deterministic
+start, and every approximate root carries an a-posteriori error radius.
 
 Weights are walls at ln|root|: `exceptional_weights` returns a tuple of
 `Wall`s sorted by weight, each holding the `RootDatum`s that sit on it.
@@ -28,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AmbiguousWallError, CertificationError, FloatRangeError
-from .laurent import (LaurentPoly, _exact_quo, _horner, _int_coeffs, _primitive, canonicalize,
-                      squarefree_decomposition)
+from .laurent import LaurentPoly, canonicalize, horner, rational_roots, squarefree_decomposition
 
 RESIDUAL_RTOL = 1e-12
 # Largest degree span find_roots accepts.  Each Aberth sweep costs O(d^2),
@@ -61,73 +59,6 @@ class RootDatum:
         return abs(self.approx)
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _sign_changes(a) -> int:
-    """Sign changes in a coefficient sequence, zeros skipped."""
-    signs = [c > 0 for c in a if c]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
-
-
-def _rational_roots(f: LaurentPoly):
-    """Exact rational roots of a square-free canonical factor, with the
-    deflated remainder (which then has no rational roots).
-
-    Runs on the primitive integer associate g: a root p/q in lowest terms
-    has p dividing g's constant term and q its leading one, and q*t - p is
-    a primitive divisor of g, so each deflation is an exact integer one.
-
-    Each round tries the candidates p/q, then -p/q, for p and q ascending,
-    and deflates the first root it meets.  By Descartes' rule of signs, g
-    has no positive root when its coefficients show no sign change, and
-    no negative root when those of g(-t) show none; the round then skips
-    the candidates of that sign, and with neither sign left the search
-    ends.  A skipped candidate is never a root, so
-    every round meets the same first root as the full scan, and the roots
-    come out in the same order."""
-    g = _int_coeffs(f)
-    roots = []
-    while len(g) > 1:
-        if abs(g[0]) > 10**12 or abs(g[-1]) > 10**12:
-            break
-        g_neg = [-c if i % 2 else c for i, c in enumerate(g)]
-        signs = [s for s, a in ((1, g), (-1, g_neg)) if _sign_changes(a)]
-        if not signs:
-            break
-        value_at = LaurentPoly(0, g).evaluate
-        found = None
-        qs = _divisors(g[-1])
-        for p in _divisors(g[0]):
-            for q in qs:
-                if math.gcd(p, q) != 1:
-                    continue
-                for s in signs:
-                    r = Fraction(s * p, q)
-                    if value_at(r) == 0:
-                        found = r
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots.append(found)
-        g = _primitive(_exact_quo(g, [-found.numerator, found.denominator]))
-    return roots, LaurentPoly(0, g)
-
-
 def _aberth(coeffs):
     """All complex roots of a square-free polynomial (ascending float
     coefficients).  Deterministic start: circle of Cauchy-bound radius with
@@ -155,12 +86,12 @@ def _aberth(coeffs):
         settled = True
         for i in range(d):
             z = roots[i]
-            pv = _horner(coeffs, z)
+            pv = horner(coeffs, z)
             worst = max(worst, abs(pv))
             if pv == 0:
                 continue
-            settled = settled and abs(pv) <= rounding * _horner(abs_coeffs, abs(z)).real
-            dv = _horner(deriv, z)
+            settled = settled and abs(pv) <= rounding * horner(abs_coeffs, abs(z)).real
+            dv = horner(deriv, z)
             ratio = pv / dv if dv != 0 else pv
             s = sum(1.0 / (z - roots[j]) for j in range(d) if j != i)
             denom = 1.0 - ratio * s
@@ -188,7 +119,7 @@ def find_roots(a: LaurentPoly, degree_k: int) -> list[RootDatum]:
                          f"above the cap of {MAX_DEGREE}")
     out: list[RootDatum] = []
     for factor, mult in squarefree_decomposition(a):
-        rational, rest = _rational_roots(factor)
+        rational, rest = rational_roots(factor)
         for r in rational:
             out.append(
                 RootDatum(
@@ -218,8 +149,8 @@ def find_roots(a: LaurentPoly, degree_k: int) -> list[RootDatum]:
                 if not cmath.isfinite(z):
                     raise FloatRangeError(f"the degree-{degree_k} characteristic polynomial overflows "
                                           "the float root finder")
-                res = abs(_horner(coeffs, z))
-                dv = abs(_horner(deriv, z))
+                res = abs(horner(coeffs, z))
+                dv = abs(horner(deriv, z))
                 radius = rest.span * res / dv if dv > 0 else math.inf
                 out.append(
                     RootDatum(

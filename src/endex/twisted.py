@@ -31,8 +31,8 @@ from numbers import Rational as _RationalABC
 from .complexes import ChainComplexOverLambda
 from .errors import FloatRangeError, NotFiniteError, OnWallError, WindowTooSmallError
 from .homology import HomologyModule
+from .laurent import QuotientRing, minimal_polynomial
 from .pipeline import Analysis
-from .polymatrix import minimal_polynomial, residue
 from .rationals import GaussianRational
 from .spectral import wall_at
 
@@ -118,15 +118,15 @@ def uct_dims(h: HomologyModule, z) -> list:
     degree-k module vanishing at z, plus one for every invariant factor of
     the degree-(k-1) module vanishing at z; q vanishes at z exactly when
     the minimal polynomial g of z divides it, that is when q mod g
-    (``polymatrix.residue``, from q's nonzero terms alone) is zero.  Returns
-    degrees 0..n+1.
+    (``QuotientRing.residue``, from q's nonzero terms alone) is zero.
+    Returns degrees 0..n+1.
     Requires finite homology and an exact nonzero z.
     """
     if h.infinite_degrees:
         raise NotFiniteError(h.infinite_degrees)
-    g = minimal_polynomial(z)
+    ring = QuotientRing(minimal_polynomial(z))
     # vanish[k + 1] counts in degree k; degrees -1 and n + 1 have no factors.
-    vanish = [0] + [sum(not any(residue(q, g)) for q in h.invariant_factors(k)) for k in range(h.n + 1)] + [0]
+    vanish = [0] + [sum(not any(ring.residue(q)) for q in h.invariant_factors(k)) for k in range(h.n + 1)] + [0]
     return [vanish[k] + vanish[k + 1] for k in range(h.n + 2)]
 
 

@@ -9,7 +9,8 @@ subcomplexes with a front-face cup check that takes every rank from its
 own dense elimination, the wall-jump and annulus counts that cross-check
 the index, and Milnor's torsion at rational points that cross-checks the
 characteristic polynomials, and mapping tori of T^n with their
-characteristic polynomials in closed form from exact minors."""
+characteristic polynomials in closed form from exact minors, with a
+seeded set of their monodromies in SL(n, Z)."""
 
 from __future__ import annotations
 
@@ -753,3 +754,41 @@ def mapping_torus_polys(a) -> list:
     exact determinant, with no Smith normal form."""
     return [canonicalize(determinant(LaurentMatrix.from_rows(_tm_minus_identity(exterior_power(a, k)))))
             for k in range(len(a) + 1)]
+
+
+def elementary_product(rng: random.Random, n: int) -> list:
+    """A product of n to 2n elementary matrices I + s e_ij (i != j, s = ±1),
+    an element of SL(n, Z), as integer rows."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(n, 2 * n)):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((-1, 1))
+        a = [[x + s * row[i] if c == j else x for c, x in enumerate(row)] for row in a]
+    return a
+
+
+def _seeded_monodromies() -> list:
+    """For each n = 2..5, the first two seeded elementary products with no
+    entry above 3 in modulus and no eigenvalue 1 (det(a - I) != 0); then at
+    n = 3 the first with eigenvalue 1 and a hyperbolic pair (trace - 1
+    above 2 in modulus, since the other two eigenvalues multiply to 1)."""
+    rng = random.Random(5)
+    out = []
+
+    def eigenvalue_one(a):
+        return _leibniz_det([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]) == 0
+
+    for n in range(2, 6):
+        kept = []
+        while len(kept) < 2:
+            a = elementary_product(rng, n)
+            if max(abs(x) for row in a for x in row) <= 3 and not eigenvalue_one(a):
+                kept.append(a)
+        out += kept
+    while True:
+        a = elementary_product(rng, 3)
+        if eigenvalue_one(a) and abs(a[0][0] + a[1][1] + a[2][2] - 1) > 2:
+            return out + [a]
+
+
+MONODROMIES = _seeded_monodromies()

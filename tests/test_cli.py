@@ -199,6 +199,25 @@ def test_dim_below_top_degree_is_refused(capsys, tmp_path):
         assert code == 0 and err == ""
 
 
+def test_a_negative_dimension_is_refused(capsys, tmp_path):
+    # (-1) ** n is a float at n < 0: the empty alexander document of
+    # dimension -1 printed the index values [-3.0] and an odd duality
+    # parity.  A negative dimension is refused from the manifold block and
+    # from --dim alike, before the polynomial count is checked.
+    doc = tmp_path / "negative.json"
+    doc.write_text(json.dumps({"alexander": [], "manifold": {"dim": -1, "chi": 3}}))
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"alexander": [{"lowest": 0, "coeffs": ["-2", "1"]}], "manifold": {"dim": -1}}))
+    for argv, dim in ((["index", "--input", str(doc)], -1),
+                      (["duality", "--input", str(doc)], -1),
+                      (["index", "--input", str(one)], -1),
+                      (["index", "--input", path("fox.json"), "--dim", "-1"], -1),
+                      (["analyze", "--input", path("circle.json"), "--dim", "-2"], -2)):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err == f"endex: error: manifold dimension {dim} is negative\n", argv
+
+
 def test_alexander_refuses_chi(capsys):
     # alexander reads --dim (how many polynomials to report) but never chi.
     with pytest.raises(SystemExit) as info:
@@ -687,6 +706,22 @@ def test_no_test_only_functions():
     unnamed = [(module, fn) for module, fn in defined
                if fn not in named and not (fn.startswith("__") and fn.endswith("__"))]
     assert unnamed == []
+
+
+def test_no_module_imports_private_names():
+    # A name that starts with an underscore is private to its module:
+    # src/endex imports only the public names of its own modules.
+    src = os.path.dirname(endex.__file__)
+    private = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        private += [(name, node.module, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("endex"))
+                    for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_snf_replay_runs():

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from endex import CertificationError, GaussianRational, LaurentPoly, canonicalize, laurent_gcd, squarefree_decomposition
-from endex.laurent import _exact_quo, poly
-from endex.polymatrix import minimal_polynomial
+from endex.laurent import _exact_quo, minimal_polynomial, poly
 
 from conftest import (
     gaussian_evaluate,

@@ -7,7 +7,7 @@ import pytest
 
 from endex import AmbiguousWallError, exceptional_weights, find_roots
 from endex.laurent import LaurentPoly, poly
-from endex import spectral
+from endex import laurent, spectral
 from endex.cli import main
 from endex.spectral import RESIDUAL_RTOL, RootDatum
 
@@ -182,19 +182,19 @@ def test_rational_roots_lists_divisors_once_per_round(monkeypatch):
     # 720720 t^5 + t^3 + 720720 has no rational root, so the search tries
     # every divisor pair of 720720 (240 divisors) before giving up.
     calls = []
-    divisors = spectral._divisors
+    divisors = laurent._divisors
 
     def counting(n):
         calls.append(n)
         return divisors(n)
 
-    monkeypatch.setattr(spectral, "_divisors", counting)
+    monkeypatch.setattr(laurent, "_divisors", counting)
     cliff = LaurentPoly(0, [720720, 0, 0, 1, 0, 720720])
-    assert spectral._rational_roots(cliff) == ([], cliff)
+    assert laurent.rational_roots(cliff) == ([], cliff)
     assert len(calls) == 2
     # Two rational roots: two rounds that find one, a third that finds none.
     calls.clear()
-    roots, rest = spectral._rational_roots(poly("2t - 1") * poly("t + 3") * cliff)
+    roots, rest = laurent.rational_roots(poly("2t - 1") * poly("t + 3") * cliff)
     assert roots == [Fraction(1, 2), Fraction(-3)] and rest == cliff
     assert len(calls) == 6
 
@@ -212,20 +212,20 @@ def test_rational_roots_skip_positive_candidates_of_a_positive_polynomial(monkey
 
     monkeypatch.setattr(LaurentPoly, "evaluate", recording)
     cliff = LaurentPoly(0, [720720, 0, 0, 1, 0, 720720])
-    assert spectral._rational_roots(cliff) == ([], cliff)
+    assert laurent.rational_roots(cliff) == ([], cliff)
     assert points and all(z < 0 for z in points)
 
 
 def _unpruned_rational_roots(f: LaurentPoly):
-    """Every candidate p/q, then -p/q, in the order _rational_roots uses,
+    """Every candidate p/q, then -p/q, in the order rational_roots uses,
     evaluated over Q on the rational coefficients, with no sign pruning."""
     roots = []
     while f.span > 0:
         den = math.lcm(*(c.denominator for c in f.coeffs))
         a = [int(c * den) for c in f.coeffs]
         a = [x // math.gcd(*a) for x in a]
-        qs = spectral._divisors(a[-1])
-        found = next((r for p in spectral._divisors(a[0]) for q in qs if math.gcd(p, q) == 1
+        qs = laurent._divisors(a[-1])
+        found = next((r for p in laurent._divisors(a[0]) for q in qs if math.gcd(p, q) == 1
                       for r in (Fraction(p, q), Fraction(-p, q)) if f.evaluate(r) == 0), None)
         if found is None:
             break
@@ -251,7 +251,7 @@ def test_rational_roots_match_an_unpruned_scan():
             a, b = rng.randint(-5, 5), rng.randint(1, 9)
             if a * a < 4 * b:
                 f = f * LaurentPoly(0, [b, a, 1])
-        got, rest = spectral._rational_roots(f)
+        got, rest = laurent.rational_roots(f)
         assert got == _unpruned_rational_roots(f)
         assert sorted(got) == sorted(roots)
         assert all(rest.evaluate(r) != 0 for r in roots)
@@ -267,14 +267,14 @@ def test_aberth_stops_on_high_degree_circle(tmp_path, monkeypatch, capsys):
     doc.write_text('{"vertices": 3, "simplices": {"1": [[0, 1], [1, 2], [0, 2]]},'
                    ' "cocycle": {"0,1": 0, "1,2": 0, "0,2": 200}}')
     calls = [0]
-    horner = spectral._horner
+    horner = spectral.horner
 
     def counting(coeffs, z):
         # Each sweep evaluates p and p' once at every complex root estimate.
         calls[0] += isinstance(z, complex)
         return horner(coeffs, z)
 
-    monkeypatch.setattr(spectral, "_horner", counting)
+    monkeypatch.setattr(spectral, "horner", counting)
     assert main(["analyze", "--input", str(doc)]) == 0
     walls = json.loads(capsys.readouterr().out)["walls"]
     assert [(w["delta"], w["jump"], len(w["contributions"])) for w in walls] == [(0.0, -200, 200)]

@@ -14,10 +14,11 @@ from fractions import Fraction
 import pytest
 
 from endex import LaurentPoly, alexander_polynomials, homology, lift_simplicial
-from endex.inputs import load_input
+from endex.inputs import load_input, parse_document
 from endex.laurent import poly
 
-from conftest import TORSION_POINTS, grid_torus, milnor_torsion, planted_complex, torsion_matches
+from conftest import (MONODROMIES, TORSION_POINTS, grid_torus, mapping_torus, milnor_torsion, planted_complex,
+                      torsion_matches)
 
 WRONG = poly("t - 11")
 
@@ -65,6 +66,18 @@ def test_a_wrong_factor_is_caught_on_planted_complexes(planted_draws):
         for k in range(len(polys)):
             wrong = polys[:k] + (polys[k] * WRONG,) + polys[k + 1:]
             assert not torsion_matches(torsions, wrong)
+
+
+def test_torsion_agrees_with_homology_on_mapping_tori():
+    # Every Δ_k = det(t Λ^k a - I) has roots the inverses of algebraic
+    # integers, none of them a torsion point, so each torus is acyclic there.
+    for a in MONODROMIES:
+        cc = parse_document(mapping_torus(a)).complex
+        polys = alexander_polynomials(homology(cc)).polys
+        torsions = milnor_torsion(cc)
+        assert torsion_matches(torsions, polys), a
+        for k in range(len(polys)):
+            assert not torsion_matches(torsions, polys[:k] + (polys[k] * WRONG,) + polys[k + 1:]), (a, k)
 
 
 @pytest.mark.parametrize("k", [3, 4, 6, 10, 20])
